@@ -1,0 +1,71 @@
+//! Golden digests: pins the exact partition every driver produces on one
+//! fixed multi-constraint mesh, so a refactor that claims bit-identical
+//! output is checked across commits, not just across two runs inside one
+//! binary (which is all `tests/determinism.rs` can see).
+//!
+//! Each digest is FNV-1a 64 over the assignment vector (each part id as
+//! four little-endian bytes). A digest changes only when some vertex lands
+//! in a different part; when a change is meant to alter outputs, re-derive
+//! the constants and say so in the change description.
+
+use mcgp::core::{partition_kway, partition_rb, HierarchySnapshot, PartitionConfig};
+use mcgp::graph::generators::mrng_like;
+use mcgp::graph::synthetic;
+use mcgp::graph::Graph;
+use mcgp::parallel::{parallel_partition_kway, ParallelConfig};
+
+fn fnv1a64(assignment: &[u32]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &p in assignment {
+        for byte in p.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// 20k-vertex 3-constraint mesh: big enough that the SMP coarsener and the
+/// SMP refiner both engage at t=2.
+fn mesh() -> Graph {
+    synthetic::type1(&mrng_like(20_000, 1), 3, 1)
+}
+
+fn check(what: &str, assignment: &[u32], expect: u64) {
+    let got = fnv1a64(assignment);
+    assert_eq!(got, expect, "{what}: digest {got:#018x}, expected {expect:#018x}");
+}
+
+#[test]
+fn kway_serial_and_threaded_outputs_are_pinned() {
+    let g = mesh();
+    let t1 = partition_kway(&g, 16, &PartitionConfig::default().with_seed(7));
+    check("partition_kway t=1 k=16", t1.partition.assignment(), 0x03ac_b669_0df8_7fa4);
+    let t2 = partition_kway(&g, 16, &PartitionConfig::default().with_seed(7).with_threads(2));
+    check("partition_kway t=2 k=16", t2.partition.assignment(), 0x8d95_f9a3_9ce4_0161);
+}
+
+#[test]
+fn rb_output_is_pinned() {
+    let g = mesh();
+    let rb = partition_rb(&g, 6, &PartitionConfig::default().with_seed(7));
+    check("partition_rb k=6", rb.partition.assignment(), 0xf26b_d219_21db_a390);
+}
+
+#[test]
+fn parallel_kway_output_is_pinned() {
+    let g = mesh();
+    let par = parallel_partition_kway(&g, 16, &ParallelConfig::new(4).with_seed(7));
+    check("parallel_partition_kway p=4 k=16", par.partition.assignment(), 0xb6d2_d821_9c72_3958);
+}
+
+#[test]
+fn hierarchy_replay_outputs_are_pinned() {
+    let g = mesh();
+    let cfg = PartitionConfig::default().with_seed(7);
+    let snap = HierarchySnapshot::build(&g, &cfg);
+    for (k, expect) in [(8usize, 0xb342_ab53_29db_5273u64), (37, 0x9326_08cc_132b_558c)] {
+        let warm = snap.partition(&g, k, &cfg);
+        check(&format!("HierarchySnapshot::partition k={k}"), warm.partition.assignment(), expect);
+    }
+}

@@ -1,24 +1,13 @@
-//! Benchmarks of the extension crates: nested-dissection ordering and
-//! adaptive repartitioning.
+//! Benchmarks of the extension crate: adaptive repartitioning.
 
 use mcgp_adaptive::evolve::EvolvingWorkload;
 use mcgp_adaptive::{repartition, RepartitionMethod};
 use mcgp_bench::Bench;
 use mcgp_core::{partition_kway, PartitionConfig};
 use mcgp_graph::generators::mrng_like;
-use mcgp_order::{nested_dissection, symbolic_fill, OrderingConfig};
 
 fn main() {
     let b = Bench::from_args();
-
-    let g = mrng_like(4_000, 1);
-    b.run("extensions/ordering", "nested_dissection_4k", || {
-        nested_dissection(&g, &OrderingConfig::default())
-    });
-    let ord = nested_dissection(&g, &OrderingConfig::default());
-    b.run("extensions/ordering", "symbolic_fill_4k", || {
-        symbolic_fill(&g, ord.perm())
-    });
 
     let mesh = mrng_like(8_000, 2);
     let cfg = PartitionConfig::default();

@@ -16,7 +16,6 @@
 use mcgp_bench::Bench;
 use mcgp_core::balance::{part_weights, BalanceModel};
 use mcgp_core::kway_refine::greedy_kway_refine;
-use mcgp_core::kway_refine_pq::pq_kway_refine;
 use mcgp_core::{partition_kway, PartitionConfig};
 use mcgp_graph::generators::mrng_like;
 use mcgp_graph::synthetic;
@@ -47,12 +46,6 @@ fn main() {
             },
         );
     }
-
-    b.run("refine/pq", "mrng200k_ncon3_k16_sliced", || {
-        let mut a = sliced.clone();
-        let mut pw = part_weights(&g, &a, k);
-        pq_kway_refine(&g, &mut a, &mut pw, &model, 4)
-    });
 
     // The full serial driver on the same mesh: coarsening + initial +
     // uncoarsening. Tracks how the refinement share moves end to end.

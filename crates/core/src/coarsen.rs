@@ -193,28 +193,6 @@ pub fn contract_with_scratch(
     )
 }
 
-/// A coarsening run together with the RNG state at every level boundary —
-/// the raw material for a reusable [`crate::hierarchy::HierarchySnapshot`].
-///
-/// `rng_at[i]` is the RNG state *before* matching level `i` (`rng_at[0]`
-/// is the state the loop started with); `rng_final` is the state when the
-/// loop exited. The two differ only when the loop aborted on a stalled
-/// matching, which consumes draws before breaking. A shallower coarsening
-/// of the same graph with target `T` stops before matching the first level
-/// whose input already has `≤ T` vertices — so its exit RNG state is
-/// exactly `rng_at[that level]`, and its levels are a prefix of these.
-/// That prefix property is what lets one deep hierarchy serve every
-/// `(nparts, ε)` combination bit-identically.
-#[derive(Clone, Debug)]
-pub struct RecordedCoarsening {
-    /// The hierarchy itself.
-    pub hierarchy: CoarsenHierarchy,
-    /// RNG state before matching each level; `len() == nlevels + 1`.
-    pub rng_at: Vec<Rng>,
-    /// RNG state at loop exit (includes stall-abort draws).
-    pub rng_final: Rng,
-}
-
 /// Coarsens until the graph has at most `target` vertices, contraction
 /// stalls (less than 5 % reduction), or a safety cap of levels is hit.
 ///
@@ -226,32 +204,30 @@ pub fn coarsen(
     config: &PartitionConfig,
     rng: &mut Rng,
 ) -> CoarsenHierarchy {
-    coarsen_impl(graph, target, config, rng, None)
-}
-
-/// [`coarsen`] that also records the RNG state at every level boundary.
-pub fn coarsen_recorded(
-    graph: &Graph,
-    target: usize,
-    config: &PartitionConfig,
-    rng: &mut Rng,
-) -> RecordedCoarsening {
-    let mut rng_at = Vec::new();
-    let hierarchy = coarsen_impl(graph, target, config, rng, Some(&mut rng_at));
-    RecordedCoarsening {
-        hierarchy,
-        rng_at,
-        rng_final: rng.clone(),
+    CoarsenHierarchy {
+        levels: coarsen_levels(graph, target, config, rng, None),
     }
 }
 
-fn coarsen_impl(
+/// The coarsening loop behind [`coarsen`], returning the levels by value.
+///
+/// With `record`, pushes the RNG state *before* matching each level (the
+/// first entry is the state the loop started with), so `len() == levels +
+/// 1`; the caller's `rng` then holds the state at loop exit. The two differ
+/// only when the loop aborted on a stalled matching, which consumes draws
+/// before breaking. A shallower coarsening of the same graph with target
+/// `T` stops before matching the first level whose input already has `≤ T`
+/// vertices — so its exit RNG state is exactly the recorded state of that
+/// level, and its levels are a prefix of these. That prefix property is
+/// what lets one deep [`crate::hierarchy::HierarchySnapshot`] serve every
+/// `(nparts, ε)` combination bit-identically.
+pub(crate) fn coarsen_levels(
     graph: &Graph,
     target: usize,
     config: &PartitionConfig,
     rng: &mut Rng,
     mut record: Option<&mut Vec<Rng>>,
-) -> CoarsenHierarchy {
+) -> Vec<CoarseLevel> {
     const MAX_LEVELS: usize = 64;
     let mut levels: Vec<CoarseLevel> = Vec::new();
     let mut scratch = ContractionScratch::with_check(config.check);
@@ -307,7 +283,7 @@ fn coarsen_impl(
             cmap,
         });
     }
-    CoarsenHierarchy { levels }
+    levels
 }
 
 #[cfg(test)]
@@ -455,44 +431,6 @@ mod tests {
         };
         for v in 0..g.nvtxs() {
             assert_eq!(assignment[v], coarse0[l0.cmap[v] as usize]);
-        }
-    }
-
-    #[test]
-    fn recorded_prefix_matches_shallow_coarsen() {
-        let g = mrng_like(5000, 21);
-        for cfg in [
-            PartitionConfig::default(),
-            PartitionConfig::default().with_threads(2),
-        ] {
-            let mut deep_rng = rng(8);
-            let rec = coarsen_recorded(&g, cfg.coarsen_to_min, &cfg, &mut deep_rng);
-            assert_eq!(rec.rng_at.len(), rec.hierarchy.nlevels() + 1);
-            for target in [150usize, 300, 600, 1200, 6000] {
-                let mut r = rng(8);
-                let shallow = coarsen(&g, target, &cfg, &mut r);
-                let l = shallow.nlevels();
-                assert!(l <= rec.hierarchy.nlevels());
-                for (a, b) in shallow.levels().iter().zip(rec.hierarchy.levels()) {
-                    assert_eq!(a.cmap, b.cmap);
-                    assert_eq!(a.graph.nvtxs(), b.graph.nvtxs());
-                    assert_eq!(a.graph.xadj(), b.graph.xadj());
-                }
-                // The shallow run's exit RNG state must be recoverable from
-                // the recording: the boundary state when it stopped on size,
-                // the final state when it ran the full depth.
-                let stopped_size = if l == 0 {
-                    g.nvtxs() <= target
-                } else {
-                    shallow.levels()[l - 1].graph.nvtxs() <= target
-                };
-                if stopped_size {
-                    assert_eq!(r, rec.rng_at[l]);
-                } else {
-                    assert_eq!(l, rec.hierarchy.nlevels());
-                    assert_eq!(r, rec.rng_final);
-                }
-            }
         }
     }
 

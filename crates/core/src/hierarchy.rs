@@ -17,10 +17,10 @@
 //! cold driver stops coarsening *before* matching the first level whose
 //! input is at or below its target, so its levels are a prefix of the
 //! deep hierarchy and its post-coarsening RNG state is exactly the
-//! recorded boundary state ([`crate::coarsen::RecordedCoarsening`]); both
+//! recorded boundary state (see `coarsen::coarsen_levels`); both
 //! paths then run the one shared `initial_and_refine` routine.
 
-use crate::coarsen::{coarsen_recorded, CoarseLevel};
+use crate::coarsen::{coarsen_levels, CoarseLevel};
 use crate::config::PartitionConfig;
 use crate::kway::{check_levels, initial_and_refine};
 use crate::PartitionResult;
@@ -57,15 +57,16 @@ impl HierarchySnapshot {
             nthreads = config.nthreads,
         );
         let mut rng = Rng::seed_from_u64(config.seed);
-        let rec = timed(Phase::Coarsen, || {
-            coarsen_recorded(graph, config.coarsen_to_min, config, &mut rng)
+        let mut rng_at = Vec::new();
+        let levels = timed(Phase::Coarsen, || {
+            coarsen_levels(graph, config.coarsen_to_min, config, &mut rng, Some(&mut rng_at))
         });
-        _root.record("levels", rec.hierarchy.levels().len());
-        check_levels(graph, rec.hierarchy.levels(), config.check);
+        _root.record("levels", levels.len());
+        check_levels(graph, &levels, config.check);
         HierarchySnapshot {
-            levels: rec.hierarchy.levels().to_vec(),
-            rng_at: rec.rng_at,
-            rng_final: rec.rng_final,
+            levels,
+            rng_at,
+            rng_final: rng,
             finest_nvtxs: graph.nvtxs(),
             seed: config.seed,
             nthreads: config.nthreads,
@@ -256,6 +257,7 @@ impl HierarchySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coarsen::coarsen;
     use crate::partition_kway;
     use mcgp_graph::generators::{grid_2d, mrng_like};
     use mcgp_graph::synthetic;
@@ -275,6 +277,44 @@ mod tests {
             );
             assert_eq!(cold.quality.edge_cut, warm.quality.edge_cut);
             assert_eq!(cold.coarsen_levels, warm.coarsen_levels);
+        }
+    }
+
+    #[test]
+    fn recorded_prefix_matches_shallow_coarsen() {
+        let g = mrng_like(5000, 21);
+        for cfg in [
+            PartitionConfig::default().with_seed(8),
+            PartitionConfig::default().with_seed(8).with_threads(2),
+        ] {
+            let snap = HierarchySnapshot::build(&g, &cfg);
+            let rng_at = snap.rng_boundary_states();
+            assert_eq!(rng_at.len(), snap.nlevels() + 1);
+            for target in [150usize, 300, 600, 1200, 6000] {
+                let mut r = Rng::seed_from_u64(8);
+                let shallow = coarsen(&g, target, &cfg, &mut r);
+                let l = shallow.nlevels();
+                assert!(l <= snap.nlevels());
+                for (a, b) in shallow.levels().iter().zip(snap.levels()) {
+                    assert_eq!(a.cmap, b.cmap);
+                    assert_eq!(a.graph.nvtxs(), b.graph.nvtxs());
+                    assert_eq!(a.graph.xadj(), b.graph.xadj());
+                }
+                // The shallow run's exit RNG state must be recoverable from
+                // the recording: the boundary state when it stopped on size,
+                // the final state when it ran the full depth.
+                let stopped_size = if l == 0 {
+                    g.nvtxs() <= target
+                } else {
+                    shallow.levels()[l - 1].graph.nvtxs() <= target
+                };
+                if stopped_size {
+                    assert_eq!(r, rng_at[l]);
+                } else {
+                    assert_eq!(l, snap.nlevels());
+                    assert_eq!(&r, snap.rng_final());
+                }
+            }
         }
     }
 

@@ -17,7 +17,7 @@
 //! become interior mid-pass are skipped.
 
 use crate::balance::{apply_move, BalanceModel};
-use crate::boundary::RefineWorkspace;
+use crate::boundary::{BoundaryEngine, RefineWorkspace};
 use mcgp_graph::Graph;
 use mcgp_runtime::phase::{counter_add, Counter};
 use mcgp_runtime::rng::Rng;
@@ -68,18 +68,7 @@ pub fn greedy_kway_refine_ws(
     let mut stats = KwayRefineStats::default();
     let RefineWorkspace { engine, order } = ws;
     engine.rebuild(graph, assignment, model.nparts());
-    // 1 / (per-part average weight) per constraint, so every balance probe
-    // is a multiply instead of a division.
-    let inv_avg: Vec<f64> = (0..ncon)
-        .map(|i| {
-            let t = model.totals()[i];
-            if t > 0 {
-                model.nparts() as f64 / t as f64
-            } else {
-                0.0
-            }
-        })
-        .collect();
+    let inv_avg = inverse_averages(model);
 
     for pass in 0..iters {
         stats.iterations += 1;
@@ -98,62 +87,14 @@ pub fn greedy_kway_refine_ws(
             }
             boundary_this_iter += 1;
             let a = assignment[v] as usize;
-            let vw = graph.vwgt(v);
             // Never empty a subdomain: the last vertex of its part stays.
             if engine.part_count(a) == 1 {
                 continue;
             }
-            // Best destination by (gain, balance improvement). Phase 1: the
-            // best cut gain among destinations whose caps fit — integer
-            // arithmetic only.
             counter_add(Counter::MovesAttempted, 1);
             attempted_this_iter += 1;
-            let internal = engine.internal(v);
-            let mut best_gain: Option<i64> = None;
-            for pc in engine.conn_of(v) {
-                let b = pc.part as usize;
-                let gain = pc.weight - internal;
-                if gain < 0 || best_gain.is_some_and(|bg| gain < bg) {
-                    continue;
-                }
-                if !model.fits(&pw[b * ncon..(b + 1) * ncon], vw) {
-                    continue;
-                }
-                if best_gain.is_none_or(|bg| gain > bg) {
-                    best_gain = Some(gain);
-                }
-            }
-            // Phase 2: break gain ties by balance improvement — the float
-            // probes run only for the (usually one) tied candidates.
-            // Zero-gain moves are taken only when they improve balance.
-            let mut best: Option<(i64, f64, usize)> = None;
-            if let Some(bg) = best_gain {
-                let load_a_before = part_load(pw, ncon, a, &inv_avg);
-                for pc in engine.conn_of(v) {
-                    let b = pc.part as usize;
-                    let gain = pc.weight - internal;
-                    if gain != bg || !model.fits(&pw[b * ncon..(b + 1) * ncon], vw) {
-                        continue;
-                    }
-                    // Balance delta: how much the worse of the two parts'
-                    // relative load improves under the move, computed from
-                    // load deltas (pw is never touched during scoring).
-                    let bal_gain = {
-                        let load_b_before = part_load(pw, ncon, b, &inv_avg);
-                        let load_a_after = part_load_shifted(pw, ncon, a, vw, -1, &inv_avg);
-                        let load_b_after = part_load_shifted(pw, ncon, b, vw, 1, &inv_avg);
-                        load_a_before.max(load_b_before) - load_a_after.max(load_b_after)
-                    };
-                    if gain == 0 && bal_gain <= 1e-12 {
-                        continue;
-                    }
-                    if best.is_none_or(|(_, bb, _)| bal_gain > bb) {
-                        best = Some((gain, bal_gain, b));
-                    }
-                }
-            }
-            if let Some((gain, _, b)) = best {
-                apply_move(pw, ncon, vw, a, b);
+            if let Some((gain, _, b)) = best_move(graph, engine, pw, model, &inv_avg, v, a) {
+                apply_move(pw, ncon, graph.vwgt(v), a, b);
                 engine.commit_move(graph, assignment, v, b);
                 moved_this_iter += 1;
                 stats.gain += gain;
@@ -175,6 +116,101 @@ pub fn greedy_kway_refine_ws(
         }
     }
     stats
+}
+
+/// `1 / (per-part average weight)` per constraint (0 for an all-zero
+/// constraint), so every balance probe is a multiply instead of a division.
+pub(crate) fn inverse_averages(model: &BalanceModel) -> Vec<f64> {
+    model
+        .totals()
+        .iter()
+        .map(|&t| if t > 0 { model.nparts() as f64 / t as f64 } else { 0.0 })
+        .collect()
+}
+
+/// The k-way move rule, shared by the serial sweep and both supersteps of
+/// [`crate::kway_refine_smp`], evaluated against the given engine /
+/// part-weight state for vertex `v` in part `a`. Phase 1 picks the best
+/// non-negative cut gain among destinations whose caps fit (integer
+/// arithmetic only). Phase 2 breaks gain ties by balance improvement — the
+/// float probes run only for the (usually one) tied candidates — and a
+/// zero-gain move must strictly improve balance. Returns the winning
+/// `(gain, bal_gain, to)` (or `None` when no admissible move exists) plus
+/// the best cut gain *ignoring the caps*, which the SMP proposal scan uses
+/// to spot capacity-blocked vertices without a second `conn_of` pass.
+#[inline(always)]
+pub(crate) fn best_move_scan(
+    graph: &Graph,
+    engine: &BoundaryEngine,
+    pw: &[i64],
+    model: &BalanceModel,
+    inv_avg: &[f64],
+    v: usize,
+    a: usize,
+) -> (Option<(i64, f64, usize)>, i64) {
+    let ncon = graph.ncon();
+    let vw = graph.vwgt(v);
+    let internal = engine.internal(v);
+    let mut best_gain: Option<i64> = None;
+    let mut best_nocap = i64::MIN;
+    for pc in engine.conn_of(v) {
+        let b = pc.part as usize;
+        let gain = pc.weight - internal;
+        if gain > best_nocap {
+            best_nocap = gain;
+        }
+        if gain < 0 || best_gain.is_some_and(|bg| gain < bg) {
+            continue;
+        }
+        if !model.fits(&pw[b * ncon..(b + 1) * ncon], vw) {
+            continue;
+        }
+        if best_gain.is_none_or(|bg| gain > bg) {
+            best_gain = Some(gain);
+        }
+    }
+    let Some(bg) = best_gain else {
+        return (None, best_nocap);
+    };
+    let load_a_before = part_load(pw, ncon, a, inv_avg);
+    let mut best: Option<(i64, f64, usize)> = None;
+    for pc in engine.conn_of(v) {
+        let b = pc.part as usize;
+        let gain = pc.weight - internal;
+        if gain != bg || !model.fits(&pw[b * ncon..(b + 1) * ncon], vw) {
+            continue;
+        }
+        // Balance delta: how much the worse of the two parts' relative
+        // load improves under the move, computed from load deltas (pw is
+        // never touched during scoring).
+        let bal_gain = {
+            let load_b_before = part_load(pw, ncon, b, inv_avg);
+            let load_a_after = part_load_shifted(pw, ncon, a, vw, -1, inv_avg);
+            let load_b_after = part_load_shifted(pw, ncon, b, vw, 1, inv_avg);
+            load_a_before.max(load_b_before) - load_a_after.max(load_b_after)
+        };
+        if gain == 0 && bal_gain <= 1e-12 {
+            continue;
+        }
+        if best.is_none_or(|(_, bb, _)| bal_gain > bb) {
+            best = Some((gain, bal_gain, b));
+        }
+    }
+    (best, best_nocap)
+}
+
+/// [`best_move_scan`] without the no-caps sideband.
+#[inline(always)]
+pub(crate) fn best_move(
+    graph: &Graph,
+    engine: &BoundaryEngine,
+    pw: &[i64],
+    model: &BalanceModel,
+    inv_avg: &[f64],
+    v: usize,
+    a: usize,
+) -> Option<(i64, f64, usize)> {
+    best_move_scan(graph, engine, pw, model, inv_avg, v, a).0
 }
 
 /// Relative load of part `p`: its worst per-constraint weight over the

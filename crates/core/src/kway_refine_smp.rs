@@ -29,7 +29,8 @@
 //!    vertex)` — best cut gain first, then best balance improvement, lowest
 //!    id as the final tie — and committed serially in that order. Each
 //!    proposal is *re-decided* against the live caches with the identical
-//!    per-vertex decision the proposal scan ran ([`best_move`]): earlier
+//!    per-vertex decision the proposal scan ran (the shared move rule in
+//!    [`crate::kway_refine`]): earlier
 //!    commits may have stolen the frozen gain, filled the target, or opened
 //!    a better destination, and the live re-decision commits whatever move
 //!    is best *now* (or nothing). Capacity-blocked vertices queue up
@@ -60,7 +61,7 @@
 
 use crate::balance::{apply_move, BalanceModel};
 use crate::boundary::{BoundaryEngine, RefineWorkspace};
-use crate::kway_refine::{part_load, part_load_shifted, KwayRefineStats};
+use crate::kway_refine::{best_move, best_move_scan, inverse_averages, KwayRefineStats};
 use crate::matching::grant_beats;
 use mcgp_graph::Graph;
 use mcgp_runtime::phase::{counter_add, Counter};
@@ -82,90 +83,6 @@ struct MoveProposal {
     gain: i64,
     bal_gain: f64,
     v: u32,
-}
-
-/// The serial sweep's per-vertex decision against the given engine /
-/// part-weight state: Phase 1 picks the best non-negative cut gain among
-/// destinations whose caps fit, Phase 2 breaks gain ties by balance
-/// improvement (a zero-gain move must strictly improve balance). Returns
-/// the winning `(gain, bal_gain, to)` (or `None` when no admissible move
-/// exists) plus the best cut gain *ignoring the caps* — the proposal scan
-/// uses the latter to spot capacity-blocked vertices without a second
-/// `conn_of` pass. Both the frozen proposal scan and the live commit
-/// re-decision run exactly this, so the two supersteps can never drift
-/// apart.
-fn best_move_scan(
-    graph: &Graph,
-    engine: &BoundaryEngine,
-    pw: &[i64],
-    model: &BalanceModel,
-    inv_avg: &[f64],
-    v: usize,
-    a: usize,
-) -> (Option<(i64, f64, usize)>, i64) {
-    let ncon = graph.ncon();
-    let vw = graph.vwgt(v);
-    let internal = engine.internal(v);
-    // Phase 1: best cut gain among destinations whose caps fit — mirrors
-    // the serial sweep, integer arithmetic.
-    let mut best_gain: Option<i64> = None;
-    let mut best_nocap = i64::MIN;
-    for pc in engine.conn_of(v) {
-        let b = pc.part as usize;
-        let gain = pc.weight - internal;
-        if gain > best_nocap {
-            best_nocap = gain;
-        }
-        if gain < 0 || best_gain.is_some_and(|bg| gain < bg) {
-            continue;
-        }
-        if !model.fits(&pw[b * ncon..(b + 1) * ncon], vw) {
-            continue;
-        }
-        if best_gain.is_none_or(|bg| gain > bg) {
-            best_gain = Some(gain);
-        }
-    }
-    // Phase 2: break gain ties by balance improvement.
-    let Some(bg) = best_gain else {
-        return (None, best_nocap);
-    };
-    let load_a_before = part_load(pw, ncon, a, inv_avg);
-    let mut best: Option<(i64, f64, usize)> = None;
-    for pc in engine.conn_of(v) {
-        let b = pc.part as usize;
-        let gain = pc.weight - internal;
-        if gain != bg || !model.fits(&pw[b * ncon..(b + 1) * ncon], vw) {
-            continue;
-        }
-        let bal_gain = {
-            let load_b_before = part_load(pw, ncon, b, inv_avg);
-            let load_a_after = part_load_shifted(pw, ncon, a, vw, -1, inv_avg);
-            let load_b_after = part_load_shifted(pw, ncon, b, vw, 1, inv_avg);
-            load_a_before.max(load_b_before) - load_a_after.max(load_b_after)
-        };
-        if gain == 0 && bal_gain <= 1e-12 {
-            continue;
-        }
-        if best.is_none_or(|(_, bb, _)| bal_gain > bb) {
-            best = Some((gain, bal_gain, b));
-        }
-    }
-    (best, best_nocap)
-}
-
-/// [`best_move_scan`] without the no-caps sideband — the live commit
-/// re-decision only needs the admissible winner.
-fn best_move(
-    graph: &Graph,
-    engine: &BoundaryEngine,
-    pw: &[i64],
-    model: &BalanceModel,
-    inv_avg: &[f64],
-    v: usize,
-    a: usize,
-) -> Option<(i64, f64, usize)> {
-    best_move_scan(graph, engine, pw, model, inv_avg, v, a).0
 }
 
 /// One live commit attempt in the commit superstep: re-runs [`best_move`]
@@ -227,7 +144,6 @@ pub fn smp_kway_refine_ws(
     ws: &mut RefineWorkspace,
 ) -> KwayRefineStats {
     let n = graph.nvtxs();
-    let ncon = graph.ncon();
     let stripes = nthreads.max(1);
     let mut stats = KwayRefineStats::default();
     // Ripple worklist + once-per-pass marker (epoch-tagged so it resets in
@@ -237,16 +153,7 @@ pub fn smp_kway_refine_ws(
     let mut seen_epoch: u32 = 0;
     let RefineWorkspace { engine, order } = ws;
     engine.rebuild(graph, assignment, model.nparts());
-    let inv_avg: Vec<f64> = (0..ncon)
-        .map(|i| {
-            let t = model.totals()[i];
-            if t > 0 {
-                model.nparts() as f64 / t as f64
-            } else {
-                0.0
-            }
-        })
-        .collect();
+    let inv_avg = inverse_averages(model);
 
     for pass in 0..iters {
         stats.iterations += 1;

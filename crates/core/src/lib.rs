@@ -51,7 +51,6 @@ pub mod hierarchy;
 pub mod initial;
 pub mod kway;
 pub mod kway_refine;
-pub mod kway_refine_pq;
 pub mod kway_refine_smp;
 pub mod matching;
 pub mod pqueue;

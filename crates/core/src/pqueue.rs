@@ -1,6 +1,6 @@
 //! An indexed max-priority queue over dense `u32` handles with `i64` keys —
 //! the gain structure behind FM refinement. Supports O(log n) insert, pop,
-//! delete, and key update with O(1) handle lookup.
+//! and key update with O(1) handle lookup.
 
 /// Indexed binary max-heap. Handles must be `< capacity`.
 #[derive(Clone, Debug)]
@@ -68,18 +68,15 @@ impl IndexedMaxHeap {
     /// Removes and returns the maximum-key handle.
     pub fn pop(&mut self) -> Option<(u32, i64)> {
         let top = *self.heap.first()?;
-        self.remove_at(0);
-        Some((top, self.keys[top as usize]))
-    }
-
-    /// Removes `handle` if queued; returns whether it was present.
-    pub fn remove(&mut self, handle: u32) -> bool {
-        let p = self.pos[handle as usize];
-        if p == NONE {
-            return false;
+        let last = self.heap.pop().expect("heap is non-empty");
+        self.pos[top as usize] = NONE;
+        if !self.heap.is_empty() {
+            // The former last element takes the root slot and sinks.
+            self.heap[0] = last;
+            self.pos[last as usize] = 0;
+            self.sift_down(0);
         }
-        self.remove_at(p as usize);
-        true
+        Some((top, self.keys[top as usize]))
     }
 
     /// Changes the key of a queued handle, restoring heap order.
@@ -110,21 +107,6 @@ impl IndexedMaxHeap {
             self.pos[h as usize] = NONE;
         }
         self.heap.clear();
-    }
-
-    fn remove_at(&mut self, p: usize) {
-        let last = self.heap.len() - 1;
-        let removed = self.heap[p];
-        self.heap.swap(p, last);
-        self.heap.pop();
-        self.pos[removed as usize] = NONE;
-        if p < self.heap.len() {
-            let moved = self.heap[p];
-            self.pos[moved as usize] = p as u32;
-            // The moved element may need to go either way.
-            self.sift_up(p);
-            self.sift_down(self.pos[moved as usize] as usize);
-        }
     }
 
     #[inline]
@@ -202,22 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_middle_element() {
-        let mut q = IndexedMaxHeap::new(4);
-        for (h, k) in [(0u32, 5i64), (1, 9), (2, 1), (3, 7)] {
-            q.insert(h, k);
-        }
-        assert!(q.remove(3));
-        assert!(!q.remove(3));
-        assert!(!q.contains(3));
-        let mut rest = Vec::new();
-        while let Some((h, _)) = q.pop() {
-            rest.push(h);
-        }
-        assert_eq!(rest, vec![1, 0, 2]);
-    }
-
-    #[test]
     fn upsert_and_clear() {
         let mut q = IndexedMaxHeap::new(2);
         q.upsert(0, 1);
@@ -242,19 +208,12 @@ mod tests {
                 q.insert(h, k);
                 reference.push((h, k));
             }
-            // Random updates and removals.
+            // Random key updates.
             for _ in 0..n / 2 {
                 let h = rng.gen_range(0..n as u32);
-                if rng.gen_bool(0.5) {
-                    if q.contains(h) {
-                        let k = rng.gen_range(-100..100);
-                        q.update(h, k);
-                        reference.iter_mut().find(|(x, _)| *x == h).unwrap().1 = k;
-                    }
-                } else {
-                    q.remove(h);
-                    reference.retain(|(x, _)| *x != h);
-                }
+                let k = rng.gen_range(-100..100);
+                q.update(h, k);
+                reference.iter_mut().find(|(x, _)| *x == h).unwrap().1 = k;
             }
             let mut popped = Vec::new();
             while let Some((_, k)) = q.pop() {

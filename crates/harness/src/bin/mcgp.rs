@@ -954,11 +954,14 @@ fn run_verify(opts: &Opts) {
     // Generator specs use the `partition` default seed, so a partition of a
     // `gen:` graph verifies against the same graph.
     let graph = load_graph(gfile, 4242);
-    let assignment = mcgp_graph::io::read_partition(
+    // No partition of this graph has more parts than vertices: bounding the
+    // ids here keeps a hostile id from sizing the per-part arrays below.
+    let assignment = mcgp_graph::io::read_partition_bounded(
         std::fs::File::open(pfile).unwrap_or_else(|e| {
             eprintln!("failed to open {pfile}: {e}");
             std::process::exit(1);
         }),
+        graph.nvtxs(),
     )
     .unwrap_or_else(|e| {
         eprintln!("failed to parse {pfile}: {e}");

@@ -158,6 +158,26 @@ fn verify_rejects_length_mismatch() {
 }
 
 #[test]
+fn verify_rejects_huge_part_id_with_line_context() {
+    // A part id far beyond the vertex count must be a parse error naming
+    // its line, not a per-part allocation sized by the id.
+    let dir = std::env::temp_dir().join("mcgp_cli_verify_huge");
+    std::fs::create_dir_all(&dir).unwrap();
+    let gpath = dir.join("v.graph");
+    let ppath = dir.join("v.part");
+    mcgp_graph::io::write_metis_file(&mcgp_graph::generators::grid_2d(2, 2), &gpath).unwrap();
+    std::fs::write(&ppath, "0\n1\n0\n4000000000\n").unwrap();
+    let out = mcgp()
+        .args(["verify", gpath.to_str().unwrap(), ppath.to_str().unwrap()])
+        .output()
+        .expect("run mcgp verify");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 4"), "{stderr}");
+    assert!(stderr.contains("out of range"), "{stderr}");
+}
+
+#[test]
 fn partition_gen_spec_writes_trace_jsonl_that_validates() {
     let dir = std::env::temp_dir().join("mcgp_cli_trace_jsonl");
     std::fs::create_dir_all(&dir).unwrap();

@@ -364,29 +364,6 @@ pub fn parallel_partition_kway(
                     imbalance = mcgp_core::balance::imbalances_from_pw(&pw, dist.ncon(), &model),
                 );
             }
-            if std::env::var_os("MCGP_DEBUG_BALANCE").is_some() {
-                let mut cut = 0i64;
-                for q in 0..dist.nprocs() {
-                    let lg = dist.local(q);
-                    for lv in 0..lg.nlocal() {
-                        let pv = part[lg.global(lv)];
-                        for (u, w) in lg.edges(lv) {
-                            if part[u as usize] != pv {
-                                cut += w;
-                            }
-                        }
-                    }
-                }
-                eprintln!(
-                    "  level n={} load={:.3} cut={} committed={} disallowed={} bal={}",
-                    dist.nvtxs(),
-                    model.max_load(&pw),
-                    cut / 2,
-                    s.committed,
-                    s.disallowed,
-                    bal_moves
-                );
-            }
         };
 
     mcgp_runtime::phase::timed(mcgp_runtime::phase::Phase::Refine, || {

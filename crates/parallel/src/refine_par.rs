@@ -305,14 +305,6 @@ pub fn reservation_refine(
         );
         mcgp_runtime::metrics::counter_add("reservation_grants", committed.len() as u64);
         mcgp_runtime::metrics::counter_add("reservation_withholds", (proposed - committed.len()) as u64);
-        if std::env::var_os("MCGP_DEBUG_REFINE").is_some() {
-            eprintln!(
-                "    iter {iter} ({}): committed {} disallowed so far {}",
-                if upward { "up" } else { "down" },
-                committed.len(),
-                stats.disallowed
-            );
-        }
         if committed.is_empty() {
             break;
         }
@@ -543,14 +535,14 @@ pub fn parallel_balance(
             tracker.superstep(&comp, &bytes);
         }
         total_moves += committed;
-        if std::env::var_os("MCGP_DEBUG_PBAL").is_some() {
-            let violated = (0..nparts * ncon)
+        mcgp_runtime::event!(
+            "balance_round",
+            round = round,
+            committed = committed,
+            violated = (0..nparts * ncon)
                 .filter(|&idx| pw[idx] > model.limits()[idx % ncon])
-                .count();
-            eprintln!(
-                "    bal round {round}: committed {committed}, {violated} violated pairs left"
-            );
-        }
+                .count(),
+        );
         if committed == 0 {
             break;
         }

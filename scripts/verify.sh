@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# The benchmark is its own workspace and calls core internals directly:
+# build and test it here so a signature change fails verify, not the first
+# benchmark run. It shares the workspace's target directory.
+CARGO_TARGET_DIR=target cargo test -q --release --offline \
+    --manifest-path mcgp-benchmark/Cargo.toml
 
 # Observability smoke test: partition a generator graph with tracing on and
 # validate the trace file (non-empty, schema-clean, balanced spans).

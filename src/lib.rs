@@ -21,6 +21,5 @@ pub use mcgp_adaptive as adaptive;
 pub use mcgp_core as core;
 pub use mcgp_graph as graph;
 pub use mcgp_harness as harness;
-pub use mcgp_order as order;
 pub use mcgp_parallel as parallel;
 pub use mcgp_runtime as runtime;

@@ -241,17 +241,6 @@ fn metrics_are_label_invariant() {
 }
 
 #[test]
-fn nested_dissection_orders_are_valid() {
-    for_each_seed("nested_dissection_orders_are_valid", CASES, |seed| {
-        use mcgp::order::{nested_dissection, OrderingConfig};
-        let mut rng = Rng::seed_from_u64(seed);
-        let g = weighted_graph(&mut rng);
-        let ord = nested_dissection(&g, &OrderingConfig::default());
-        assert!(ord.is_valid(g.nvtxs()));
-    });
-}
-
-#[test]
 fn metis_io_roundtrips() {
     for_each_seed("metis_io_roundtrips", CASES, |seed| {
         let mut rng = Rng::seed_from_u64(seed);

@@ -204,42 +204,57 @@ pub fn coarsen(
     config: &PartitionConfig,
     rng: &mut Rng,
 ) -> CoarsenHierarchy {
-    CoarsenHierarchy {
-        levels: coarsen_levels(graph, target, config, rng, None),
+    let mut coarsener = Coarsener::new(target, config);
+    let mut levels: Vec<CoarseLevel> = Vec::new();
+    while let Some(level) =
+        coarsener.next_level(levels.last().map_or(graph, |l| &l.graph), levels.len(), rng)
+    {
+        levels.push(level);
     }
+    CoarsenHierarchy { levels }
 }
 
-/// The coarsening loop behind [`coarsen`], returning the levels by value.
+/// The coarsening loop, one level per call: [`coarsen`] runs it to the end,
+/// and [`crate::hierarchy::HierarchySnapshot::build`] runs it recording the
+/// RNG state before every call.
 ///
-/// With `record`, pushes the RNG state *before* matching each level (the
-/// first entry is the state the loop started with), so `len() == levels +
-/// 1`; the caller's `rng` then holds the state at loop exit. The two differ
-/// only when the loop aborted on a stalled matching, which consumes draws
-/// before breaking. A shallower coarsening of the same graph with target
-/// `T` stops before matching the first level whose input already has `≤ T`
-/// vertices — so its exit RNG state is exactly the recorded state of that
-/// level, and its levels are a prefix of these. That prefix property is
-/// what lets one deep [`crate::hierarchy::HierarchySnapshot`] serve every
-/// `(nparts, ε)` combination bit-identically.
-pub(crate) fn coarsen_levels(
-    graph: &Graph,
+/// A shallower coarsening of the same graph with target `T` stops before
+/// matching the first level whose input already has `≤ T` vertices — so
+/// its exit RNG state is exactly the state recorded before that level, and
+/// its levels are a prefix of a deeper run's. That prefix property is what
+/// lets one deep snapshot serve every `(nparts, ε)` combination
+/// bit-identically.
+pub(crate) struct Coarsener<'a> {
     target: usize,
-    config: &PartitionConfig,
-    rng: &mut Rng,
-    mut record: Option<&mut Vec<Rng>>,
-) -> Vec<CoarseLevel> {
-    const MAX_LEVELS: usize = 64;
-    let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut scratch = ContractionScratch::with_check(config.check);
-    let mut smp_scratch = SmpCoarsenScratch::new();
-    loop {
-        let lvl = levels.len();
-        let cur = levels.last().map_or(graph, |l| &l.graph);
-        if let Some(states) = record.as_deref_mut() {
-            states.push(rng.clone());
+    config: &'a PartitionConfig,
+    scratch: ContractionScratch,
+    smp_scratch: SmpCoarsenScratch,
+}
+
+impl<'a> Coarsener<'a> {
+    pub(crate) fn new(target: usize, config: &'a PartitionConfig) -> Self {
+        Coarsener {
+            target,
+            config,
+            scratch: ContractionScratch::with_check(config.check),
+            smp_scratch: SmpCoarsenScratch::new(),
         }
-        if cur.nvtxs() <= target || lvl >= MAX_LEVELS {
-            break;
+    }
+
+    /// Contracts `cur`, the input graph of level `lvl`. Returns `None` when
+    /// the loop stops instead: `cur` is at or below the target, the level
+    /// cap is hit, or the matching stalls (less than 5 % reduction) — the
+    /// last after consuming the matching's RNG draws.
+    pub(crate) fn next_level(
+        &mut self,
+        cur: &Graph,
+        lvl: usize,
+        rng: &mut Rng,
+    ) -> Option<CoarseLevel> {
+        const MAX_LEVELS: usize = 64;
+        let config = self.config;
+        if cur.nvtxs() <= self.target || lvl >= MAX_LEVELS {
+            return None;
         }
         // Shared-memory engine above the size floor; small levels drop to
         // the serial path (the constant floor keeps `(seed, nthreads)`
@@ -263,27 +278,25 @@ pub(crate) fn coarsen_levels(
         if matching.coarse_nvtxs as f64 > 0.95 * cur.nvtxs() as f64 {
             counter_add(Counter::ContractionAborts, 1);
             sp.record("aborted", 1u64);
-            break;
+            return None;
         }
         counter_add(
             Counter::VerticesMatched,
             2 * (cur.nvtxs() - matching.coarse_nvtxs) as u64,
         );
         let (coarse, cmap) = if use_smp {
-            contract_smp(cur, &matching, config.nthreads, &mut smp_scratch)
+            contract_smp(cur, &matching, config.nthreads, &mut self.smp_scratch)
         } else {
-            contract_with_scratch(cur, &matching, &mut scratch)
+            contract_with_scratch(cur, &matching, &mut self.scratch)
         };
         sp.record("coarse_nvtxs", coarse.nvtxs());
         sp.record("coarse_nedges", coarse.nedges());
         sp.record("ratio", coarse.nvtxs() as f64 / cur.nvtxs() as f64);
-        drop(sp);
-        levels.push(CoarseLevel {
+        Some(CoarseLevel {
             graph: coarse,
             cmap,
-        });
+        })
     }
-    levels
 }
 
 #[cfg(test)]

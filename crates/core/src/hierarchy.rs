@@ -17,10 +17,10 @@
 //! cold driver stops coarsening *before* matching the first level whose
 //! input is at or below its target, so its levels are a prefix of the
 //! deep hierarchy and its post-coarsening RNG state is exactly the
-//! recorded boundary state (see `coarsen::coarsen_levels`); both
+//! recorded boundary state (see `coarsen::Coarsener`); both
 //! paths then run the one shared `initial_and_refine` routine.
 
-use crate::coarsen::{coarsen_levels, CoarseLevel};
+use crate::coarsen::{CoarseLevel, Coarsener};
 use crate::config::PartitionConfig;
 use crate::kway::{check_levels, initial_and_refine};
 use crate::PartitionResult;
@@ -57,9 +57,20 @@ impl HierarchySnapshot {
             nthreads = config.nthreads,
         );
         let mut rng = Rng::seed_from_u64(config.seed);
+        let mut coarsener = Coarsener::new(config.coarsen_to_min, config);
+        let mut levels: Vec<CoarseLevel> = Vec::new();
         let mut rng_at = Vec::new();
-        let levels = timed(Phase::Coarsen, || {
-            coarsen_levels(graph, config.coarsen_to_min, config, &mut rng, Some(&mut rng_at))
+        timed(Phase::Coarsen, || loop {
+            rng_at.push(rng.clone());
+            let cur = levels.last().map_or(graph, |l| &l.graph);
+            let Some(mut level) = coarsener.next_level(cur, levels.len(), &mut rng) else {
+                break;
+            };
+            // A snapshot outlives many requests: release the contraction's
+            // up-front adjacency reservation before the next level
+            // allocates, so that level can reuse the space.
+            level.graph.shrink_to_fit();
+            levels.push(level);
         });
         _root.record("levels", levels.len());
         check_levels(graph, &levels, config.check);

@@ -124,7 +124,13 @@ pub(crate) fn inverse_averages(model: &BalanceModel) -> Vec<f64> {
     model
         .totals()
         .iter()
-        .map(|&t| if t > 0 { model.nparts() as f64 / t as f64 } else { 0.0 })
+        .map(|&t| {
+            if t > 0 {
+                model.nparts() as f64 / t as f64
+            } else {
+                0.0
+            }
+        })
         .collect()
 }
 

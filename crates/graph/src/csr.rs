@@ -162,6 +162,13 @@ impl Graph {
         &self.adjwgt
     }
 
+    /// Releases spare capacity in the adjacency arrays (contraction reserves
+    /// an upper bound up front). Worth it for a graph that is kept around.
+    pub fn shrink_to_fit(&mut self) {
+        self.adjncy.shrink_to_fit();
+        self.adjwgt.shrink_to_fit();
+    }
+
     /// Sum of each weight component over all vertices.
     pub fn total_vwgt(&self) -> Vec<i64> {
         let mut tot = vec![0i64; self.ncon];

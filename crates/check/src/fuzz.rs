@@ -1,22 +1,27 @@
 //! Deterministic structure-aware fuzzing of the input layer.
 //!
-//! Rather than flipping random bytes, the fuzzer *knows the METIS grammar*:
-//! it writes a well-formed graph (or partition) file, then applies one of a
-//! fixed catalogue of grammar-level corruptions — truncate a vertex line,
+//! Rather than flipping random bytes, the fuzzer *knows the grammars*: it
+//! writes a well-formed METIS graph (or partition) file, then applies one of
+//! a fixed catalogue of grammar-level corruptions — truncate a vertex line,
 //! break edge symmetry, drop a weight token, inflate a neighbour id past
 //! `nvtxs`, scramble the header — and asserts the reader either returns a
 //! typed [`McgpError`] or (for corruptions the format genuinely tolerates,
-//! like deleting a trailing comment) a valid graph. What it must **never**
-//! do is panic: every case runs under `catch_unwind`.
+//! like deleting a trailing comment) a valid graph. The JSON-CSR decoder the
+//! daemon accepts gets the same treatment with corruptions of its own:
+//! adjacency entries dropped or duplicated, unequal reverse weights,
+//! out-of-range ids, non-monotone `xadj`, negative weights, truncated text,
+//! fields of the wrong type, `ncon > 1` without `vwgt`. What a decoder must
+//! **never** do is panic: every case runs under `catch_unwind`.
 //!
 //! Everything is keyed off a single `u64` seed, so a failing case prints a
-//! reproduction seed and `mcgp fuzz --seed N --cases 1` replays it exactly.
+//! reproduction seed and `mcgp fuzz --seed N --cases 1` replays it exactly
+//! (the seed's parity picks the METIS or the JSON grammar).
 
 use std::panic::{self, AssertUnwindSafe};
 
 use mcgp_graph::generators::mrng_like;
-use mcgp_graph::io::{read_metis, read_partition_bounded, write_metis};
-use mcgp_graph::synthetic;
+use mcgp_graph::io::{graph_from_json, read_metis, read_partition_bounded, write_metis};
+use mcgp_graph::{synthetic, Graph, Result};
 use mcgp_runtime::rng::Rng;
 
 /// The grammar-level corruptions the fuzzer draws from.
@@ -186,30 +191,19 @@ fn mutate(text: &str, idx: usize, rng: &mut Rng) -> String {
     }
 }
 
-fn run_reader_case(seed: u64, mutation: &'static str, text: String) -> FuzzCase {
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| read_metis(text.as_bytes())));
-    match outcome {
-        Ok(Ok(_)) => FuzzCase {
-            seed,
-            mutation,
-            accepted: true,
-            panicked: false,
-            detail: String::new(),
-        },
-        Ok(Err(e)) => FuzzCase {
-            seed,
-            mutation,
-            accepted: false,
-            panicked: false,
-            detail: e.to_string(),
-        },
-        Err(payload) => FuzzCase {
-            seed,
-            mutation,
-            accepted: false,
-            panicked: true,
-            detail: panic_message(payload),
-        },
+/// Runs one decoder call under `catch_unwind` and records its outcome.
+fn run_case<T>(seed: u64, mutation: &'static str, decode: impl FnOnce() -> Result<T>) -> FuzzCase {
+    let (accepted, panicked, detail) = match panic::catch_unwind(AssertUnwindSafe(decode)) {
+        Ok(Ok(_)) => (true, false, String::new()),
+        Ok(Err(e)) => (false, false, e.to_string()),
+        Err(payload) => (false, true, panic_message(payload)),
+    };
+    FuzzCase {
+        seed,
+        mutation,
+        accepted,
+        panicked,
+        detail,
     }
 }
 
@@ -230,7 +224,7 @@ pub fn fuzz_graph_case(seed: u64) -> FuzzCase {
     let text = render_graph(&mut rng);
     let idx = rng.gen_range(0usize..MUTATIONS.len());
     let mutated = mutate(&text, idx, &mut rng);
-    let case = run_reader_case(seed, MUTATIONS[idx], mutated);
+    let case = run_case(seed, MUTATIONS[idx], || read_metis(mutated.as_bytes()));
     if MUTATIONS[idx] == "control(no corruption)" {
         // The uncorrupted render must round-trip.
         debug_assert!(case.accepted || case.panicked, "control case rejected: {}", case.detail);
@@ -249,43 +243,180 @@ pub fn fuzz_partition_case(seed: u64) -> FuzzCase {
     let idx = rng.gen_range(0usize..MUTATIONS.len());
     let mutation = MUTATIONS[idx];
     let mutated = mutate(&text, idx, &mut rng);
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-        read_partition_bounded(mutated.as_bytes(), k)
-    }));
-    match outcome {
-        Ok(Ok(_)) => FuzzCase {
-            seed,
-            mutation,
-            accepted: true,
-            panicked: false,
-            detail: String::new(),
-        },
-        Ok(Err(e)) => FuzzCase {
-            seed,
-            mutation,
-            accepted: false,
-            panicked: false,
-            detail: e.to_string(),
-        },
-        Err(payload) => FuzzCase {
-            seed,
-            mutation,
-            accepted: false,
-            panicked: true,
-            detail: panic_message(payload),
-        },
+    run_case(seed, mutation, || read_partition_bounded(mutated.as_bytes(), k))
+}
+
+/// The JSON-CSR corruptions the fuzzer draws from.
+const JSON_MUTATIONS: &[&str] = &[
+    "json: control(no corruption)",
+    "json: drop one adjncy entry",
+    "json: duplicate one adjncy entry",
+    "json: unequal reverse weight",
+    "json: out-of-range neighbour id",
+    "json: non-monotone xadj",
+    "json: negative weight",
+    "json: truncate text",
+    "json: wrong field type",
+    "json: ncon > 1 without vwgt",
+];
+
+/// A JSON-CSR body as arrays, so corruptions can keep `xadj` consistent
+/// with the adjacency they edit and reach the symmetry check.
+struct JsonCsr {
+    ncon: usize,
+    xadj: Vec<i64>,
+    adjncy: Vec<i64>,
+    adjwgt: Option<Vec<i64>>,
+    vwgt: Option<Vec<i64>>,
+}
+
+impl JsonCsr {
+    fn from_graph(g: &Graph, rng: &mut Rng) -> Self {
+        let ints = |xs: &[i64]| xs.to_vec();
+        JsonCsr {
+            ncon: g.ncon(),
+            xadj: g.xadj().iter().map(|&x| x as i64).collect(),
+            adjncy: g.adjncy().iter().map(|&u| u as i64).collect(),
+            adjwgt: rng.gen_bool(0.5).then(|| ints(g.adjwgt())),
+            // Unit default weights are one constraint only.
+            vwgt: (g.ncon() > 1 || rng.gen_bool(0.5)).then(|| ints(g.vwgt_flat())),
+        }
+    }
+
+    /// `(key, value text)` per present field.
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        let arr = |xs: &[i64]| format!("{xs:?}");
+        let mut out = vec![
+            ("ncon", self.ncon.to_string()),
+            ("xadj", arr(&self.xadj)),
+            ("adjncy", arr(&self.adjncy)),
+        ];
+        if let Some(w) = &self.adjwgt {
+            out.push(("adjwgt", arr(w)));
+        }
+        if let Some(w) = &self.vwgt {
+            out.push(("vwgt", arr(w)));
+        }
+        out
+    }
+
+    fn render(fields: &[(&str, String)]) -> String {
+        let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+        format!("{{{}}}", body.join(", "))
+    }
+
+    /// The vertex whose row holds adjacency entry `i`.
+    fn row_of(&self, i: usize) -> usize {
+        self.xadj.partition_point(|&x| x <= i as i64) - 1
+    }
+
+    /// Inserts (`delta = 1`) or removes (`-1`) entry `i`, shifting `xadj`.
+    fn resize_row(&mut self, i: usize, delta: i64) {
+        let v = self.row_of(i);
+        if delta > 0 {
+            self.adjncy.insert(i, self.adjncy[i]);
+            if let Some(w) = &mut self.adjwgt {
+                w.insert(i, w[i]);
+            }
+        } else {
+            self.adjncy.remove(i);
+            if let Some(w) = &mut self.adjwgt {
+                w.remove(i);
+            }
+        }
+        for x in &mut self.xadj[v + 1..] {
+            *x += delta;
+        }
     }
 }
 
-/// Runs `cases` graph-reader cases and `cases` partition-reader cases
-/// derived from `seed`, collecting any escaped panics.
+/// Applies the JSON mutation at `idx` and renders the body.
+fn mutate_json(mut csr: JsonCsr, idx: usize, rng: &mut Rng) -> String {
+    let nvtxs = csr.xadj.len() as i64 - 1;
+    let entry = (!csr.adjncy.is_empty()).then(|| rng.gen_range(0usize..csr.adjncy.len()));
+    match (JSON_MUTATIONS[idx], entry) {
+        ("json: drop one adjncy entry", Some(i)) => csr.resize_row(i, -1),
+        ("json: duplicate one adjncy entry", Some(i)) => csr.resize_row(i, 1),
+        ("json: unequal reverse weight", Some(i)) => {
+            let w = csr.adjwgt.get_or_insert_with(|| vec![1; csr.adjncy.len()]);
+            w[i] += rng.gen_range(1i64..4);
+        }
+        ("json: out-of-range neighbour id", Some(i)) => {
+            csr.adjncy[i] = *rng
+                .choose(&[nvtxs, nvtxs + 7, -1, u32::MAX as i64 + 1, i64::MAX])
+                .unwrap();
+        }
+        ("json: non-monotone xadj", _) if nvtxs >= 2 => {
+            let v = rng.gen_range(1usize..nvtxs as usize);
+            csr.xadj[v] = csr.xadj[v + 1] + 1;
+        }
+        ("json: negative weight", _) => {
+            let target = match (&mut csr.adjwgt, &mut csr.vwgt) {
+                (Some(w), _) if rng.gen_bool(0.5) && !w.is_empty() => w,
+                (_, Some(w)) if !w.is_empty() => w,
+                _ => return JsonCsr::render(&csr.fields()),
+            };
+            let at = rng.gen_range(0usize..target.len());
+            target[at] = -rng.gen_range(1i64..5);
+        }
+        ("json: truncate text", _) => {
+            let text = JsonCsr::render(&csr.fields());
+            let cut = rng.gen_range(0usize..text.len());
+            return text[..cut].to_string();
+        }
+        ("json: wrong field type", _) => {
+            let mut fields = csr.fields();
+            let at = rng.gen_range(0usize..fields.len());
+            fields[at].1 = rng
+                .choose(&["\"7\"", "1.5", "{}", "null", "true", "[[1]]", "[1, \"x\"]"])
+                .unwrap()
+                .to_string();
+            return JsonCsr::render(&fields);
+        }
+        ("json: ncon > 1 without vwgt", _) => {
+            csr.ncon = rng.gen_range(2usize..256);
+            csr.vwgt = None;
+        }
+        _ => {} // control, or a mutation the graph is too small for
+    }
+    JsonCsr::render(&csr.fields())
+}
+
+/// One deterministic fuzz case against `graph_from_json`.
+pub fn fuzz_json_case(seed: u64) -> FuzzCase {
+    let mut rng = Rng::seed_from_u64(seed ^ 0x1501_C5A0_D15C_0DE5);
+    let nvtxs = rng.gen_range(8usize..48);
+    let base = mrng_like(nvtxs, rng.next_u64());
+    let ncon = *rng.choose(&[1usize, 2, 3]).unwrap();
+    let graph = if ncon == 1 {
+        base
+    } else {
+        synthetic::type1(&base, ncon, rng.next_u64())
+    };
+    let csr = JsonCsr::from_graph(&graph, &mut rng);
+    let idx = rng.gen_range(0usize..JSON_MUTATIONS.len());
+    let text = mutate_json(csr, idx, &mut rng);
+    let case = run_case(seed, JSON_MUTATIONS[idx], || graph_from_json(&text));
+    if idx == 0 {
+        debug_assert!(case.accepted || case.panicked, "control case rejected: {}", case.detail);
+    }
+    case
+}
+
+/// Runs `cases` graph cases and `cases` partition-reader cases derived
+/// from `seed`, collecting any escaped panics. A graph case seed's parity
+/// picks its grammar: even seeds fuzz the METIS reader, odd seeds the
+/// JSON-CSR decoder.
 pub fn fuzz_run(seed: u64, cases: usize) -> FuzzReport {
     let mut report = FuzzReport::default();
     for i in 0..cases {
-        for case in [
-            fuzz_graph_case(seed.wrapping_add(i as u64)),
-            fuzz_partition_case(seed.wrapping_add(i as u64)),
-        ] {
+        let case_seed = seed.wrapping_add(i as u64);
+        let graph_case = if case_seed.is_multiple_of(2) {
+            fuzz_graph_case(case_seed)
+        } else {
+            fuzz_json_case(case_seed)
+        };
+        for case in [graph_case, fuzz_partition_case(case_seed)] {
             report.cases += 1;
             if case.panicked {
                 report.panics.push(case);
@@ -310,6 +441,27 @@ mod tests {
         assert_eq!(a.mutation, b.mutation);
         assert_eq!(a.accepted, b.accepted);
         assert_eq!(a.detail, b.detail);
+    }
+
+    #[test]
+    fn json_mutations_reach_every_rejection() {
+        // Over a modest budget every JSON corruption except the control
+        // must occur and be rejected at least once, and the control must
+        // always be accepted.
+        let mut rejected = vec![0usize; JSON_MUTATIONS.len()];
+        for seed in 0..400u64 {
+            let case = fuzz_json_case(seed);
+            assert!(!case.panicked, "seed {seed}: {}", case.detail);
+            let idx = JSON_MUTATIONS.iter().position(|&m| m == case.mutation).unwrap();
+            if idx == 0 {
+                assert!(case.accepted, "seed {seed}: control rejected: {}", case.detail);
+            } else if !case.accepted {
+                rejected[idx] += 1;
+            }
+        }
+        for (m, n) in JSON_MUTATIONS.iter().zip(&rejected).skip(1) {
+            assert!(*n > 0, "`{m}` never rejected");
+        }
     }
 
     #[test]

@@ -213,41 +213,64 @@ impl Graph {
         Ok(self)
     }
 
-    /// Checks all structural invariants. `O(|E| log d)` due to the symmetry
-    /// check (binary search over sorted copies of each adjacency list).
+    /// Checks all structural invariants in `O(|V| + |E|)` plus sorting the
+    /// adjacency lists that are not sorted already. Those are sorted in one
+    /// flat copy of the adjacency, made only if some list needs it.
+    ///
+    /// The first violation is reported: any duplicate edge before any
+    /// asymmetry, each in ascending (vertex, neighbour) order.
     pub fn validate(&self) -> Result<()> {
         self.validate_cheap()?;
-        // Symmetry with matching weights: build (u, wgt) sorted views lazily.
-        let mut sorted: Vec<Vec<(Vertex, i64)>> = Vec::with_capacity(self.nvtxs);
+        let row = |v: usize| self.xadj[v]..self.xadj[v + 1];
+        let mut copy: Option<(Vec<Vertex>, Vec<i64>)> = None;
+        let mut lst: Vec<(Vertex, i64)> = Vec::new();
         for v in 0..self.nvtxs {
-            let mut lst: Vec<(Vertex, i64)> = self.edges(v).collect();
+            if self.neighbors(v).windows(2).all(|w| w[0] < w[1]) {
+                continue;
+            }
+            lst.clear();
+            lst.extend(self.edges(v));
             lst.sort_unstable();
-            for w in lst.windows(2) {
-                if w[0].0 == w[1].0 {
-                    return Err(GraphError::Malformed(format!(
-                        "duplicate edge ({v}, {})",
-                        w[0].0
+            if let Some(w) = lst.windows(2).find(|w| w[0].0 == w[1].0) {
+                return Err(GraphError::Malformed(format!(
+                    "duplicate edge ({v}, {})",
+                    w[0].0
+                )));
+            }
+            let (adjncy, adjwgt) =
+                copy.get_or_insert_with(|| (self.adjncy.clone(), self.adjwgt.clone()));
+            for (i, &(u, w)) in row(v).zip(&lst) {
+                adjncy[i] = u;
+                adjwgt[i] = w;
+            }
+        }
+        let (adjncy, adjwgt) = match &copy {
+            Some((adjncy, adjwgt)) => (&adjncy[..], &adjwgt[..]),
+            None => (&self.adjncy[..], &self.adjwgt[..]),
+        };
+        // Rows are visited in ascending order, so each row u is asked for
+        // its reverse entries in ascending order too: a cursor into row u
+        // that only moves forward finds them, skipping entries whose own
+        // check is still to come.
+        let mut cursor: Vec<usize> = self.xadj[..self.nvtxs].to_vec();
+        for v in 0..self.nvtxs {
+            for (&u, &w) in adjncy[row(v)].iter().zip(&adjwgt[row(v)]) {
+                let end = self.xadj[u as usize + 1];
+                let mut c = cursor[u as usize];
+                while c < end && (adjncy[c] as usize) < v {
+                    c += 1;
+                }
+                cursor[u as usize] = c;
+                if c == end || adjncy[c] as usize != v {
+                    return Err(GraphError::NotUndirected(format!(
+                        "edge ({v},{u}) has no reverse edge"
                     )));
                 }
-            }
-            sorted.push(lst);
-        }
-        for v in 0..self.nvtxs {
-            for &(u, w) in &sorted[v] {
-                let back = &sorted[u as usize];
-                match back.binary_search_by_key(&(v as Vertex), |&(x, _)| x) {
-                    Ok(pos) if back[pos].1 == w => {}
-                    Ok(pos) => {
-                        return Err(GraphError::NotUndirected(format!(
-                            "edge ({v},{u}) weight {w} != reverse weight {}",
-                            back[pos].1
-                        )))
-                    }
-                    Err(_) => {
-                        return Err(GraphError::NotUndirected(format!(
-                            "edge ({v},{u}) has no reverse edge"
-                        )))
-                    }
+                if adjwgt[c] != w {
+                    return Err(GraphError::NotUndirected(format!(
+                        "edge ({v},{u}) weight {w} != reverse weight {}",
+                        adjwgt[c]
+                    )));
                 }
             }
         }

@@ -9,6 +9,9 @@
 //! any) followed by `neighbor [edge-weight]` pairs with **1-based** vertex
 //! ids. `%`-prefixed lines are comments.
 //!
+//! [`parse_metis`] parses a byte slice in place; [`read_metis`] reads its
+//! whole input into memory and then calls it.
+//!
 //! The reader is hardened against untrusted input: every malformed construct
 //! produces a typed [`McgpError::Parse`] with line (and token) context,
 //! quantities that would not fit the `u32` adjacency index width produce
@@ -30,118 +33,224 @@ pub const MAX_NCON: usize = 255;
 /// the vectors still grow on demand while parsing real data.
 const MAX_PREALLOC: usize = 1 << 22;
 
-/// Reads a METIS-format graph from any reader.
-pub fn read_metis<R: Read>(reader: R) -> Result<Graph> {
-    let reader = BufReader::new(reader);
-    let mut lines = reader.lines().enumerate();
+/// Reads a METIS-format graph from any reader: the whole input is read into
+/// memory, then parsed by [`parse_metis`].
+pub fn read_metis<R: Read>(mut reader: R) -> Result<Graph> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    parse_metis(&bytes)
+}
+
+/// Parses a METIS-format graph from its bytes, in one pass and without a
+/// per-line allocation.
+///
+/// Lines end at `\n`; tokens are separated by the whitespace set of
+/// [`str::split_whitespace`], so `\r`, tabs, `\x0B`, `\x0C` and Unicode
+/// spaces such as U+00A0 all separate tokens. ASCII lines are split and
+/// their integers parsed straight from the bytes; other lines are split
+/// through `str`. Integers follow [`str::parse`]: an optional leading `+`
+/// (or `-` for weights), leading zeros allowed, overflow rejected. A line
+/// that is not UTF-8 fails when it is reached, after any error in the lines
+/// before it.
+pub fn parse_metis(bytes: &[u8]) -> Result<Graph> {
+    // Parse the longest prefix of whole UTF-8 lines; if that is not the
+    // whole input, reaching its end is the error.
+    let (text, truncated) = match std::str::from_utf8(bytes) {
+        Ok(text) => (text, false),
+        Err(e) => {
+            let valid = &bytes[..e.valid_up_to()];
+            let end = valid.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            (utf8(&bytes[..end])?, true)
+        }
+    };
+    let at_end = || if truncated { Err(invalid_utf8()) } else { Ok(()) };
+    let mut lines = text
+        .strip_suffix('\n')
+        .unwrap_or(text)
+        .split('\n')
+        .enumerate()
+        .map(|(i, line)| (i + 1, line));
 
     // Header.
     let (header_line_no, header) = loop {
         match lines.next() {
             Some((no, line)) => {
-                let line = line?;
                 let trimmed = line.trim();
                 if trimmed.is_empty() || trimmed.starts_with('%') {
                     continue;
                 }
-                break (no + 1, trimmed.to_string());
+                break (no, trimmed);
             }
             None => {
+                at_end()?;
                 return Err(McgpError::parse(0, "empty file"));
             }
         }
     };
-    let fields: Vec<&str> = header.split_whitespace().collect();
-    if fields.len() < 2 || fields.len() > 4 {
+    let h = Header::parse(header_line_no, header)?;
+    let (xadj, adjncy, adjwgt, vwgt) = read_vertices(&h, lines)?;
+    at_end()?;
+    // Both mismatches are violations of what the header (not any one body
+    // line) declared, so point the diagnostic there.
+    let (nvtxs, nedges, declared_adj) = (h.nvtxs, h.nedges, h.declared_adj);
+    let vertex = xadj.len() - 1;
+    if vertex != nvtxs {
         return Err(McgpError::parse(
-            header_line_no,
-            format!("header must have 2-4 fields, got {}", fields.len()),
+            h.line,
+            format!("expected {nvtxs} vertex lines, found {vertex}"),
         ));
     }
-    let parse_usize = |s: &str, line: usize, col: usize| -> Result<usize> {
-        s.parse().map_err(|_| McgpError::Parse {
-            line,
-            col,
-            msg: format!("invalid integer `{s}`"),
-        })
-    };
-    let nvtxs = parse_usize(fields[0], header_line_no, 1)?;
-    let nedges = parse_usize(fields[1], header_line_no, 2)?;
-    // Adjacency indices are u32: a vertex count beyond that width cannot be
-    // represented, and `2 * nedges` must not overflow usize either.
-    if nvtxs > Vertex::MAX as usize {
-        return Err(McgpError::Overflow {
-            what: "vertex count",
-            value: nvtxs as u128,
-            limit: Vertex::MAX as u128,
-        });
+    if adjncy.len() != declared_adj {
+        return Err(McgpError::parse(
+            h.line,
+            format!(
+                "header declares {nedges} edges but adjacency lists contain {} entries (expected {declared_adj})",
+                adjncy.len(),
+            ),
+        ));
     }
-    let declared_adj = nedges.checked_mul(2).ok_or(McgpError::Overflow {
-        what: "edge count",
-        value: nedges as u128,
-        limit: (usize::MAX / 2) as u128,
-    })?;
-    // The `fmt` flag string: 1-3 binary digits (hundreds = vertex sizes,
-    // tens = vertex weights, ones = edge weights). Anything else — including
-    // digits other than 0/1, which older readers silently coerced — is a
-    // parse error, never a silent "no weights" default.
-    let fmt = if fields.len() >= 3 { fields[2] } else { "000" };
-    if fmt.is_empty() || fmt.len() > 3 || fmt.chars().any(|c| c != '0' && c != '1') {
-        return Err(McgpError::Parse {
-            line: header_line_no,
-            col: 3,
-            msg: format!("invalid fmt field `{fmt}` (want 1-3 binary digits, e.g. 011)"),
-        });
-    }
-    let padded = format!("{fmt:0>3}");
-    let mut flags = padded.bytes().map(|b| b == b'1');
-    let (has_vsize, has_vwgt, has_ewgt) = (
-        flags.next().unwrap(),
-        flags.next().unwrap(),
-        flags.next().unwrap(),
-    );
-    if has_vsize {
-        return Err(McgpError::Parse {
-            line: header_line_no,
-            col: 3,
-            msg: "vertex sizes (fmt=1xx) are not supported".into(),
-        });
-    }
-    let ncon = if fields.len() == 4 {
-        let n = parse_usize(fields[3], header_line_no, 4)?;
-        if n == 0 {
-            return Err(McgpError::Parse {
-                line: header_line_no,
-                col: 4,
-                msg: "ncon must be >= 1".into(),
-            });
-        }
-        if n > MAX_NCON {
-            return Err(McgpError::Overflow {
-                what: "constraint count",
-                value: n as u128,
-                limit: MAX_NCON as u128,
-            });
-        }
-        if !has_vwgt && n > 1 {
-            return Err(McgpError::Parse {
-                line: header_line_no,
-                col: 4,
-                msg: format!("ncon {n} > 1 requires vertex weights (fmt tens digit = 1)"),
-            });
-        }
-        n
-    } else {
-        1 // with or without vertex weights: a single constraint
-    };
-    // nvtxs <= u32::MAX and ncon <= 255, so this cannot overflow usize, but
-    // keep the checked form as the single place the product is formed.
-    let vwgt_len = nvtxs.checked_mul(ncon).ok_or(McgpError::Overflow {
-        what: "nvtxs * ncon",
-        value: nvtxs as u128 * ncon as u128,
-        limit: usize::MAX as u128,
-    })?;
+    Graph::from_csr(h.ncon, xadj, adjncy, adjwgt, vwgt)
+}
 
+/// What a METIS header declares.
+struct Header {
+    line: usize,
+    nvtxs: usize,
+    nedges: usize,
+    /// `2 * nedges`: the adjacency entries the vertex lines must hold.
+    declared_adj: usize,
+    ncon: usize,
+    /// `nvtxs * ncon`.
+    vwgt_len: usize,
+    has_vwgt: bool,
+    has_ewgt: bool,
+}
+
+impl Header {
+    /// Parses the header fields found on line `header_line_no`.
+    fn parse(header_line_no: usize, header: &str) -> Result<Header> {
+        let fields: Vec<&str> = header.split_whitespace().collect();
+        if fields.len() < 2 || fields.len() > 4 {
+            return Err(McgpError::parse(
+                header_line_no,
+                format!("header must have 2-4 fields, got {}", fields.len()),
+            ));
+        }
+        let field = |s: &str, line: usize, col: usize| -> Result<usize> {
+            s.parse().map_err(|_| McgpError::Parse {
+                line,
+                col,
+                msg: format!("invalid integer `{s}`"),
+            })
+        };
+        let nvtxs = field(fields[0], header_line_no, 1)?;
+        let nedges = field(fields[1], header_line_no, 2)?;
+        // Adjacency indices are u32: a vertex count beyond that width cannot be
+        // represented, and `2 * nedges` must not overflow usize either.
+        if nvtxs > Vertex::MAX as usize {
+            return Err(McgpError::Overflow {
+                what: "vertex count",
+                value: nvtxs as u128,
+                limit: Vertex::MAX as u128,
+            });
+        }
+        let declared_adj = nedges.checked_mul(2).ok_or(McgpError::Overflow {
+            what: "edge count",
+            value: nedges as u128,
+            limit: (usize::MAX / 2) as u128,
+        })?;
+        // The `fmt` flag string: 1-3 binary digits (hundreds = vertex sizes,
+        // tens = vertex weights, ones = edge weights). Anything else — including
+        // digits other than 0/1, which older readers silently coerced — is a
+        // parse error, never a silent "no weights" default.
+        let fmt = if fields.len() >= 3 { fields[2] } else { "000" };
+        if fmt.is_empty() || fmt.len() > 3 || fmt.chars().any(|c| c != '0' && c != '1') {
+            return Err(McgpError::Parse {
+                line: header_line_no,
+                col: 3,
+                msg: format!("invalid fmt field `{fmt}` (want 1-3 binary digits, e.g. 011)"),
+            });
+        }
+        let padded = format!("{fmt:0>3}");
+        let mut flags = padded.bytes().map(|b| b == b'1');
+        let (has_vsize, has_vwgt, has_ewgt) = (
+            flags.next().unwrap(),
+            flags.next().unwrap(),
+            flags.next().unwrap(),
+        );
+        if has_vsize {
+            return Err(McgpError::Parse {
+                line: header_line_no,
+                col: 3,
+                msg: "vertex sizes (fmt=1xx) are not supported".into(),
+            });
+        }
+        let ncon = if fields.len() == 4 {
+            let n = field(fields[3], header_line_no, 4)?;
+            if n == 0 {
+                return Err(McgpError::Parse {
+                    line: header_line_no,
+                    col: 4,
+                    msg: "ncon must be >= 1".into(),
+                });
+            }
+            if n > MAX_NCON {
+                return Err(McgpError::Overflow {
+                    what: "constraint count",
+                    value: n as u128,
+                    limit: MAX_NCON as u128,
+                });
+            }
+            if !has_vwgt && n > 1 {
+                return Err(McgpError::Parse {
+                    line: header_line_no,
+                    col: 4,
+                    msg: format!("ncon {n} > 1 requires vertex weights (fmt tens digit = 1)"),
+                });
+            }
+            n
+        } else {
+            1 // with or without vertex weights: a single constraint
+        };
+        // nvtxs <= u32::MAX and ncon <= 255, so this cannot overflow usize, but
+        // keep the checked form as the single place the product is formed.
+        let vwgt_len = nvtxs.checked_mul(ncon).ok_or(McgpError::Overflow {
+            what: "nvtxs * ncon",
+            value: nvtxs as u128 * ncon as u128,
+            limit: usize::MAX as u128,
+        })?;
+        Ok(Header {
+            line: header_line_no,
+            nvtxs,
+            nedges,
+            declared_adj,
+            ncon,
+            vwgt_len,
+            has_vwgt,
+            has_ewgt,
+        })
+    }
+}
+
+/// CSR arrays as [`Graph::from_csr`] takes them: `(xadj, adjncy, adjwgt, vwgt)`.
+type CsrArrays = (Vec<usize>, Vec<Vertex>, Vec<i64>, Vec<i64>);
+
+/// Reads the vertex lines into CSR arrays. A loop of its own: inlined into
+/// [`parse_metis`], it ran markedly slower.
+#[inline(never)]
+fn read_vertices<'a>(
+    h: &Header,
+    lines: impl Iterator<Item = (usize, &'a str)>,
+) -> Result<CsrArrays> {
+    let Header {
+        nvtxs,
+        declared_adj,
+        ncon,
+        vwgt_len,
+        has_vwgt,
+        has_ewgt,
+        ..
+    } = *h;
     let mut xadj = Vec::with_capacity((nvtxs + 1).min(MAX_PREALLOC));
     xadj.push(0usize);
     let mut adjncy: Vec<Vertex> = Vec::with_capacity(declared_adj.min(MAX_PREALLOC));
@@ -150,44 +259,33 @@ pub fn read_metis<R: Read>(reader: R) -> Result<Graph> {
 
     let mut vertex = 0usize;
     for (no, line) in lines {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.starts_with('%') {
+        let tokens = Tokens::new(line);
+        if tokens.peek() == Some(b'%') {
             continue;
         }
         if vertex >= nvtxs {
-            if trimmed.is_empty() {
+            if tokens.peek().is_none() {
                 continue;
             }
             return Err(McgpError::parse(
-                no + 1,
+                no,
                 format!("more than {nvtxs} vertex lines"),
             ));
         }
-        let mut tokens = trimmed.split_whitespace().enumerate();
+        let mut tokens = tokens.enumerate();
         if has_vwgt {
             for c in 0..ncon {
-                let (col, tok) = tokens.next().ok_or_else(|| McgpError::Parse {
-                    line: no + 1,
-                    col: c + 1, // the token that *should* have been here
-                    msg: format!(
-                        "vertex {}: missing weight {} of {}",
-                        vertex + 1,
-                        c + 1,
-                        ncon
-                    ),
-                })?;
-                let w: i64 = tok.parse().map_err(|_| McgpError::Parse {
-                    line: no + 1,
-                    col: col + 1,
-                    msg: format!("invalid weight `{tok}`"),
-                })?;
+                // A missing weight points at the token that should be there.
+                let Some((col, tok)) = tokens.next() else {
+                    let msg = format!("vertex {}: missing weight {} of {ncon}", vertex + 1, c + 1);
+                    return Err(token_error(no, c, msg));
+                };
+                let Some(w) = tok.as_i64() else {
+                    let msg = format!("invalid weight `{}`", tok.show());
+                    return Err(token_error(no, col, msg));
+                };
                 if w < 0 {
-                    return Err(McgpError::Parse {
-                        line: no + 1,
-                        col: col + 1,
-                        msg: format!("negative vertex weight {w}"),
-                    });
+                    return Err(token_error(no, col, format!("negative vertex weight {w}")));
                 }
                 vwgt.push(w);
             }
@@ -195,29 +293,24 @@ pub fn read_metis<R: Read>(reader: R) -> Result<Graph> {
             vwgt.extend(std::iter::repeat_n(1, ncon));
         }
         while let Some((col, tok)) = tokens.next() {
-            let u: usize = tok.parse().map_err(|_| McgpError::Parse {
-                line: no + 1,
-                col: col + 1,
-                msg: format!("invalid neighbor id `{tok}`"),
-            })?;
+            let Some(u) = tok.as_usize() else {
+                let msg = format!("invalid neighbor id `{}`", tok.show());
+                return Err(token_error(no, col, msg));
+            };
             if u == 0 || u > nvtxs {
-                return Err(McgpError::Parse {
-                    line: no + 1,
-                    col: col + 1,
-                    msg: format!("neighbor id {u} out of range 1..={nvtxs}"),
-                });
+                let msg = format!("neighbor id {u} out of range 1..={nvtxs}");
+                return Err(token_error(no, col, msg));
             }
             let w = if has_ewgt {
-                let (wcol, tok) = tokens.next().ok_or_else(|| McgpError::Parse {
-                    line: no + 1,
-                    col: col + 1,
-                    msg: format!("neighbor {u}: missing edge weight"),
-                })?;
-                tok.parse().map_err(|_| McgpError::Parse {
-                    line: no + 1,
-                    col: wcol + 1,
-                    msg: format!("invalid edge weight `{tok}`"),
-                })?
+                let Some((wcol, tok)) = tokens.next() else {
+                    let msg = format!("neighbor {u}: missing edge weight");
+                    return Err(token_error(no, col, msg));
+                };
+                let Some(w) = tok.as_i64() else {
+                    let msg = format!("invalid edge weight `{}`", tok.show());
+                    return Err(token_error(no, wcol, msg));
+                };
+                w
             } else {
                 1i64
             };
@@ -228,24 +321,185 @@ pub fn read_metis<R: Read>(reader: R) -> Result<Graph> {
         xadj.push(adjncy.len());
         vertex += 1;
     }
-    // Both mismatches are violations of what the header (not any one body
-    // line) declared, so point the diagnostic there.
-    if vertex != nvtxs {
-        return Err(McgpError::parse(
-            header_line_no,
-            format!("expected {nvtxs} vertex lines, found {vertex}"),
-        ));
+    Ok((xadj, adjncy, adjwgt, vwgt))
+}
+
+/// A parse error at the token with 0-based index `index` on line `line`.
+#[cold]
+fn token_error(line: usize, index: usize, msg: String) -> McgpError {
+    McgpError::Parse {
+        line,
+        col: index + 1,
+        msg,
     }
-    if adjncy.len() != declared_adj {
-        return Err(McgpError::parse(
-            header_line_no,
-            format!(
-                "header declares {nedges} edges but adjacency lists contain {} entries (expected {declared_adj})",
-                adjncy.len(),
-            ),
-        ));
+}
+
+/// The error [`BufRead::lines`] gives for a line that is not UTF-8.
+fn invalid_utf8() -> McgpError {
+    McgpError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        "stream did not contain valid UTF-8",
+    ))
+}
+
+fn utf8(bytes: &[u8]) -> Result<&str> {
+    std::str::from_utf8(bytes).map_err(|_| invalid_utf8())
+}
+
+/// The whitespace class of [`char::is_whitespace`] restricted to ASCII:
+/// space, `\t`, `\n`, `\x0B`, `\x0C` and `\r` (unlike
+/// [`u8::is_ascii_whitespace`], which leaves out `\x0B`).
+#[inline]
+fn is_space(b: u8) -> bool {
+    b == b' ' || (b'\t'..=b'\r').contains(&b)
+}
+
+#[inline]
+fn skip_space(bytes: &[u8]) -> &[u8] {
+    let start = bytes.iter().position(|&b| !is_space(b)).unwrap_or(bytes.len());
+    &bytes[start..]
+}
+
+/// The tokens of one line, split as [`str::split_whitespace`] splits.
+/// The remainder always starts at a token or is empty.
+enum Tokens<'a> {
+    Ascii(&'a [u8]),
+    Text(&'a str),
+}
+
+impl<'a> Tokens<'a> {
+    #[inline]
+    fn new(line: &'a str) -> Self {
+        if line.is_ascii() {
+            Tokens::Ascii(skip_space(line.as_bytes()))
+        } else {
+            Tokens::Text(line.trim_start())
+        }
     }
-    Graph::from_csr(ncon, xadj, adjncy, adjwgt, vwgt)
+
+    /// First byte of the next token, if any.
+    fn peek(&self) -> Option<u8> {
+        match self {
+            Tokens::Ascii(rest) => rest.first().copied(),
+            Tokens::Text(rest) => rest.as_bytes().first().copied(),
+        }
+    }
+}
+
+/// One token. ASCII lines scan each token once: a plain run of at most 18
+/// digits, which fits every integer type the reader uses, comes with its
+/// value.
+struct Token<'a> {
+    bytes: &'a [u8],
+    digits: Option<u64>,
+}
+
+impl Token<'_> {
+    #[inline]
+    fn as_usize(&self) -> Option<usize> {
+        match self.digits {
+            Some(v) => usize::try_from(v).ok(),
+            None => parse_usize(self.bytes),
+        }
+    }
+
+    #[inline]
+    fn as_i64(&self) -> Option<i64> {
+        match self.digits {
+            Some(v) => Some(v as i64),
+            None => parse_i64(self.bytes),
+        }
+    }
+
+    /// The token for an error message (tokens come from `str`).
+    fn show(&self) -> std::borrow::Cow<'_, str> {
+        String::from_utf8_lossy(self.bytes)
+    }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = Token<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Token<'a>> {
+        match self {
+            Tokens::Ascii(rest) => {
+                if rest.is_empty() {
+                    return None;
+                }
+                let (mut end, mut value, mut plain) = (0, 0u64, true);
+                while end < rest.len() && !is_space(rest[end]) {
+                    let d = rest[end].wrapping_sub(b'0');
+                    plain &= d <= 9;
+                    value = value.wrapping_mul(10).wrapping_add(d as u64);
+                    end += 1;
+                }
+                let (bytes, tail) = rest.split_at(end);
+                *rest = skip_space(tail);
+                let digits = (plain && end <= 18).then_some(value);
+                Some(Token { bytes, digits })
+            }
+            Tokens::Text(rest) => next_text_token(rest),
+        }
+    }
+}
+
+/// The non-ASCII case of [`Tokens::next`], kept out of the ASCII loop.
+#[inline(never)]
+fn next_text_token<'a>(rest: &mut &'a str) -> Option<Token<'a>> {
+    if rest.is_empty() {
+        return None;
+    }
+    let end = rest.find(char::is_whitespace).unwrap_or(rest.len());
+    let (tok, tail) = rest.split_at(end);
+    *rest = tail.trim_start();
+    Some(Token {
+        bytes: tok.as_bytes(),
+        digits: None,
+    })
+}
+
+/// Parses decimal digits the way `str::parse::<usize>` does.
+fn parse_usize(tok: &[u8]) -> Option<usize> {
+    let digits = tok.strip_prefix(b"+").unwrap_or(tok);
+    if digits.is_empty() {
+        return None;
+    }
+    let mut v: usize = 0;
+    for &b in digits {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        v = v.checked_mul(10)?.checked_add(d as usize)?;
+    }
+    Some(v)
+}
+
+/// Parses a signed decimal the way `str::parse::<i64>` does.
+fn parse_i64(tok: &[u8]) -> Option<i64> {
+    let (negative, digits) = match tok.split_first() {
+        Some((b'-', digits)) => (true, digits),
+        Some((b'+', digits)) => (false, digits),
+        _ => (false, tok),
+    };
+    if digits.is_empty() {
+        return None;
+    }
+    let mut v: i64 = 0;
+    for &b in digits {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        v = v.checked_mul(10)?;
+        v = if negative {
+            v.checked_sub(d as i64)?
+        } else {
+            v.checked_add(d as i64)?
+        };
+    }
+    Some(v)
 }
 
 /// Reads a METIS-format graph from a file.
@@ -357,8 +611,9 @@ fn read_partition_impl<R: Read>(reader: R, nparts: Option<usize>) -> Result<Vec<
 /// }
 /// ```
 ///
-/// `adjwgt` and `vwgt` are optional (default: unit weights); `ncon`
-/// defaults to 1 and is capped at [`MAX_NCON`]. The arrays go through the
+/// `adjwgt` and `vwgt` are optional (default: unit weights), except that
+/// `ncon > 1` requires `vwgt`; `ncon` defaults to 1 and is capped at
+/// [`MAX_NCON`]. The arrays go through the
 /// full [`Graph::from_csr`] validation, so malformed structure (asymmetry,
 /// self-loops, range errors, negative weights) surfaces as the same typed
 /// [`McgpError`]s the METIS reader produces — never a panic.
@@ -411,6 +666,15 @@ pub fn graph_from_json(text: &str) -> Result<Graph> {
             n
         }
     };
+    // The METIS reader's rule: default unit weights are one constraint, so
+    // a multi-constraint graph must carry its weights. It also keeps a tiny
+    // body from asking for `nvtxs * ncon` default weights.
+    if ncon > 1 && root.get("vwgt").is_none() {
+        return Err(McgpError::parse(
+            0,
+            format!("JSON graph `ncon` {ncon} > 1 requires a `vwgt` array"),
+        ));
+    }
 
     let xadj_raw = int_array(&root, "xadj")?.expect("presence checked above");
     let mut xadj = Vec::with_capacity(xadj_raw.len().min(MAX_PREALLOC));
@@ -677,6 +941,54 @@ mod tests {
         match graph_from_json(r#"{"ncon": 1000, "xadj": [0], "adjncy": []}"#) {
             Err(McgpError::Overflow { what: "ncon", .. }) => {}
             other => panic!("expected ncon overflow, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn json_ingest_requires_vertex_weights_for_multiple_constraints() {
+        // 400 KB of `xadj` at ncon 255 used to ask for 51M default weights.
+        let zeros = vec!["0"; 200_000].join(",");
+        let body = format!(r#"{{"ncon":255,"xadj":[{zeros}]}}"#);
+        match graph_from_json(&body) {
+            Err(McgpError::Parse { msg, .. }) => assert!(msg.contains("vwgt"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        let g = graph_from_json(r#"{"ncon": 2, "xadj": [0, 0], "vwgt": [4, 5]}"#).unwrap();
+        assert_eq!(g.vwgt(0), &[4, 5]);
+    }
+
+    #[test]
+    fn parse_metis_and_read_metis_agree() {
+        let g = synthetic::type2(&crate::generators::mrng_like(500, 2), 3, 2);
+        let mut text = Vec::new();
+        write_metis(&g, &mut text).unwrap();
+        assert_eq!(parse_metis(&text).unwrap(), g);
+        assert_eq!(read_metis(text.as_slice()).unwrap(), g);
+        let crlf = String::from_utf8(text).unwrap().replace('\n', "\r\n");
+        assert_eq!(parse_metis(crlf.as_bytes()).unwrap(), g);
+    }
+
+    #[test]
+    fn integer_tokens_parse_like_str_parse() {
+        for tok in [
+            "0", "7", "+7", "007", "-0", "-7", "+", "-", "", "+-1", "1a", "12 ",
+            "18446744073709551615", "18446744073709551616",
+            "9223372036854775807", "9223372036854775808",
+            "-9223372036854775808", "-9223372036854775809",
+        ] {
+            assert_eq!(parse_usize(tok.as_bytes()), tok.parse().ok(), "usize `{tok}`");
+            assert_eq!(parse_i64(tok.as_bytes()), tok.parse().ok(), "i64 `{tok}`");
+        }
+    }
+
+    #[test]
+    fn tokens_split_like_split_whitespace() {
+        for line in [
+            "", "  ", "1 2", " \t1\x0b2\x0c3\r", "a\u{a0}b\u{3000}c\u{85}d", "\u{2028}x ",
+        ] {
+            let got: Vec<&[u8]> = Tokens::new(line).map(|t| t.bytes).collect();
+            let want: Vec<&[u8]> = line.split_whitespace().map(str::as_bytes).collect();
+            assert_eq!(got, want, "{line:?}");
         }
     }
 

@@ -44,7 +44,7 @@ use crate::protocol::{
 use crate::signal;
 use mcgp_core::{HierarchySnapshot, PartitionConfig, PartitionResult};
 use mcgp_graph::check::check_graph;
-use mcgp_graph::io::{graph_from_json, read_metis};
+use mcgp_graph::io::{graph_from_json, parse_metis};
 use mcgp_graph::{CheckLevel, McgpError};
 use mcgp_runtime::metrics::{MetricsReport, PromWriter, WindowedHistogram};
 use mcgp_runtime::net::{Conn, Limits, NetError, Request};
@@ -600,8 +600,17 @@ fn compute(
             // Wall-clock the parse+check+coarsen pipeline: the measured
             // rebuild cost is what GDSF eviction weighs this entry by.
             let build_t0 = Instant::now();
+            let ingest = mcgp_runtime::span!(
+                "parse",
+                bytes = body.len(),
+                format = match format {
+                    GraphFormat::Metis => "metis",
+                    GraphFormat::Json => "json",
+                },
+            );
+            // The body is parsed in place, never copied.
             let graph = match format {
-                GraphFormat::Metis => read_metis(body)?,
+                GraphFormat::Metis => parse_metis(body)?,
                 GraphFormat::Json => {
                     let text = std::str::from_utf8(body).map_err(|e| McgpError::Parse {
                         line: 0,
@@ -614,6 +623,7 @@ fn compute(
             // The input layer's invariant catalogue, always at least Cheap
             // regardless of build profile: the daemon trusts no client.
             check_graph(&graph, CheckLevel::Cheap)?;
+            drop(ingest);
             let cfg = PartitionConfig {
                 seed: p.seed,
                 nthreads: p.nthreads,

@@ -206,6 +206,29 @@ fn json_and_metis_ingest_agree_on_the_same_graph() {
 }
 
 #[test]
+fn json_body_with_many_constraints_and_no_vertex_weights_is_a_400() {
+    // A 400 KB body at ncon 255 without `vwgt` used to make the daemon
+    // allocate 255 unit weights per vertex (a 64 MiB body: ~65 GB).
+    let body = format!(r#"{{"ncon":255,"xadj":[{}]}}"#, vec!["0"; 200_000].join(","));
+    let (addr, handle, thread) = start_default();
+    let resp = http_request(
+        &addr,
+        "POST",
+        "/partition?k=1",
+        &[("Content-Type", "application/json")],
+        body.as_bytes(),
+        Some(Duration::from_secs(60)),
+    )
+    .unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    let doc = Json::parse(resp.text().trim()).unwrap();
+    assert_eq!(doc.get("kind").unwrap().as_str(), Some("parse"));
+    assert!(resp.text().contains("vwgt"), "{}", resp.text());
+    assert_eq!(get(&addr, "/healthz").status, 200);
+    stop(&handle, thread);
+}
+
+#[test]
 fn malformed_corpus_over_the_wire_yields_typed_errors_not_a_dead_daemon() {
     let (addr, handle, thread) = start_default();
 

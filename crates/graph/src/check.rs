@@ -20,10 +20,10 @@ use crate::{McgpError, Result};
 
 /// How much validation to run at each pipeline seam.
 ///
-/// `Cheap` covers every `O(|V| + |E|)` invariant; `Full` adds the
-/// superlinear ones (adjacency symmetry with matching reverse weights,
-/// duplicate-edge detection). Levels are ordered, so `level >= Cheap` tests
-/// "any checking at all".
+/// `Cheap` covers the `O(|V| + |E|)` invariants that need no sorted
+/// adjacency; `Full` adds adjacency symmetry with matching reverse weights
+/// and duplicate-edge detection. Levels are ordered, so `level >= Cheap`
+/// tests "any checking at all".
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CheckLevel {
     /// No validation (production hot path).
@@ -31,7 +31,8 @@ pub enum CheckLevel {
     Off,
     /// Linear-time checks: lengths, ranges, signs, conservation, coverage.
     Cheap,
-    /// Everything, including the `O(|E| log d)` symmetry check.
+    /// Everything, including the symmetry check (linear, plus sorting any
+    /// unsorted adjacency lists).
     Full,
 }
 

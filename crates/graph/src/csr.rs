@@ -383,8 +383,10 @@ impl GraphBuilder {
     /// Finalises into a validated [`Graph`].
     pub fn build(&self) -> Result<Graph> {
         let n = self.nvtxs;
-        // Collect both directions, drop self-loops, merge duplicates.
-        let mut dir: Vec<(Vertex, Vertex, i64)> = Vec::with_capacity(self.edges.len() * 2);
+        // Collect both directions per vertex, drop self-loops, merge
+        // duplicates. Sorting each vertex's short list is cheaper than
+        // sorting all 2|E| directed edges at once.
+        let mut rows: Vec<Vec<(Vertex, i64)>> = vec![Vec::new(); n];
         for &(u, v, w) in &self.edges {
             if u as usize >= n || v as usize >= n {
                 return Err(GraphError::Malformed(format!(
@@ -399,29 +401,31 @@ impl GraphBuilder {
                     "edge ({u},{v}) has negative weight"
                 )));
             }
-            dir.push((u, v, w));
-            dir.push((v, u, w));
+            rows[u as usize].push((v, w));
+            rows[v as usize].push((u, w));
         }
-        dir.sort_unstable();
-        let mut xadj = vec![0usize; n + 1];
-        let mut adjncy = Vec::with_capacity(dir.len());
-        let mut adjwgt = Vec::with_capacity(dir.len());
-        let mut i = 0;
-        while i < dir.len() {
-            let (u, v, mut w) = dir[i];
-            let mut j = i + 1;
-            while j < dir.len() && dir[j].0 == u && dir[j].1 == v {
-                w += dir[j].2;
-                j += 1;
+        let mut xadj = Vec::with_capacity(n + 1);
+        xadj.push(0usize);
+        let total: usize = rows.iter().map(Vec::len).sum();
+        let mut adjncy = Vec::with_capacity(total);
+        let mut adjwgt = Vec::with_capacity(total);
+        for row in &mut rows {
+            row.sort_unstable();
+            let mut i = 0;
+            while i < row.len() {
+                let (v, mut w) = row[i];
+                let mut j = i + 1;
+                while j < row.len() && row[j].0 == v {
+                    w += row[j].1;
+                    j += 1;
+                }
+                adjncy.push(v);
+                adjwgt.push(w);
+                i = j;
             }
-            xadj[u as usize + 1] += 1;
-            adjncy.push(v);
-            adjwgt.push(w);
-            i = j;
+            xadj.push(adjncy.len());
         }
-        for v in 0..n {
-            xadj[v + 1] += xadj[v];
-        }
+        drop(rows);
         let vwgt = match &self.vwgt {
             Some(w) => {
                 if w.len() != n * self.ncon {

@@ -77,15 +77,20 @@ impl FuzzReport {
     }
 }
 
-fn render_graph(rng: &mut Rng) -> String {
+/// A small mesh with 1-3 constraints, the base of every graph case.
+fn random_graph(rng: &mut Rng) -> Graph {
     let nvtxs = rng.gen_range(8usize..48);
     let base = mrng_like(nvtxs, rng.next_u64());
     let ncon = *rng.choose(&[1usize, 2, 3]).unwrap();
-    let graph = if ncon == 1 {
+    if ncon == 1 {
         base
     } else {
         synthetic::type1(&base, ncon, rng.next_u64())
-    };
+    }
+}
+
+fn render_graph(rng: &mut Rng) -> String {
+    let graph = random_graph(rng);
     let mut out = Vec::new();
     write_metis(&graph, &mut out).expect("in-memory write");
     String::from_utf8(out).expect("METIS text is ASCII")
@@ -272,14 +277,13 @@ struct JsonCsr {
 
 impl JsonCsr {
     fn from_graph(g: &Graph, rng: &mut Rng) -> Self {
-        let ints = |xs: &[i64]| xs.to_vec();
         JsonCsr {
             ncon: g.ncon(),
             xadj: g.xadj().iter().map(|&x| x as i64).collect(),
             adjncy: g.adjncy().iter().map(|&u| u as i64).collect(),
-            adjwgt: rng.gen_bool(0.5).then(|| ints(g.adjwgt())),
+            adjwgt: rng.gen_bool(0.5).then(|| g.adjwgt().to_vec()),
             // Unit default weights are one constraint only.
-            vwgt: (g.ncon() > 1 || rng.gen_bool(0.5)).then(|| ints(g.vwgt_flat())),
+            vwgt: (g.ncon() > 1 || rng.gen_bool(0.5)).then(|| g.vwgt_flat().to_vec()),
         }
     }
 
@@ -385,14 +389,7 @@ fn mutate_json(mut csr: JsonCsr, idx: usize, rng: &mut Rng) -> String {
 /// One deterministic fuzz case against `graph_from_json`.
 pub fn fuzz_json_case(seed: u64) -> FuzzCase {
     let mut rng = Rng::seed_from_u64(seed ^ 0x1501_C5A0_D15C_0DE5);
-    let nvtxs = rng.gen_range(8usize..48);
-    let base = mrng_like(nvtxs, rng.next_u64());
-    let ncon = *rng.choose(&[1usize, 2, 3]).unwrap();
-    let graph = if ncon == 1 {
-        base
-    } else {
-        synthetic::type1(&base, ncon, rng.next_u64())
-    };
+    let graph = random_graph(&mut rng);
     let csr = JsonCsr::from_graph(&graph, &mut rng);
     let idx = rng.gen_range(0usize..JSON_MUTATIONS.len());
     let text = mutate_json(csr, idx, &mut rng);

@@ -101,7 +101,8 @@ done
 MCGP_DIFF_FULL=1 MCGP_CHECK=full \
     cargo test -q --offline --profile checked -p mcgp-check
 # Structure-aware fuzz smoke with a fixed seed budget: the METIS readers
-# must reject corrupted inputs with typed errors, never panic.
+# and the JSON-CSR decoder must reject corrupted inputs with typed errors,
+# never panic.
 ./target/release/mcgp fuzz --seed 3405691582 --cases 400
 # `mcgp check` end-to-end: a known-good (graph, partition) pair validates,
 # a corrupted partition is rejected with a diagnostic and non-zero exit.

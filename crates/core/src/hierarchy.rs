@@ -25,9 +25,8 @@ use crate::config::PartitionConfig;
 use crate::kway::{check_levels, initial_and_refine};
 use crate::PartitionResult;
 use mcgp_graph::Graph;
-use mcgp_runtime::phase::{timed, Phase};
 use mcgp_runtime::rng::Rng;
-use mcgp_runtime::span;
+use mcgp_runtime::{span, Phase};
 
 /// A deep coarsening hierarchy with recorded per-level RNG states, able to
 /// serve any `(nparts, ε)` partitioning request on its graph without
@@ -60,7 +59,8 @@ impl HierarchySnapshot {
         let mut coarsener = Coarsener::new(config.coarsen_to_min, config);
         let mut levels: Vec<CoarseLevel> = Vec::new();
         let mut rng_at = Vec::new();
-        timed(Phase::Coarsen, || loop {
+        let coarsening = span!(Phase::Coarsen, nvtxs = graph.nvtxs());
+        loop {
             rng_at.push(rng.clone());
             let cur = levels.last().map_or(graph, |l| &l.graph);
             let Some(mut level) = coarsener.next_level(cur, levels.len(), &mut rng) else {
@@ -71,7 +71,8 @@ impl HierarchySnapshot {
             // allocates, so that level can reuse the space.
             level.graph.shrink_to_fit();
             levels.push(level);
-        });
+        }
+        drop(coarsening);
         _root.record("levels", levels.len());
         check_levels(graph, &levels, config.check);
         HierarchySnapshot {

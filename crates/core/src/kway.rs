@@ -13,9 +13,8 @@ use crate::PartitionResult;
 use crate::balance::imbalances_from_pw;
 use mcgp_graph::check as gcheck;
 use mcgp_graph::{CheckLevel, Graph};
-use mcgp_runtime::phase::{timed, Phase};
-use mcgp_runtime::{event, span};
 use mcgp_runtime::rng::Rng;
+use mcgp_runtime::{event, span, Phase};
 
 /// Aborts on an invariant violation detected at a pipeline seam. These are
 /// partitioner bugs (never input errors — those surface as `Result`s from
@@ -68,10 +67,10 @@ pub(crate) fn initial_and_refine(
 
     // Phase 2: initial partitioning of the coarsest graph via recursive
     // bisection.
-    let mut assignment = timed(Phase::Initial, || {
-        let _s = span!("initial", nvtxs = coarsest.nvtxs(), nparts = nparts);
+    let mut assignment = {
+        let _s = span!(Phase::Initial, nvtxs = coarsest.nvtxs(), nparts = nparts);
         recursive_bisection_assignment(coarsest, nparts, config, rng)
-    });
+    };
 
     // Seam: post-initial. Recursive bisection must emit an in-range
     // assignment that covers every subdomain.
@@ -133,8 +132,8 @@ pub(crate) fn initial_and_refine(
     };
 
     // Refine the initial partitioning on the coarsest graph itself.
-    timed(Phase::Refine, || {
-        let _s = span!("refine", nlevels = nlevels, nvtxs = graph.nvtxs());
+    {
+        let _s = span!(Phase::Refine, nlevels = nlevels, nvtxs = graph.nvtxs());
         refine_on(nlevels, coarsest, &mut assignment, rng, &mut ws);
         for lvl in (0..nlevels).rev() {
             let cmap = &levels[lvl].cmap;
@@ -166,7 +165,7 @@ pub(crate) fn initial_and_refine(
             rebalance(graph, &mut assignment, &mut pw, &model, rng);
             greedy_kway_refine_ws(graph, &mut assignment, &mut pw, &model, 2, rng, &mut ws);
         }
-    });
+    }
 
     assignment
 }
@@ -188,10 +187,10 @@ pub fn partition_kway(graph: &Graph, nparts: usize, config: &PartitionConfig) ->
     );
 
     // Phase 1: coarsening.
-    let hierarchy = timed(Phase::Coarsen, || {
-        let _s = span!("coarsen", nvtxs = graph.nvtxs());
+    let hierarchy = {
+        let _s = span!(Phase::Coarsen, nvtxs = graph.nvtxs());
         coarsen(graph, config.coarsen_target(nparts), config, &mut rng)
-    });
+    };
     check_levels(graph, hierarchy.levels(), config.check);
 
     let assignment = initial_and_refine(graph, hierarchy.levels(), nparts, config, &mut rng);

@@ -11,6 +11,7 @@ use mcgp_core::balance::BalanceModel;
 use mcgp_core::config::PartitionConfig;
 use mcgp_graph::check as gcheck;
 use mcgp_graph::{CheckLevel, Graph, McgpError, Partition, PartitionQuality};
+use mcgp_runtime::Phase;
 
 /// Which parallel refinement scheme to run during uncoarsening.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -207,7 +208,8 @@ pub fn parallel_partition_kway(
     // --- Parallel coarsening --------------------------------------------
     let target = (cfg.coarsen_to_per_part * nparts).max(cfg.serial.coarsen_target(nparts));
     let mut levels: Vec<DistLevel> = Vec::new();
-    mcgp_runtime::phase::timed(mcgp_runtime::phase::Phase::Coarsen, || loop {
+    let coarsening = mcgp_runtime::span!(Phase::Coarsen, nvtxs = graph.nvtxs());
+    loop {
         let lvl = levels.len();
         let cur = levels.last().map_or(&finest, |l| &l.graph);
         if cur.nvtxs() <= target || lvl >= 64 {
@@ -265,12 +267,14 @@ pub fn parallel_partition_kway(
             }
         }
         levels.push(level);
-    });
+    }
+    drop(coarsening);
     let coarsen_levels = levels.len();
 
     // --- Initial partitioning on the coarsest graph ----------------------
     let coarsest = levels.last().map_or(&finest, |l| &l.graph);
-    let mut part = mcgp_runtime::phase::timed(mcgp_runtime::phase::Phase::Initial, || {
+    let mut part = {
+        let _s = mcgp_runtime::span!(Phase::Initial, nvtxs = coarsest.nvtxs(), nparts = nparts);
         parallel_initial_partition(
             coarsest,
             nparts,
@@ -278,7 +282,7 @@ pub fn parallel_partition_kway(
             cfg.init_runs_executed,
             &mut tracker,
         )
-    });
+    };
 
     // Seam: post-initial. The replicated initial partitioning must emit an
     // in-range assignment covering every subdomain.
@@ -366,7 +370,8 @@ pub fn parallel_partition_kway(
             }
         };
 
-    mcgp_runtime::phase::timed(mcgp_runtime::phase::Phase::Refine, || {
+    {
+        let _s = mcgp_runtime::span!(Phase::Refine, nlevels = levels.len(), nvtxs = graph.nvtxs());
         // Refine the coarsest level itself, then project down.
         refine_level(levels.len(), coarsest, &mut part, seed ^ 0xC0A0, &mut tracker);
         for lvl in (0..levels.len()).rev() {
@@ -404,12 +409,10 @@ pub fn parallel_partition_kway(
             }
             refine_level(lvl, finer, &mut part, seed ^ ((lvl as u64) << 16), &mut tracker);
         }
-    });
 
-    // Final balance pass (still the refinement phase): the reservation
-    // scheme's residual overshoot at the finest level is corrected here
-    // (cheap — the overshoot is small).
-    mcgp_runtime::phase::timed(mcgp_runtime::phase::Phase::Refine, || {
+        // Final balance pass (still the refinement phase): the reservation
+        // scheme's residual overshoot at the finest level is corrected here
+        // (cheap — the overshoot is small).
         let model = BalanceModel::from_parts(
             finest.ncon(),
             nparts,
@@ -428,7 +431,7 @@ pub fn parallel_partition_kway(
             seed ^ 0xF1A1,
             &mut tracker,
         );
-    });
+    }
 
     // --- Measure ----------------------------------------------------------
     // Seam: final. The finished assignment must be a valid k-way partition

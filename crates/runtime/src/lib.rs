@@ -17,10 +17,10 @@
 //!   in index order, so parallel execution never perturbs determinism.
 //! * [`json`] — a minimal JSON value type with writer and parser, enough
 //!   for the experiment JSONL records and config round-trips.
-//! * [`phase`] — wall-clock phase timers and monotonic counters
-//!   (coarsening/initial/refinement time, moves attempted/committed,
-//!   matching conflicts) collected thread-locally and merged across
-//!   [`pool`] workers. Always on: a fixed-size array tally.
+//! * [`phase`] — per-phase wall time, fed by phase-tagged spans, and
+//!   monotonic counters (moves attempted/committed, matching conflicts)
+//!   collected thread-locally and merged across [`pool`] workers. Always
+//!   on: a fixed-size array tally.
 //! * [`trace`] — structured tracing: scoped spans ([`span!`]) and typed
 //!   instant events ([`event!`]), exportable as JSONL or Chrome
 //!   trace-event JSON. Off by default; near-zero cost when off.

@@ -1,7 +1,7 @@
 //! Named metrics registry: counters, gauges, and log₂-bucket histograms.
 //!
-//! [`crate::phase`] keeps a deliberately tiny fixed-size tally (an array
-//! indexed by enum) because it is always on; this module is the open-ended
+//! [`crate::phase`] keeps a tiny always-on array of per-phase time (fed by
+//! phase-tagged spans) and counters; this module is the open-ended
 //! companion for metrics that only matter when someone is looking — gain
 //! distributions, boundary sizes, per-round conflict counts. Registration
 //! is implicit (first use of a name creates the metric), names are
@@ -9,9 +9,9 @@
 //! gated on [`crate::trace::enabled`] so the default path stays free.
 //!
 //! Like the phase tally and trace buffer, metrics accumulate in a
-//! thread-local and are merged across [`crate::pool`] workers. Merge rules
-//! keep reports deterministic under any thread count: counters and
-//! histograms add, gauges take the maximum.
+//! thread-local; [`crate::pool`] forwards all three from each worker as one
+//! bundle. Merge rules keep reports deterministic under any thread count:
+//! counters and histograms add, gauges take the maximum.
 
 use crate::json::{Json, ToJson};
 use std::cell::RefCell;

@@ -1,4 +1,5 @@
-//! Phase timers and counters — the seed of the observability layer.
+//! Per-phase wall time and behavioural counters: the always-on tally
+//! behind [`PhaseReport`].
 //!
 //! Multilevel partitioning has a natural phase structure (coarsen →
 //! initial → refine), and both the paper's tables and day-to-day
@@ -6,14 +7,16 @@
 //! behavioural counters (moves attempted/committed, matching conflicts).
 //! Threading an explicit stats object through every call signature would
 //! make instrumentation the most invasive part of the codebase, so the
-//! tally lives in a thread-local instead: leaf code calls
-//! [`counter_add`] / [`timed`] with no plumbing, drivers drain the tally
-//! with [`take_local`], and [`crate::pool`] merges worker-thread tallies
-//! back into the caller so parallel regions stay observable.
+//! tally lives in a thread-local instead. Time has exactly one source: a
+//! span tagged with a phase (`span!(Phase::Coarsen, …)`, see
+//! [`crate::trace`]) adds its duration here when it closes, whether or not
+//! tracing is on. Counters come from leaf code via [`counter_add`]. Drivers
+//! drain the tally with [`take_local`] (or [`PhaseReport::capture`]), and
+//! [`crate::pool`] merges worker-thread tallies back into the caller so
+//! parallel regions stay observable.
 
 use crate::json::{Json, ToJson};
 use std::cell::RefCell;
-use std::time::{Duration, Instant};
 
 /// Declares a dense tally enum and its single source-of-truth name table.
 /// Variant order *is* the index (`repr(usize)`), so index and name can
@@ -97,14 +100,15 @@ impl PhaseReport {
         Self::default()
     }
 
-    /// Wall time attributed to `phase`, in seconds.
-    pub fn seconds(&self, phase: Phase) -> f64 {
-        self.times_ns[phase.index()] as f64 * 1e-9
+    /// Wall time attributed to `phase`, in nanoseconds: the summed
+    /// durations of the spans tagged with it.
+    pub fn nanos(&self, phase: Phase) -> u64 {
+        self.times_ns[phase.index()]
     }
 
-    /// Total wall time across all phases, in seconds.
-    pub fn total_seconds(&self) -> f64 {
-        self.times_ns.iter().sum::<u64>() as f64 * 1e-9
+    /// Wall time attributed to `phase`, in seconds.
+    pub fn seconds(&self, phase: Phase) -> f64 {
+        self.nanos(phase) as f64 * 1e-9
     }
 
     /// Current value of `counter`.
@@ -175,18 +179,10 @@ pub fn counter_add(counter: Counter, n: u64) {
     }
 }
 
-/// Adds an externally measured duration to `phase` in the current thread's
-/// tally.
-pub fn time_add(phase: Phase, elapsed: Duration) {
-    LOCAL.with(|l| l.borrow_mut().times_ns[phase.index()] += elapsed.as_nanos() as u64);
-}
-
-/// Runs `f`, attributing its wall time to `phase`.
-pub fn timed<T>(phase: Phase, f: impl FnOnce() -> T) -> T {
-    let start = Instant::now();
-    let out = f();
-    time_add(phase, start.elapsed());
-    out
+/// Adds a closing phase-tagged span's duration to `phase` in the current
+/// thread's tally (called only from [`crate::trace::Span`]'s drop).
+pub(crate) fn add_span_ns(phase: Phase, ns: u64) {
+    LOCAL.with(|l| l.borrow_mut().times_ns[phase.index()] += ns);
 }
 
 /// Drains and returns the current thread's tally (drivers call this right
@@ -207,17 +203,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn timed_attributes_wall_time() {
+    fn tagged_span_attributes_wall_time() {
         let _ = take_local();
-        let out = timed(Phase::Coarsen, || {
-            std::thread::sleep(Duration::from_millis(5));
-            42
-        });
-        assert_eq!(out, 42);
+        {
+            let _s = crate::span!(Phase::Coarsen);
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
         let r = take_local();
         assert!(r.seconds(Phase::Coarsen) >= 0.004, "{}", r.seconds(Phase::Coarsen));
         assert_eq!(r.seconds(Phase::Refine), 0.0);
-        assert!(r.total_seconds() >= r.seconds(Phase::Coarsen));
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! so that parallel execution never changes the result. [`map`] and
 //! [`for_each`] provide exactly that: work units are claimed from a shared
 //! atomic counter (so uneven units balance), results land in their own
-//! slot, and [`crate::phase`] counters incremented on worker threads are
-//! merged back into the caller's thread-local tally — instrumented code
-//! deep inside a work unit needs no plumbing to stay observable.
+//! slot, and whatever a worker's thread-locals gathered — [`crate::phase`]
+//! time and counters, trace events, metrics — is merged back into the
+//! caller's as one bundle, so instrumented code deep inside a work unit
+//! needs no plumbing to stay observable.
 //!
 //! Thread count: `min(available_parallelism, units)`, overridable with the
 //! `MCGP_THREADS` environment variable (`MCGP_THREADS=1` forces serial
@@ -91,11 +92,31 @@ pub fn live_workers() -> usize {
 }
 
 /// Everything a worker thread's thread-locals accumulated during its share
-/// of a parallel region.
+/// of a parallel region: phase tally (tagged-span time and counters), trace
+/// events, and metrics.
 struct WorkerReport {
     phase: crate::phase::PhaseReport,
     events: Vec<crate::trace::TraceEvent>,
     metrics: crate::metrics::MetricsReport,
+}
+
+impl WorkerReport {
+    /// Drains the current thread's tallies. On a fresh worker thread they
+    /// hold exactly this worker's share.
+    fn take() -> Self {
+        WorkerReport {
+            phase: crate::phase::take_local(),
+            events: crate::trace::take_local(),
+            metrics: crate::metrics::take_local(),
+        }
+    }
+
+    /// Adds the bundle into the current thread's tallies.
+    fn merge(self) {
+        crate::phase::merge_local(&self.phase);
+        crate::trace::merge_local(self.events);
+        crate::metrics::merge_local(&self.metrics);
+    }
 }
 
 /// Number of worker threads a parallel region will use for `units` work
@@ -104,13 +125,7 @@ struct WorkerReport {
 /// hardware — determinism never depends on the physical thread count, only
 /// on the unit count, so this is purely a scheduling choice).
 pub fn threads_for(units: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cap = std::env::var("MCGP_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(hw);
-    cap.min(units).max(1)
+    worker_cap().min(units).max(1)
 }
 
 /// Applies `f` to every index in `0..n` on the pool and returns the
@@ -138,7 +153,6 @@ where
     // under the span that dispatched the parallel region.
     let profile_prefix = crate::profile::current_stack_ids();
     let mut buckets: Vec<Vec<(usize, T)>> = Vec::new();
-    let mut reports: Vec<WorkerReport> = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..nthreads)
             .map(|w| {
@@ -166,32 +180,18 @@ where
                             busy_ns = start.elapsed().as_nanos() as u64,
                         );
                     }
-                    // Fresh thread ⇒ its thread-locals hold exactly this
-                    // worker's increments, events, and metrics.
-                    (
-                        local,
-                        WorkerReport {
-                            phase: crate::phase::take_local(),
-                            events: crate::trace::take_local(),
-                            metrics: crate::metrics::take_local(),
-                        },
-                    )
+                    (local, WorkerReport::take())
                 })
             })
             .collect();
+        // Workers are drained in spawn order, so the merged tallies (and the
+        // relative order of forwarded trace events) do not depend on timing.
         for h in handles {
             let (local, report) = h.join().expect("pool worker panicked");
             buckets.push(local);
-            reports.push(report);
+            report.merge();
         }
     });
-    // Workers are drained in spawn order, so the merged tallies (and the
-    // relative order of forwarded trace events) do not depend on timing.
-    for r in reports {
-        crate::phase::merge_local(&r.phase);
-        crate::trace::merge_local(r.events);
-        crate::metrics::merge_local(&r.metrics);
-    }
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     for (i, v) in buckets.into_iter().flatten() {
         slots[i] = Some(v);
@@ -239,7 +239,6 @@ where
     }
     let profile_prefix = crate::profile::current_stack_ids();
     let mut out: Vec<T> = Vec::with_capacity(n);
-    let mut reports: Vec<WorkerReport> = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .into_iter()
@@ -249,29 +248,16 @@ where
                 let profile_prefix = &profile_prefix;
                 scope.spawn(move || {
                     let _pg = crate::profile::adopt_stack(profile_prefix);
-                    let v = f(i, item);
-                    (
-                        v,
-                        WorkerReport {
-                            phase: crate::phase::take_local(),
-                            events: crate::trace::take_local(),
-                            metrics: crate::metrics::take_local(),
-                        },
-                    )
+                    (f(i, item), WorkerReport::take())
                 })
             })
             .collect();
         for h in handles {
             let (v, report) = h.join().expect("zip_map worker panicked");
             out.push(v);
-            reports.push(report);
+            report.merge();
         }
     });
-    for r in reports {
-        crate::phase::merge_local(&r.phase);
-        crate::trace::merge_local(r.events);
-        crate::metrics::merge_local(&r.metrics);
-    }
     out
 }
 
@@ -305,38 +291,19 @@ where
         return (ra, rb);
     }
     let profile_prefix = crate::profile::current_stack_ids();
-    let mut rb_slot: Option<RB> = None;
-    let mut report: Option<WorkerReport> = None;
-    let ra = std::thread::scope(|scope| {
-        let h = {
-            let profile_prefix = &profile_prefix;
-            scope.spawn(move || {
-                let _pg = crate::profile::adopt_stack(profile_prefix);
-                let v = b();
-                (
-                    v,
-                    WorkerReport {
-                        phase: crate::phase::take_local(),
-                        events: crate::trace::take_local(),
-                        metrics: crate::metrics::take_local(),
-                    },
-                )
-            })
-        };
+    let (ra, (rb, report)) = std::thread::scope(|scope| {
+        let h = scope.spawn(|| {
+            let _pg = crate::profile::adopt_stack(&profile_prefix);
+            (b(), WorkerReport::take())
+        });
         let ra = a();
-        let (v, rep) = h.join().expect("join worker panicked");
-        rb_slot = Some(v);
-        report = Some(rep);
-        ra
+        (ra, h.join().expect("join worker panicked"))
     });
     drop(budget);
     // `a`'s tallies landed on the caller's thread-locals while it ran;
     // merging `b`'s afterwards gives the same order as the inline path.
-    let rep = report.expect("join worker produced a report");
-    crate::phase::merge_local(&rep.phase);
-    crate::trace::merge_local(rep.events);
-    crate::metrics::merge_local(&rep.metrics);
-    (ra, rb_slot.expect("join worker produced a value"))
+    report.merge();
+    (ra, rb)
 }
 
 /// Boundaries of `stripes` near-equal contiguous stripes over `0..n`:

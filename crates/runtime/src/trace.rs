@@ -1,16 +1,20 @@
 //! Structured tracing: scoped spans and typed instant events, collected
 //! thread-locally and exportable as JSONL or Chrome trace-event JSON.
 //!
-//! [`crate::phase`] answers "how long did each phase take, in total"; this
-//! module answers "what happened, when, on which thread" — per-level vertex
-//! counts, per-pass move tallies, per-round conflict counts — at a
-//! resolution that can be replayed in a timeline viewer. The design rules:
+//! Spans are also the only timer: a span tagged with a phase,
+//! `span!(Phase::Refine, nvtxs = n)`, reads the clock even when tracing is
+//! off and on close adds its duration (with tracing on, exactly its
+//! `End.ts_ns − Begin.ts_ns`) to [`crate::phase`]'s tally. Beyond phase
+//! totals, traces answer "what happened, when, on which thread" —
+//! per-level vertex counts, per-pass move tallies, per-round conflict
+//! counts — at a resolution that can be replayed in a timeline viewer. The
+//! design rules:
 //!
 //! * **Disabled by default, near-zero cost when off.** A single relaxed
 //!   atomic load ([`enabled`]) guards every emission; the [`span!`] and
 //!   [`event!`] macros do not even evaluate their field expressions when
-//!   tracing is off. Partitioning results are identical either way — the
-//!   tracer only observes.
+//!   tracing is off (a phase-tagged span still reads the clock twice).
+//!   Partitioning results are identical either way — the tracer only observes.
 //! * **No plumbing.** Like the phase tally, events land in a thread-local
 //!   buffer; [`crate::pool`] forwards worker buffers to the caller, so leaf
 //!   code traces with no signature changes.
@@ -27,6 +31,7 @@
 //! `mcgp trace-check` subcommand and CI).
 
 use crate::json::{Json, ToJson};
+use crate::phase::Phase;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -44,7 +49,8 @@ pub fn enabled() -> bool {
 }
 
 /// Turns tracing on or off process-wide. Also pins the timestamp epoch on
-/// first enable so `ts_ns` starts near zero.
+/// first enable, unless an earlier span already has, so `ts_ns` starts near
+/// zero.
 pub fn set_enabled(on: bool) {
     if on {
         epoch();
@@ -236,7 +242,8 @@ pub fn instant(name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
 
 /// A scoped span guard: Begin on construction, End on drop. When tracing is
 /// disabled the guard is inert (though it may still publish a profiler
-/// frame — see [`crate::profile`]).
+/// frame — see [`crate::profile`] — and, when tagged, still times its
+/// phase).
 #[must_use = "a span closes when dropped; binding it to _ closes it immediately"]
 pub struct Span {
     name: &'static str,
@@ -245,6 +252,9 @@ pub struct Span {
     /// pops exactly then, so pushes stay balanced even if profiling is
     /// toggled while the span is open.
     profiled: bool,
+    /// The phase tag and the span's start ([`now_ns`], the reading its
+    /// Begin carries); the drop adds the duration to that phase's tally.
+    phase: Option<(Phase, u64)>,
     end_fields: Vec<(&'static str, FieldValue)>,
 }
 
@@ -255,6 +265,7 @@ impl Span {
             name,
             armed: false,
             profiled: false,
+            phase: None,
             end_fields: Vec::new(),
         }
     }
@@ -273,11 +284,18 @@ impl Drop for Span {
         if self.profiled {
             crate::profile::pop_frame();
         }
+        if !self.armed && self.phase.is_none() {
+            return;
+        }
+        let end_ns = now_ns();
+        if let Some((phase, start_ns)) = self.phase {
+            crate::phase::add_span_ns(phase, end_ns - start_ns);
+        }
         if self.armed {
             // Emit the End unconditionally so B/E stay balanced even if
             // tracing was switched off while the span was open.
             push_event(TraceEvent {
-                ts_ns: now_ns(),
+                ts_ns: end_ns,
                 tid: current_tid(),
                 kind: EventKind::End,
                 name: self.name,
@@ -288,30 +306,35 @@ impl Drop for Span {
 }
 
 /// Opens a span. Prefer the [`span!`] macro, which skips field construction
-/// when neither tracing nor profiling is on. Publishes the span to the
+/// when no observer wants the fields. Publishes the span to the
 /// [`crate::profile`] slot when profiling is enabled, independent of the
-/// tracing flag.
-pub fn span(name: &'static str, fields: Vec<(&'static str, FieldValue)>) -> Span {
+/// tracing flag. With a `phase` tag the span reads the clock even when both
+/// are off, and adds its duration to that phase's tally when it closes.
+pub fn span(
+    name: &'static str,
+    phase: Option<Phase>,
+    fields: Vec<(&'static str, FieldValue)>,
+) -> Span {
     let profiled = crate::profile::enabled();
     if profiled {
         crate::profile::push_frame(name);
     }
-    if !enabled() {
-        let mut s = Span::disabled(name);
-        s.profiled = profiled;
-        return s;
+    let armed = enabled();
+    let start_ns = now_ns();
+    if armed {
+        push_event(TraceEvent {
+            ts_ns: start_ns,
+            tid: current_tid(),
+            kind: EventKind::Begin,
+            name,
+            fields,
+        });
     }
-    push_event(TraceEvent {
-        ts_ns: now_ns(),
-        tid: current_tid(),
-        kind: EventKind::Begin,
-        name,
-        fields,
-    });
     Span {
         name,
-        armed: true,
+        armed,
         profiled,
+        phase: phase.map(|p| (p, start_ns)),
         end_fields: Vec::new(),
     }
 }
@@ -319,18 +342,33 @@ pub fn span(name: &'static str, fields: Vec<(&'static str, FieldValue)>) -> Span
 /// Opens a scoped span: `let _s = span!("coarsen_level", level = lvl);`.
 /// Field expressions are not evaluated unless tracing or profiling is
 /// enabled (two relaxed loads on the all-off fast path).
+///
+/// With a [`Phase`] in place of the name, `span!(Phase::Coarsen, nvtxs = n)`
+/// opens a phase-tagged span, named after the phase, whose duration feeds
+/// [`crate::phase::PhaseReport`]. Its fields are evaluated only while
+/// tracing.
 #[macro_export]
 macro_rules! span {
     ($name:literal $(, $key:ident = $val:expr)* $(,)?) => {
         if $crate::trace::enabled() || $crate::profile::enabled() {
             $crate::trace::span(
                 $name,
+                None,
                 ::std::vec![$((stringify!($key), $crate::trace::FieldValue::from($val))),*],
             )
         } else {
             $crate::trace::Span::disabled($name)
         }
     };
+    ($phase:expr $(, $key:ident = $val:expr)* $(,)?) => {{
+        let phase: $crate::phase::Phase = $phase;
+        let fields = if $crate::trace::enabled() {
+            ::std::vec![$((stringify!($key), $crate::trace::FieldValue::from($val))),*]
+        } else {
+            ::std::vec::Vec::new()
+        };
+        $crate::trace::span(phase.name(), Some(phase), fields)
+    }};
 }
 
 /// Emits an instant event: `event!("uncoarsen_level", cut = cut);`.
@@ -577,6 +615,24 @@ mod tests {
             crate::event!("point", x = 1.5);
         }
         assert!(take_local().is_empty());
+    }
+
+    #[test]
+    fn tagged_span_times_its_phase_with_the_trace_clock() {
+        let _ = crate::phase::take_local();
+        let ((), events) = with_tracing(|| {
+            let mut s = crate::span!(Phase::Initial, nvtxs = 9usize);
+            s.record("cut", 4i64);
+        });
+        let report = crate::phase::take_local();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].name, "initial");
+        assert_eq!(events[0].fields, vec![("nvtxs", FieldValue::U64(9))]);
+        assert_eq!(events[1].fields, vec![("cut", FieldValue::I64(4))]);
+        let (begin, end) = (events[0].ts_ns, events[1].ts_ns);
+        assert_eq!(report.nanos(Phase::Initial), end - begin);
+        assert_eq!(report.nanos(Phase::Coarsen), 0);
+        assert_eq!(report.nanos(Phase::Refine), 0);
     }
 
     #[test]

@@ -1,21 +1,28 @@
 //! Pool-merge determinism: running the same traced workload under 1, 2 and
-//! 8 worker threads must produce an identical merged [`PhaseReport`] and an
-//! identical trace-event multiset, modulo timing fields (`ts_ns`, `tid`).
+//! 8 worker threads must produce an identical merged [`PhaseReport`] (its
+//! counters, and non-zero time in every phase) and an identical trace-event
+//! multiset, modulo timing fields (`ts_ns`, `tid`). The workload opens
+//! phase-tagged spans inside `pool::map`, `pool::zip_map` and `pool::join`
+//! workers, so their time must reach the caller through the pool's merge.
 //!
 //! A single `#[test]` owns the whole sweep: the thread count comes from the
 //! process-global `MCGP_THREADS` variable and tracing is a process-global
 //! toggle, so the runs must not interleave with each other.
 
-use mcgp_runtime::phase::{counter_add, Counter, PhaseReport};
-use mcgp_runtime::{event, span, trace, Json, TraceEvent};
+use mcgp_runtime::phase::{counter_add, Counter, Phase, PhaseReport};
+use mcgp_runtime::{event, pool, span, trace, Json, TraceEvent};
 
 const UNITS: usize = 32;
+/// `zip_map` runs one worker per item, or none when the budget is short:
+/// two items spawn at 2 and at 8 threads.
+const ZIP_ITEMS: usize = 2;
 
 fn run_workload() -> (PhaseReport, Vec<TraceEvent>) {
     let _ = trace::take_local();
     trace::set_enabled(true);
     let (sum, report) = PhaseReport::capture(|| {
-        let out: Vec<u64> = mcgp_runtime::pool::map(UNITS, |i| {
+        let out: Vec<u64> = pool::map(UNITS, |i| {
+            let _phase = span!(Phase::ALL[i % Phase::COUNT], unit = i);
             let mut sp = span!("unit", unit = i);
             counter_add(Counter::MovesAttempted, i as u64 + 1);
             if i % 3 == 0 {
@@ -25,6 +32,22 @@ fn run_workload() -> (PhaseReport, Vec<TraceEvent>) {
             sp.record("doubled", 2 * i as u64);
             2 * i as u64
         });
+        let zipped = pool::zip_map((0..ZIP_ITEMS).collect(), |i, item: usize| {
+            let _phase = span!(Phase::ALL[i % Phase::COUNT], item = item);
+            counter_add(Counter::VerticesMatched, item as u64 + 1);
+            item
+        });
+        assert_eq!(zipped, (0..ZIP_ITEMS).collect::<Vec<_>>());
+        pool::join(
+            || {
+                let _phase = span!(Phase::Initial, side = "a");
+                counter_add(Counter::MatchConflicts, 1);
+            },
+            || {
+                let _phase = span!(Phase::Refine, side = "b");
+                counter_add(Counter::MatchConflicts, 2);
+            },
+        );
         out.iter().sum::<u64>()
     });
     trace::set_enabled(false);
@@ -62,13 +85,17 @@ fn merged_report_and_events_identical_across_thread_counts() {
     let base_canon = canon(&base_events);
     assert_eq!(
         base_canon.len(),
-        2 * UNITS + UNITS, // one B + one E per span, one instant per unit
+        // One B + one E per span (two per map unit), one instant per map
+        // unit, then one span per zip_map item and per join side.
+        4 * UNITS + UNITS + 2 * ZIP_ITEMS + 2 * 2,
         "unexpected event count under 1 thread"
     );
+    assert_phase_times_nonzero(&base_report, "1");
 
     for threads in ["2", "8"] {
         std::env::set_var("MCGP_THREADS", threads);
         let (report, events) = run_workload();
+        assert_phase_times_nonzero(&report, threads);
         for &c in Counter::ALL {
             assert_eq!(
                 report.counter(c),
@@ -84,4 +111,14 @@ fn merged_report_and_events_identical_across_thread_counts() {
         );
     }
     std::env::remove_var("MCGP_THREADS");
+}
+
+fn assert_phase_times_nonzero(report: &PhaseReport, threads: &str) {
+    for &p in Phase::ALL {
+        assert!(
+            report.nanos(p) > 0,
+            "no {} time merged under {threads} threads",
+            p.name()
+        );
+    }
 }

@@ -786,13 +786,6 @@ fn metrics_json(state: &State) -> Json {
     let by_threads = stats.by_threads.lock().unwrap().clone();
     let phases = stats.phases.lock().unwrap().clone();
     let registry = stats.registry.lock().unwrap().clone();
-    let mut phase_pairs: Vec<(String, Json)> = Phase::ALL
-        .iter()
-        .map(|&p| (format!("{}_s", p.name()), Json::Float(phases.seconds(p))))
-        .collect();
-    for &c in Counter::ALL {
-        phase_pairs.push((c.name().to_string(), Json::UInt(phases.counter(c))));
-    }
     let window = latency.window();
     let route_pairs: Vec<(String, Json)> = by_route
         .iter()
@@ -867,7 +860,7 @@ fn metrics_json(state: &State) -> Json {
                 ("epoch_len", Json::UInt(latency.epoch_len())),
             ]),
         ),
-        ("phases", Json::Obj(phase_pairs)),
+        ("phases", phases.to_json()),
         ("registry", registry.to_json()),
     ])
 }

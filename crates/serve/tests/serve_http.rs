@@ -10,7 +10,7 @@ use mcgp_graph::generators::mrng_like;
 use mcgp_graph::io::write_metis;
 use mcgp_graph::{synthetic, Graph};
 use mcgp_runtime::net::{http_request, ClientResponse, Limits, NetClient};
-use mcgp_runtime::Json;
+use mcgp_runtime::{Json, PhaseReport, ToJson};
 use mcgp_serve::server::{ServeConfig, Server};
 use mcgp_serve::ServerHandle;
 use std::io::{Read, Write};
@@ -137,6 +137,15 @@ fn warm_requests_are_bit_identical_and_match_the_library() {
     assert_eq!(cache.get("misses").unwrap().as_i64(), Some(2));
     assert_eq!(cache.get("entries").unwrap().as_i64(), Some(2));
     assert_eq!(doc.get("errors").unwrap().as_i64(), Some(0));
+    // The `phases` object is `PhaseReport`'s own JSON: same keys, same
+    // order, and the two cold builds' coarsening time is in it.
+    let keys = |j: &Json| match j {
+        Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        other => panic!("not an object: {other}"),
+    };
+    let phases = doc.get("phases").unwrap();
+    assert_eq!(keys(phases), keys(&PhaseReport::new().to_json()));
+    assert!(phases.get("coarsen_s").unwrap().as_f64().unwrap() > 0.0);
 
     stop(&handle, thread);
 }

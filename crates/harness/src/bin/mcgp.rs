@@ -408,7 +408,17 @@ fn run_partition(opts: &Opts) {
         eprintln!("{usage}");
         std::process::exit(2);
     };
+    // The partitioners assert these; reject them here as usage errors.
+    if parallel == Some(0) {
+        die(format!("--parallel must be at least 1, got 0\n{usage}"));
+    }
     let graph = load_graph(&file, seed);
+    if k == 0 || k > graph.nvtxs() {
+        die(format!(
+            "part count <k> must be between 1 and the graph's {} vertices, got {k}\n{usage}",
+            graph.nvtxs()
+        ));
+    }
     eprintln!(
         "{}: {} vertices, {} edges, {} constraint(s)",
         file,

@@ -104,6 +104,25 @@ fn partition_rejects_missing_file() {
 }
 
 #[test]
+fn partition_rejects_bad_part_and_processor_counts() {
+    for (args, needle) in [
+        (&["gen:grid:3x3", "0"][..], "got 0"),
+        (&["gen:grid:3x3", "20"][..], "got 20"),
+        (&["gen:grid:3x3", "4", "--parallel", "0"][..], "--parallel must be at least 1"),
+    ] {
+        let out = mcgp()
+            .arg("partition")
+            .args(args)
+            .output()
+            .expect("run mcgp partition");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn verify_subcommand_reports_quality() {
     let dir = std::env::temp_dir().join("mcgp_cli_verify");
     std::fs::create_dir_all(&dir).unwrap();

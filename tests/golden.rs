@@ -69,3 +69,22 @@ fn hierarchy_replay_outputs_are_pinned() {
         check(&format!("HierarchySnapshot::partition k={k}"), warm.partition.assignment(), expect);
     }
 }
+
+#[test]
+fn kway_eight_thread_output_is_pinned() {
+    let g = mesh();
+    let cfg = PartitionConfig::default().with_seed(7).with_threads(8);
+    let t8 = partition_kway(&g, 16, &cfg);
+    check("partition_kway t=8 k=16", t8.partition.assignment(), 0x8d95_f9a3_9ce4_0161);
+}
+
+#[test]
+fn threaded_hierarchy_replay_outputs_are_pinned() {
+    let g = mesh();
+    let cfg = PartitionConfig::default().with_seed(7).with_threads(2);
+    let snap = HierarchySnapshot::build(&g, &cfg);
+    for (k, expect) in [(8usize, 0x5f97_5f0d_7918_5891u64), (37, 0xc8ac_1281_4670_ae8b)] {
+        let warm = snap.partition(&g, k, &cfg);
+        check(&format!("HierarchySnapshot::partition t=2 k={k}"), warm.partition.assignment(), expect);
+    }
+}

@@ -1,13 +1,14 @@
-//! Coarsening-engine benchmarks: the shared-memory matching and
-//! contraction kernels against their serial counterparts on the acceptance
-//! workload (`mrng_like(200_000)`, ncon 1 and 3) plus a skewed-degree
-//! R-MAT contrast case (`rmat_default(16, 8, 11)`) at 1/2/8 stripes.
+//! Coarsening-engine benchmarks: the shared-memory matching against its
+//! serial counterpart on the acceptance workload (`mrng_like(200_000)`,
+//! ncon 1 and 3) plus a skewed-degree R-MAT contrast case
+//! (`rmat_default(16, 8, 11)`) at 1/2/8 stripes.
 //!
 //! * `coarsen/match` — one matching pass in isolation (`match_graph` at
 //!   t = 1, `match_smp` above).
 //! * `coarsen/contract` — one contraction in isolation on a fixed serial
-//!   matching (`contract_with_scratch` at t = 1, `contract_smp` above),
-//!   scratch reused across samples as the level loop does.
+//!   matching, scratch reused across samples as the level loop does. There
+//!   is one contraction kernel (`contract_with_scratch`) at every thread
+//!   count, so each graph has a single `_t1` row.
 //! * `coarsen/hierarchy` — the full `coarsen()` hierarchy down to the
 //!   k = 16 target, the end-to-end number `scripts/bench.sh` records in
 //!   `BENCH_coarsen.json`.
@@ -21,14 +22,14 @@
 //! Stripe counts above `MCGP_THREADS`/`available_parallelism` still run
 //! (striping is a determinism parameter, not a thread count), so the t = 2
 //! and t = 8 records are honest on any machine — on a single-core host
-//! they measure the striped kernels' overhead, not a speedup. Thread-count
+//! they measure the striped matching's overhead, not a speedup. Thread-count
 //! families sample interleaved (`Bench::run_variants`) so the
 //! threads-win medians are paired per sample round.
 
 use mcgp_bench::Bench;
 use std::hint::black_box;
 use mcgp_core::coarsen::{coarsen, contract_with_scratch, ContractionScratch};
-use mcgp_core::coarsen_smp::{contract_smp, match_smp, SmpCoarsenScratch};
+use mcgp_core::coarsen_smp::match_smp;
 use mcgp_core::config::MatchingScheme;
 use mcgp_core::matching::match_graph;
 use mcgp_core::{partition_kway, PartitionConfig};
@@ -66,27 +67,10 @@ fn bench_graph(b: &Bench, g: &Graph, tag: &str) {
     );
 
     let m = match_graph(g, scheme, &mut Rng::seed_from_u64(7));
-    b.run_variants(
-        "coarsen/contract",
-        THREADS
-            .iter()
-            .map(|&t| {
-                // Each variant owns its scratch, reused across samples as
-                // the level loop does.
-                let mut serial_scratch = ContractionScratch::new();
-                let mut smp_scratch = SmpCoarsenScratch::new();
-                let m = &m;
-                let f: Box<dyn FnMut()> = Box::new(move || {
-                    if t == 1 {
-                        black_box(contract_with_scratch(g, m, &mut serial_scratch));
-                    } else {
-                        black_box(contract_smp(g, m, t, &mut smp_scratch));
-                    }
-                });
-                (format!("{tag}_t{t}"), f)
-            })
-            .collect(),
-    );
+    let mut scratch = ContractionScratch::new();
+    b.run("coarsen/contract", &format!("{tag}_t1"), || {
+        contract_with_scratch(g, &m, &mut scratch)
+    });
 
     let target = PartitionConfig::default().coarsen_target(16);
     b.run_variants(
@@ -132,8 +116,8 @@ fn main() {
     bench_graph(&b, &g3, "mrng200k_ncon3");
 
     // Power-law contrast case: an R-MAT graph (2^16 vertices, skewed
-    // degrees) stresses the matching arbiter and contraction slabs in ways
-    // the bounded-degree meshes above cannot — hub vertices concentrate
+    // degrees) stresses the matching arbiter and contraction in ways the
+    // bounded-degree meshes above cannot — hub vertices concentrate
     // conflicts on a few stripes and produce fat coarse adjacency rows.
     let skew = rmat_default(16, 8, 11);
     bench_graph(&b, &skew, "rmat16_ncon1");

@@ -6,7 +6,7 @@
 //! vertex weight per constraint is invariant across levels — which is what
 //! keeps one balance model meaningful through the whole hierarchy.
 
-use crate::coarsen_smp::{contract_smp, match_smp, SmpCoarsenScratch, SMP_MIN_NVTXS};
+use crate::coarsen_smp::{match_smp, SMP_MIN_NVTXS};
 use crate::config::PartitionConfig;
 use crate::matching::{match_graph, GraphMatching};
 use mcgp_graph::csr::Vertex;
@@ -228,7 +228,6 @@ pub(crate) struct Coarsener<'a> {
     target: usize,
     config: &'a PartitionConfig,
     scratch: ContractionScratch,
-    smp_scratch: SmpCoarsenScratch,
 }
 
 impl<'a> Coarsener<'a> {
@@ -237,7 +236,6 @@ impl<'a> Coarsener<'a> {
             target,
             config,
             scratch: ContractionScratch::with_check(config.check),
-            smp_scratch: SmpCoarsenScratch::new(),
         }
     }
 
@@ -256,9 +254,10 @@ impl<'a> Coarsener<'a> {
         if cur.nvtxs() <= self.target || lvl >= MAX_LEVELS {
             return None;
         }
-        // Shared-memory engine above the size floor; small levels drop to
-        // the serial path (the constant floor keeps `(seed, nthreads)`
-        // determinism independent of the machine).
+        // Shared-memory matching above the size floor; small levels drop
+        // to the serial matcher (the constant floor keeps `(seed, nthreads)`
+        // determinism independent of the machine). Contraction is the one
+        // serial kernel either way.
         let use_smp = config.nthreads > 1 && cur.nvtxs() >= SMP_MIN_NVTXS;
         let mut sp = span!(
             "coarsen_level",
@@ -284,11 +283,7 @@ impl<'a> Coarsener<'a> {
             Counter::VerticesMatched,
             2 * (cur.nvtxs() - matching.coarse_nvtxs) as u64,
         );
-        let (coarse, cmap) = if use_smp {
-            contract_smp(cur, &matching, config.nthreads, &mut self.smp_scratch)
-        } else {
-            contract_with_scratch(cur, &matching, &mut self.scratch)
-        };
+        let (coarse, cmap) = contract_with_scratch(cur, &matching, &mut self.scratch);
         sp.record("coarse_nvtxs", coarse.nvtxs());
         sp.record("coarse_nedges", coarse.nedges());
         sp.record("ratio", coarse.nvtxs() as f64 / cur.nvtxs() as f64);

@@ -35,9 +35,9 @@ pub struct PartitionConfig {
     pub matching: MatchingScheme,
     /// Worker threads for the shared-memory coarsening engine
     /// ([`crate::coarsen_smp`]): vertices are striped across this many
-    /// workers for the proposal/arbitration matching supersteps and the
-    /// two-pass contraction kernel. `1` (the default) runs the serial
-    /// coarsening path unchanged. Output is deterministic for a fixed
+    /// workers for the proposal/arbitration matching supersteps;
+    /// contraction is the serial kernel at every count. `1` (the default)
+    /// runs the serial coarsening path unchanged. Output is deterministic for a fixed
     /// `(seed, nthreads)` pair — the stripe count shapes the result, the
     /// physical thread count never does.
     pub nthreads: usize,

@@ -17,11 +17,11 @@
 //! merge paths are testable on small machines).
 //!
 //! For work that must *write* into disjoint regions of shared buffers —
-//! the shared-memory coarsening kernels stripe CSR arrays across workers —
-//! [`zip_map`] runs one worker per owned work item (e.g. a `&mut` chunk
-//! tuple) with the same ordered merge, and [`stripe_bounds`] /
-//! [`exclusive_prefix_sum`] compute the contiguous stripe and row offsets
-//! those kernels are built from.
+//! the shared-memory matching's arbitration superstep gives each worker
+//! its own stripe of the slot array — [`zip_map`] runs one worker per
+//! owned work item (e.g. a `&mut` chunk) with the same ordered merge, and
+//! [`stripe_bounds`] computes the contiguous stripes those kernels are
+//! built from.
 //!
 //! For *task-tree* parallelism — recursive bisection runs the two halves
 //! of each split as independent tasks — [`join`] runs two closures,
@@ -323,20 +323,6 @@ pub fn stripe_bounds(n: usize, stripes: usize) -> Vec<usize> {
     bounds
 }
 
-/// Exclusive prefix sum: `out[i] = counts[0] + … + counts[i-1]`, with a
-/// final total at `out[counts.len()]` — the offsets form CSR row starts or
-/// per-stripe output bases.
-pub fn exclusive_prefix_sum(counts: &[usize]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(counts.len() + 1);
-    let mut acc = 0usize;
-    out.push(0);
-    for &c in counts {
-        acc += c;
-        out.push(acc);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,11 +450,5 @@ mod tests {
         for w in b.windows(2) {
             assert!(w[1] - w[0] <= 126 && w[1] >= w[0]);
         }
-    }
-
-    #[test]
-    fn exclusive_prefix_sum_yields_offsets_and_total() {
-        assert_eq!(exclusive_prefix_sum(&[3, 0, 2]), vec![0, 3, 3, 5]);
-        assert_eq!(exclusive_prefix_sum(&[]), vec![0]);
     }
 }

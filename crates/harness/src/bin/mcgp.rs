@@ -77,6 +77,15 @@ fn parse_value<T: std::str::FromStr>(s: &str, flag: &str) -> T {
         .unwrap_or_else(|_| die(format!("bad value `{s}` for {flag}")))
 }
 
+/// Holds a pipeline width to the range the daemon accepts as `threads=`;
+/// anything else is a usage error (exit 2), not an allocation abort.
+fn check_threads(threads: usize, flag: &str, usage: &str) {
+    let max = mcgp_serve::protocol::MAX_THREADS;
+    if threads == 0 || threads > max {
+        die(format!("{flag} must be between 1 and {max}, got {threads}\n{usage}"));
+    }
+}
+
 fn parse_opts(args: &[String]) -> Opts {
     let mut opts = Opts {
         scale: 16,
@@ -412,6 +421,7 @@ fn run_partition(opts: &Opts) {
     if parallel == Some(0) {
         die(format!("--parallel must be at least 1, got 0\n{usage}"));
     }
+    check_threads(threads, "--threads", usage);
     let graph = load_graph(&file, seed);
     if k == 0 || k > graph.nvtxs() {
         die(format!(
@@ -1058,9 +1068,8 @@ fn run_serve(opts: &Opts) {
             other => die(format!("unexpected argument `{other}`\n{usage}")),
         }
     }
-    if config.default_threads == 0 {
-        config.default_threads = 1;
-    }
+    // Every request without `threads=` would get a 400 otherwise.
+    check_threads(config.default_threads, "--threads (or MCGP_THREADS)", usage);
     if trace_file.is_some() {
         mcgp_runtime::trace::set_enabled(true);
     }

@@ -123,6 +123,68 @@ fn partition_rejects_bad_part_and_processor_counts() {
 }
 
 #[test]
+fn partition_holds_threads_to_the_daemon_range() {
+    // A huge stripe count used to abort on a multi-gigabyte allocation.
+    for bad in ["0", "257", "100000000"] {
+        let out = mcgp()
+            .args(["partition", "gen:mrng:4000:3", "8", "--threads", bad])
+            .output()
+            .expect("run mcgp partition");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--threads {bad}: {stderr}");
+        assert!(stderr.contains(&format!("got {bad}")), "--threads {bad}: {stderr}");
+        assert!(stderr.contains("between 1 and 256"), "--threads {bad}: {stderr}");
+    }
+    let dir = std::env::temp_dir().join("mcgp_cli_threads");
+    std::fs::create_dir_all(&dir).unwrap();
+    let ppath = dir.join("grid.part");
+    let out = mcgp()
+        .args(["partition", "gen:grid:3x3", "2", "--threads", "256", "--outfile"])
+        .arg(&ppath)
+        .output()
+        .expect("run mcgp partition");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
+fn serve_rejects_out_of_range_default_threads_at_startup() {
+    for (flag, env) in [(Some("0"), None), (Some("257"), None), (None, Some("100000000"))] {
+        let mut cmd = mcgp();
+        cmd.args(["serve", "--addr", "127.0.0.1:0"]).env_remove("MCGP_THREADS");
+        if let Some(t) = flag {
+            cmd.args(["--threads", t]);
+        }
+        if let Some(t) = env {
+            cmd.env("MCGP_THREADS", t);
+        }
+        let mut child = cmd
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn mcgp serve");
+        // A daemon that starts anyway would never exit: give it a bounded
+        // wait, then kill it and fail.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll mcgp serve") {
+                break status;
+            }
+            if std::time::Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{flag:?}/{env:?}: mcgp serve started instead of exiting");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        let bad = flag.or(env).unwrap();
+        assert_eq!(status.code(), Some(2), "{flag:?}/{env:?}: {stderr}");
+        assert!(stderr.contains(&format!("got {bad}")), "{flag:?}/{env:?}: {stderr}");
+    }
+}
+
+#[test]
 fn verify_subcommand_reports_quality() {
     let dir = std::env::temp_dir().join("mcgp_cli_verify");
     std::fs::create_dir_all(&dir).unwrap();

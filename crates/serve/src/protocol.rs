@@ -77,6 +77,11 @@ fn parse_num<T: std::str::FromStr>(req: &Request, name: &str) -> Result<Option<T
     }
 }
 
+/// Widest pipeline a request may ask for with `threads=`. The daemon's
+/// `--threads`/`MCGP_THREADS` default and `mcgp partition --threads` are
+/// held to the same `1 ..= MAX_THREADS` range.
+pub const MAX_THREADS: usize = 256;
+
 impl PartitionParams {
     /// Parses and range-checks the query parameters of a `/partition`
     /// request. `default_threads` is the daemon-configured pipeline
@@ -95,8 +100,8 @@ impl PartitionParams {
         }
         let seed: u64 = parse_num(req, "seed")?.unwrap_or(4242);
         let nthreads: usize = parse_num(req, "threads")?.unwrap_or(default_threads.max(1));
-        if nthreads == 0 || nthreads > 256 {
-            return Err(format!("threads={nthreads} out of range (1 ..= 256)"));
+        if nthreads == 0 || nthreads > MAX_THREADS {
+            return Err(format!("threads={nthreads} out of range (1 ..= {MAX_THREADS})"));
         }
         Ok(PartitionParams {
             nparts,

@@ -124,7 +124,7 @@ impl WorkerReport {
 /// replaces `available_parallelism` outright (it may oversubscribe the
 /// hardware — determinism never depends on the physical thread count, only
 /// on the unit count, so this is purely a scheduling choice).
-pub fn threads_for(units: usize) -> usize {
+pub(crate) fn threads_for(units: usize) -> usize {
     worker_cap().min(units).max(1)
 }
 

@@ -82,7 +82,9 @@ fn parse_value<T: std::str::FromStr>(s: &str, flag: &str) -> T {
 fn check_threads(threads: usize, flag: &str, usage: &str) {
     let max = mcgp_serve::protocol::MAX_THREADS;
     if threads == 0 || threads > max {
-        die(format!("{flag} must be between 1 and {max}, got {threads}\n{usage}"));
+        die(format!(
+            "{flag} must be between 1 and {max}, got {threads}\n{usage}"
+        ));
     }
 }
 

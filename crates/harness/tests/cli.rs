@@ -132,14 +132,27 @@ fn partition_holds_threads_to_the_daemon_range() {
             .expect("run mcgp partition");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "--threads {bad}: {stderr}");
-        assert!(stderr.contains(&format!("got {bad}")), "--threads {bad}: {stderr}");
-        assert!(stderr.contains("between 1 and 256"), "--threads {bad}: {stderr}");
+        assert!(
+            stderr.contains(&format!("got {bad}")),
+            "--threads {bad}: {stderr}"
+        );
+        assert!(
+            stderr.contains("between 1 and 256"),
+            "--threads {bad}: {stderr}"
+        );
     }
     let dir = std::env::temp_dir().join("mcgp_cli_threads");
     std::fs::create_dir_all(&dir).unwrap();
     let ppath = dir.join("grid.part");
     let out = mcgp()
-        .args(["partition", "gen:grid:3x3", "2", "--threads", "256", "--outfile"])
+        .args([
+            "partition",
+            "gen:grid:3x3",
+            "2",
+            "--threads",
+            "256",
+            "--outfile",
+        ])
         .arg(&ppath)
         .output()
         .expect("run mcgp partition");
@@ -180,7 +193,10 @@ fn serve_rejects_out_of_range_default_threads_at_startup() {
         std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
         let bad = flag.or(env).unwrap();
         assert_eq!(status.code(), Some(2), "{flag:?}/{env:?}: {stderr}");
-        assert!(stderr.contains(&format!("got {bad}")), "{flag:?}/{env:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("got {bad}")),
+            "{flag:?}/{env:?}: {stderr}"
+        );
     }
 }
 

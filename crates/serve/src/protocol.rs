@@ -101,7 +101,9 @@ impl PartitionParams {
         let seed: u64 = parse_num(req, "seed")?.unwrap_or(4242);
         let nthreads: usize = parse_num(req, "threads")?.unwrap_or(default_threads.max(1));
         if nthreads == 0 || nthreads > MAX_THREADS {
-            return Err(format!("threads={nthreads} out of range (1 ..= {MAX_THREADS})"));
+            return Err(format!(
+                "threads={nthreads} out of range (1 ..= {MAX_THREADS})"
+            ));
         }
         Ok(PartitionParams {
             nparts,

@@ -128,16 +128,42 @@ pub struct PartitionQuality {
 mcgp_runtime::impl_to_json!(PartitionQuality { edge_cut, imbalances, max_imbalance, comm_volume, boundary });
 
 impl PartitionQuality {
-    /// Computes the full report.
+    /// Computes the full report. Cut, communication volume and boundary
+    /// count come from one adjacency pass and equal [`edge_cut`],
+    /// [`comm_volume`] and [`boundary_count`]: a per-part stamp holding
+    /// the last vertex that saw the part counts each foreign part once
+    /// per vertex.
     pub fn measure(graph: &Graph, part: &Partition) -> Self {
+        assert_eq!(graph.nvtxs(), part.len(), "partition/graph size mismatch");
         let imb = imbalances(graph, part);
         let max_imbalance = imb.iter().copied().fold(1.0, f64::max);
+        let (xadj, adjncy, adjwgt) = (graph.xadj(), graph.adjncy(), graph.adjwgt());
+        let assignment = part.assignment();
+        let mut stamp = vec![usize::MAX; part.nparts()];
+        let (mut cut, mut comm_volume, mut boundary) = (0i64, 0usize, 0usize);
+        for (v, &pv) in assignment.iter().enumerate() {
+            let mut foreign = 0usize;
+            let (lo, hi) = (xadj[v], xadj[v + 1]);
+            for (&u, &w) in adjncy[lo..hi].iter().zip(&adjwgt[lo..hi]) {
+                let pu = assignment[u as usize];
+                if pu != pv {
+                    cut += w;
+                    let seen = &mut stamp[pu as usize];
+                    if *seen != v {
+                        *seen = v;
+                        foreign += 1;
+                    }
+                }
+            }
+            comm_volume += foreign;
+            boundary += usize::from(foreign > 0);
+        }
         PartitionQuality {
-            edge_cut: edge_cut(graph, part),
+            edge_cut: cut / 2,
             imbalances: imb,
             max_imbalance,
-            comm_volume: comm_volume(graph, part),
-            boundary: boundary_count(graph, part),
+            comm_volume,
+            boundary,
         }
     }
 
@@ -330,6 +356,45 @@ mod tests {
         let reports = subdomain_reports(&g, &p);
         assert_eq!(reports[0].weights, vec![1 + 7, 2 + 8]);
         assert_eq!(reports[1].weights, vec![3 + 5, 4 + 6]);
+    }
+
+    #[test]
+    fn measure_equals_the_standalone_metrics_on_random_graphs() {
+        use mcgp_runtime::rng::Rng;
+        for seed in 0..40u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let n = rng.gen_range(1..60usize);
+            // The last quarter of the vertices stays isolated; about one
+            // edge in four weighs zero.
+            let linked = (n - n / 4).max(1);
+            let mut b = GraphBuilder::new(n);
+            for _ in 0..rng.gen_range(0..4 * n) {
+                let (u, v) = (rng.gen_range(0..linked), rng.gen_range(0..linked));
+                let w = if rng.gen_bool(0.25) {
+                    0
+                } else {
+                    rng.gen_range(1..9i64)
+                };
+                b.weighted_edge(u, v, w);
+            }
+            let g = b.build().unwrap();
+            for k in [1, 2.min(n), rng.gen_range(1..n + 1), n] {
+                let assignment = (0..n).map(|_| rng.gen_range(0..k as u32)).collect();
+                let p = Partition::new(k, assignment).unwrap();
+                let q = PartitionQuality::measure(&g, &p);
+                let want = (
+                    edge_cut(&g, &p),
+                    comm_volume(&g, &p),
+                    boundary_count(&g, &p),
+                );
+                assert_eq!(
+                    (q.edge_cut, q.comm_volume, q.boundary),
+                    want,
+                    "seed {seed} k {k}"
+                );
+                assert_eq!(q.imbalances, imbalances(&g, &p));
+            }
+        }
     }
 
     #[test]

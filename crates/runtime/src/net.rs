@@ -431,12 +431,23 @@ fn read_request_buffered(
         ));
     }
 
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| NetError::BadRequest(format!("invalid Content-Length `{v}`")))?,
-        None => 0,
-    };
+    // Every Content-Length must be plain digits (`parse` alone accepts
+    // `+5`), and repeats must agree: a peer that frames the body one way
+    // for us and another way for an intermediary desyncs keep-alive.
+    let mut content_length = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let n = match v.parse::<usize>() {
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => return Err(NetError::BadRequest(format!("invalid Content-Length `{v}`"))),
+        };
+        if content_length.is_some_and(|prev| prev != n) {
+            return Err(NetError::BadRequest(
+                "conflicting Content-Length headers".into(),
+            ));
+        }
+        content_length = Some(n);
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > limits.max_body_bytes {
         return Err(NetError::TooLarge {
             what: "request body",
@@ -1029,6 +1040,32 @@ mod tests {
                 String::from_utf8_lossy(bad)
             );
         }
+    }
+
+    #[test]
+    fn content_length_must_be_digits_and_agree() {
+        for bad in [
+            &b"POST /x HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello"[..],
+            b"POST /x HTTP/1.1\r\nContent-Length: -0\r\n\r\n",
+            b"POST /x HTTP/1.1\r\nContent-Length:\r\n\r\n",
+            b"POST /x HTTP/1.1\r\nContent-Length: 5, 5\r\n\r\nhello",
+            b"POST /x HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n",
+            b"POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nhello",
+            b"POST /x HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: +5\r\n\r\nhello",
+        ] {
+            assert!(
+                matches!(roundtrip(bad, Limits::default()), Err(NetError::BadRequest(_))),
+                "{:?} should be a bad request",
+                String::from_utf8_lossy(bad)
+            );
+        }
+        // Repeats that agree frame the body the same way either way.
+        let req = roundtrip(
+            b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 005\r\n\r\nhello",
+            Limits::default(),
+        )
+        .unwrap();
+        assert_eq!(req.body, b"hello");
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! Output is JSONL on the provided writer, one row per class
 //! (`serve_cold_*`, `serve_warm_first_*`, `serve_warm_steady_*`,
 //! `serve_mixed_*`, and the `serve_warm_keepalive_*` /
-//! `serve_warm_perconn_*` connection-reuse pair), each carrying the
+//! `serve_warm_perconn_*` connection-reuse pair, and the in-process
+//! `stage/fingerprint|measure|part_lines/*` timings), each carrying the
 //! `bench`/`samples`/`median_s`/`min_s`/`max_s` fields `mcgp
 //! bench-check` validates plus `p50_s`/`p99_s` latency quantiles;
 //! throughput rows add `rps`.
@@ -35,13 +36,17 @@
 //! responses to an identical request must be byte-identical — cold,
 //! warm, disk, chunked under keep-alive, or close-delimited.
 
-use crate::cache::fnv1a;
+use crate::cache::{fingerprint, lane_hash};
+use crate::protocol::{part_line, GraphFormat, PART_CHUNK};
 use crate::server::{ServeConfig, Server};
+use mcgp_core::{HierarchySnapshot, PartitionConfig};
 use mcgp_graph::generators::{mrng_like, rmat_default};
 use mcgp_graph::io::write_metis;
+use mcgp_graph::{Graph, PartitionQuality};
 use mcgp_runtime::net::{http_request, NetClient};
 use mcgp_runtime::Json;
 use std::collections::HashMap;
+use std::hint::black_box;
 use std::io::{self, Write};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -226,7 +231,7 @@ pub fn run_serve_bench(cfg: &BenchServeConfig, out: &mut dyn Write) -> io::Resul
                         .header("x-mcgp-cache")
                         .unwrap_or("miss")
                         .to_string();
-                    let digest = fnv1a(0xcbf2_9ce4_8422_2325, &resp.body);
+                    let digest = lane_hash(&resp.body, &[]);
                     let prior = body_digests.lock().unwrap().insert((k, seed), digest);
                     if let Some(prior) = prior {
                         if prior != digest {
@@ -334,6 +339,9 @@ pub fn run_serve_bench(cfg: &BenchServeConfig, out: &mut dyn Write) -> io::Resul
             vec![("rps".to_string(), Json::Float(pc_rps))],
         )
     )?;
+    for row in stage_rows(cfg.nvtxs, &graph, &body) {
+        writeln!(out, "{row}")?;
+    }
     eprintln!(
         "bench serve: cold median {:.3}s, steady-warm median {:.3}s ({:.1}x), {} contended/coalesced, {:.2} req/s mixed; keep-alive {:.1} vs per-conn {:.1} req/s ({:.1}x)",
         quantile(&cold, 0.5),
@@ -346,6 +354,53 @@ pub fn run_serve_bench(cfg: &BenchServeConfig, out: &mut dyn Write) -> io::Resul
         ka_rps / pc_rps.max(1e-9),
     );
     Ok(())
+}
+
+/// Timed samples per `stage/*` row.
+const STAGE_SAMPLES: usize = 15;
+
+/// The `stage/*` rows: in-process timings of the served-path stages that
+/// are not partitioning, on the load test's own mesh and body after the
+/// daemon has stopped — fingerprinting the upload, measuring a k = 16
+/// partition's quality, and serialising its `part` lines. `n` is the
+/// mesh size the graph was generated for.
+fn stage_rows(n: usize, graph: &Graph, body: &[u8]) -> Vec<String> {
+    let label = if n.is_multiple_of(1000) {
+        format!("mrng{}k", n / 1000)
+    } else {
+        format!("mrng{n}")
+    };
+    eprintln!("bench serve: stage timings on {label} ...");
+    let k = 16;
+    let cfg = PartitionConfig::default();
+    let partition = HierarchySnapshot::build(graph, &cfg)
+        .partition(graph, k, &cfg)
+        .partition;
+    let time = |f: &mut dyn FnMut()| -> Vec<f64> {
+        (0..STAGE_SAMPLES)
+            .map(|_| {
+                let t0 = Instant::now();
+                f();
+                t0.elapsed().as_secs_f64()
+            })
+            .collect()
+    };
+    let mut fp = time(&mut || {
+        black_box(fingerprint(GraphFormat::Metis, black_box(body), 1, 1));
+    });
+    let mut measure = time(&mut || {
+        black_box(PartitionQuality::measure(graph, black_box(&partition)));
+    });
+    let mut lines = time(&mut || {
+        for (i, chunk) in partition.assignment().chunks(PART_CHUNK).enumerate() {
+            black_box(part_line(i * PART_CHUNK, black_box(chunk)));
+        }
+    });
+    vec![
+        latency_row(&format!("stage/fingerprint/{label}"), &mut fp, vec![]),
+        latency_row(&format!("stage/measure/{label}_k{k}"), &mut measure, vec![]),
+        latency_row(&format!("stage/part_lines/{label}_k{k}"), &mut lines, vec![]),
+    ]
 }
 
 /// Runs the connection-reuse pair against an already-running daemon:
@@ -378,7 +433,7 @@ fn small_warm_pair(
                 resp.text()
             )));
         }
-        let digest = fnv1a(0xcbf2_9ce4_8422_2325, &resp.body);
+        let digest = lane_hash(&resp.body, &[]);
         let prior = body_digests.lock().unwrap().insert((k, seed), digest);
         if prior.is_some_and(|p| p != digest) {
             return Err(io::Error::other(
@@ -438,10 +493,10 @@ mod tests {
             .lines()
             .map(|l| Json::parse(l).expect("row parses"))
             .collect();
-        // 5 rows always (cold / warm_steady / mixed / keepalive /
-        // perconn); a 6th (warm_first) only when the tiny run happened
-        // to coalesce or contend with a cold build.
-        assert!(rows.len() == 5 || rows.len() == 6, "{} rows", rows.len());
+        // 8 rows always (cold / warm_steady / mixed / keepalive /
+        // perconn / three stage rows); a 9th (warm_first) only when the
+        // tiny run happened to coalesce or contend with a cold build.
+        assert!(rows.len() == 8 || rows.len() == 9, "{} rows", rows.len());
         let mut names = Vec::new();
         for row in &rows {
             names.push(row.get("bench").unwrap().as_str().unwrap().to_string());
@@ -456,6 +511,14 @@ mod tests {
             assert!(row.get("p99_s").unwrap().as_f64().unwrap() >= med);
         }
         assert!(names[0].starts_with("serve_cold_"));
+        assert_eq!(
+            names[names.len() - 3..],
+            [
+                "stage/fingerprint/mrng600",
+                "stage/measure/mrng600_k16",
+                "stage/part_lines/mrng600_k16"
+            ]
+        );
         assert!(names.iter().any(|n| n.starts_with("serve_warm_steady_")));
         let find = |prefix: &str| {
             rows.iter()

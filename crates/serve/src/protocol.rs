@@ -189,17 +189,38 @@ pub fn meta_line(
     .to_string()
 }
 
-/// One `part` line carrying `assignment[offset ..]`'s next chunk.
+/// One `part` line carrying `assignment[offset ..]`'s next chunk:
+/// `{"type":"part","offset":N,"parts":[p,..]}`, the bytes `Json::obj`
+/// would print, with the digits written straight into a buffer sized
+/// for the widest `u32`.
 pub fn part_line(offset: usize, chunk: &[u32]) -> String {
-    Json::obj([
-        ("type", Json::Str("part".into())),
-        ("offset", Json::UInt(offset as u64)),
-        (
-            "parts",
-            Json::Arr(chunk.iter().map(|&p| Json::UInt(p as u64)).collect()),
-        ),
-    ])
-    .to_string()
+    let mut line = Vec::with_capacity(48 + 11 * chunk.len());
+    line.extend_from_slice(b"{\"type\":\"part\",\"offset\":");
+    push_decimal(&mut line, offset as u64);
+    line.extend_from_slice(b",\"parts\":[");
+    for (i, &p) in chunk.iter().enumerate() {
+        if i > 0 {
+            line.push(b',');
+        }
+        push_decimal(&mut line, u64::from(p));
+    }
+    line.extend_from_slice(b"]}");
+    String::from_utf8(line).expect("a part line is ASCII")
+}
+
+/// Appends the decimal digits of `v`.
+fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// The closing `done` line with the quality report.
@@ -338,6 +359,38 @@ mod tests {
             let doc = Json::parse(err.body().trim()).unwrap();
             assert_eq!(doc.get("type").unwrap().as_str(), Some("error"));
             assert_eq!(doc.get("kind").unwrap().as_str(), Some(want_kind));
+        }
+    }
+
+    /// The `Json`-tree form `part_line` must reproduce byte for byte.
+    fn part_line_via_json(offset: usize, chunk: &[u32]) -> String {
+        Json::obj([
+            ("type", Json::Str("part".into())),
+            ("offset", Json::UInt(offset as u64)),
+            (
+                "parts",
+                Json::Arr(chunk.iter().map(|&p| Json::UInt(p as u64)).collect()),
+            ),
+        ])
+        .to_string()
+    }
+
+    #[test]
+    fn part_line_matches_the_json_tree_bytes() {
+        let mixed: Vec<u32> = (0..PART_CHUNK as u32)
+            .map(|i| i.wrapping_mul(2_654_435_761) >> (i % 32))
+            .collect();
+        let cases: [(usize, &[u32]); 7] = [
+            (0, &[]),
+            (0, &[0]),
+            (7, &[9]),
+            (8192, &[u32::MAX]),
+            (usize::MAX, &[u32::MAX, 0, 10, 99, 100, 4_294_967_295]),
+            (1 << 40, &[1, 22, 333, 4444, 55555]),
+            (3 * PART_CHUNK, &mixed),
+        ];
+        for (offset, chunk) in cases {
+            assert_eq!(part_line(offset, chunk), part_line_via_json(offset, chunk));
         }
     }
 

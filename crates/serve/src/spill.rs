@@ -12,7 +12,8 @@
 //! fp       u64      cache fingerprint (must match the filename's key)
 //! cost_us  u64      measured build cost, microseconds (feeds admission)
 //! len      u64      payload byte count
-//! checksum u64      FNV-1a over the payload
+//! checksum u64      the body hash kernel over the payload (version 2;
+//!                   version 1 used FNV-1a and now loads as a miss)
 //! payload           seed, nthreads, finest graph, levels, RNG states
 //! ```
 //!
@@ -34,10 +35,10 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::cache::{fnv1a, CachedEntry};
+use crate::cache::{lane_hash, CachedEntry};
 
 const MAGIC: &[u8; 8] = b"MCGPSNAP";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
 
 /// Spill file path for a fingerprint.
@@ -230,7 +231,7 @@ pub fn write(dir: &Path, key: u64, entry: &CachedEntry) -> Result<bool, String> 
     put_u64(&mut file, key);
     put_u64(&mut file, (entry.build_cost_s() * 1e6).round() as u64);
     put_u64(&mut file, payload.len() as u64);
-    put_u64(&mut file, fnv1a(0xcbf2_9ce4_8422_2325, &payload));
+    put_u64(&mut file, lane_hash(&payload, &[]));
     file.extend_from_slice(&payload);
     let tmp = dir.join(format!("{key:016x}.tmp"));
     {
@@ -293,7 +294,7 @@ fn validate_and_decode(raw: &[u8], key: u64) -> Result<CachedEntry, String> {
             payload.len()
         ));
     }
-    if fnv1a(0xcbf2_9ce4_8422_2325, payload) != checksum {
+    if lane_hash(payload, &[]) != checksum {
         return Err("checksum mismatch".into());
     }
     decode_payload(payload, cost_us as f64 / 1e6)
@@ -379,11 +380,19 @@ mod tests {
         assert!(load(&dir, 9).is_err());
         assert!(!path.exists());
 
-        // Wrong version.
-        let mut wrong_ver = good.clone();
-        wrong_ver[8] = 0xfe;
-        fs::write(&path, &wrong_ver).unwrap();
-        assert!(load(&dir, 9).unwrap_err().contains("version"));
+        // Wrong version, including a version-1 file from before the
+        // checksum moved to the lane kernel: both are clean misses.
+        for version in [0xfeu32, 1] {
+            let mut wrong_ver = good.clone();
+            wrong_ver[8..12].copy_from_slice(&version.to_le_bytes());
+            fs::write(&path, &wrong_ver).unwrap();
+            let err = load(&dir, 9).unwrap_err();
+            assert!(
+                err.contains(&format!("version {version}, expected 2")),
+                "{err}"
+            );
+            assert!(!path.exists());
+        }
 
         // Wrong key in an otherwise valid file.
         fs::write(&path, &good).unwrap();
@@ -412,7 +421,7 @@ mod tests {
             *b = 0;
         }
         let payload = &raw[HEADER_LEN..];
-        let sum = fnv1a(0xcbf2_9ce4_8422_2325, payload);
+        let sum = lane_hash(payload, &[]);
         raw[36..44].copy_from_slice(&sum.to_le_bytes());
         fs::write(&path, &raw).unwrap();
         assert!(load(&dir, 3).is_err(), "structural validation must reject");

@@ -66,9 +66,11 @@ if [ "$GATE" != "off" ]; then
         fi
         # The serve file carries the rps-win rule: small warm requests over
         # one keep-alive connection must at least double the throughput of
-        # a fresh connection per request, within the fresh run itself.
+        # a fresh connection per request, within the fresh run itself. Its
+        # stage/* rows take 1-10 ms, so its noise floor is 1 ms, not 5 ms:
+        # a fingerprint or part-line writer gone 5x slower must fail.
         if [ "$f" = "$SERVE_OUT" ]; then
-            TW_ARGS="--rps-win serve_warm_keepalive_rmat9/serve_warm_perconn_rmat9:2.0"
+            TW_ARGS="--rps-win serve_warm_keepalive_rmat9/serve_warm_perconn_rmat9:2.0 --noise-floor-ms 1"
         fi
         # shellcheck disable=SC2086
         if ./target/release/mcgp bench-gate "$base" "$f" \

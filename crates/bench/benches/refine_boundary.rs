@@ -10,12 +10,19 @@
 //!   worst case for a boundary-driven engine (its caches must pay for
 //!   themselves even when the boundary is the whole graph).
 //!
+//! `refine/rebalance` times the explicit balancing pass where the k = 64
+//! pipeline spends it: on the projected (not yet refined) partition of the
+//! ~4k-vertex level of the same mesh, after coarsening and recursive
+//! bisection with seed 1.
+//!
 //! `refine/smoke` is a small fast workload for the `verify.sh` bench smoke
 //! (`--samples 3 smoke`).
 
 use mcgp_bench::Bench;
-use mcgp_core::balance::{part_weights, BalanceModel};
+use mcgp_core::balance::{part_weights, rebalance, BalanceModel};
+use mcgp_core::coarsen::coarsen;
 use mcgp_core::kway_refine::greedy_kway_refine;
+use mcgp_core::rb::recursive_bisection_assignment;
 use mcgp_core::{partition_kway, PartitionConfig};
 use mcgp_graph::generators::mrng_like;
 use mcgp_graph::synthetic;
@@ -65,6 +72,28 @@ fn main() {
         let mut pw = part_weights(&g, &part, k);
         let mut t = CostTracker::new();
         slice_refine(&d, &mut part, &mut pw, &model, 4, 1, &mut t)
+    });
+
+    // Rebalancing the projected partition of the ~4k-vertex level at k = 64.
+    let kb = 64usize;
+    let cfg = PartitionConfig::default().with_seed(1);
+    let mut rng = Rng::seed_from_u64(cfg.seed);
+    let hierarchy = coarsen(&g, cfg.coarsen_target(kb), &cfg, &mut rng);
+    let levels = hierarchy.levels();
+    let coarsest = &levels[levels.len() - 1].graph;
+    let mut projected = recursive_bisection_assignment(coarsest, kb, &cfg, &mut rng);
+    let at = (0..levels.len())
+        .min_by_key(|&l| levels[l].graph.nvtxs().abs_diff(4_000))
+        .expect("mrng200k coarsens");
+    for lvl in (at + 1..levels.len()).rev() {
+        projected = hierarchy.project(lvl, &projected);
+    }
+    let bg = &levels[at].graph;
+    let bmodel = BalanceModel::new(bg, kb, cfg.imbalance_tol);
+    b.run("refine/rebalance", "mrng200k_ncon3_k64", || {
+        let mut a = projected.clone();
+        let mut pw = part_weights(bg, &a, kb);
+        rebalance(bg, &mut a, &mut pw, &bmodel, &mut rng.clone())
     });
 
     // Small, fast workload for CI smoke runs (filter: `smoke`).

@@ -88,6 +88,17 @@ fn check_threads(threads: usize, flag: &str, usage: &str) {
     }
 }
 
+/// Holds an imbalance tolerance to the range the daemon accepts as
+/// `tol=`; anything else (negative, NaN, infinite) is a usage error.
+fn check_tol(tol: f64, usage: &str) {
+    if !mcgp_serve::protocol::tol_in_range(tol) {
+        die(format!(
+            "--tol must be {}, got {tol}\n{usage}",
+            mcgp_serve::protocol::TOL_RANGE
+        ));
+    }
+}
+
 fn parse_opts(args: &[String]) -> Opts {
     let mut opts = Opts {
         scale: 16,
@@ -424,6 +435,7 @@ fn run_partition(opts: &Opts) {
         die(format!("--parallel must be at least 1, got 0\n{usage}"));
     }
     check_threads(threads, "--threads", usage);
+    check_tol(tol, usage);
     let graph = load_graph(&file, seed);
     if k == 0 || k > graph.nvtxs() {
         die(format!(
@@ -891,6 +903,7 @@ fn run_check(opts: &Opts) {
         }
     }
     let Some(gfile) = gfile else { die(usage) };
+    check_tol(tol, usage);
     let graph = load_graph(&gfile, 4242);
     if let Err(e) = mcgp_check::check_graph(&graph, level) {
         eprintln!("{gfile}: {e}");
@@ -1146,6 +1159,7 @@ fn run_serve_request(opts: &Opts) {
     if repeat == 0 {
         die("--repeat must be >= 1");
     }
+    check_tol(tol, usage);
     let timeout = Some(std::time::Duration::from_secs(600));
     let (method, target, headers, body): (&str, String, Vec<(String, String)>, Vec<u8>);
     if let Some(path) = get_path {

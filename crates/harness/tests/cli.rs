@@ -160,6 +160,47 @@ fn partition_holds_threads_to_the_daemon_range() {
 }
 
 #[test]
+fn tol_outside_the_daemon_range_is_a_usage_error() {
+    // A negative, NaN or infinite tolerance used to exit 0 with a
+    // partition built on degenerate caps.
+    let commands: [&[&str]; 3] = [
+        &["partition", "gen:grid:32x32", "8"],
+        &["check", "gen:grid:32x32"],
+        &["serve-request", "--addr", "127.0.0.1:9", "gen:grid:32x32", "8"],
+    ];
+    for args in commands {
+        for bad in ["-2", "nan", "inf", "-inf", "0", "10"] {
+            let out = mcgp()
+                .args(args)
+                .args(["--tol", bad])
+                .output()
+                .expect("run mcgp");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?} --tol {bad}: {stderr}");
+            assert!(
+                stderr.contains("--tol must be finite, 0 < tol < 10, got"),
+                "{args:?} --tol {bad}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{args:?} --tol {bad} wrote output");
+        }
+    }
+    let dir = std::env::temp_dir().join("mcgp_cli_tol");
+    std::fs::create_dir_all(&dir).unwrap();
+    for good in ["0.001", "9.5"] {
+        let out = mcgp()
+            .args(["partition", "gen:grid:8x8", "4", "--tol", good, "--outfile"])
+            .arg(dir.join("grid.part"))
+            .output()
+            .expect("run mcgp partition");
+        assert!(
+            out.status.success(),
+            "--tol {good}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
 fn serve_rejects_out_of_range_default_threads_at_startup() {
     for (flag, env) in [(Some("0"), None), (Some("257"), None), (None, Some("100000000"))] {
         let mut cmd = mcgp();

@@ -82,6 +82,19 @@ fn parse_num<T: std::str::FromStr>(req: &Request, name: &str) -> Result<Option<T
 /// held to the same `1 ..= MAX_THREADS` range.
 pub const MAX_THREADS: usize = 256;
 
+/// The imbalance tolerances a request may ask for with `tol=`. The
+/// `--tol` flags of `mcgp partition`, `check` and `serve-request` are
+/// held to the same range.
+pub const TOL_RANGE: &str = "finite, 0 < tol < 10";
+
+/// True when `tol` lies in [`TOL_RANGE`]. Outside it the caps degenerate:
+/// a negative or NaN tolerance leaves only the granularity slack, an
+/// infinite one no cap at all, and recursive bisection's per-level split
+/// `(1+tol)^(1/depth)` turns a tolerance below −1 into NaN.
+pub fn tol_in_range(tol: f64) -> bool {
+    tol.is_finite() && tol > 0.0 && tol < 10.0
+}
+
 impl PartitionParams {
     /// Parses and range-checks the query parameters of a `/partition`
     /// request. `default_threads` is the daemon-configured pipeline
@@ -95,8 +108,8 @@ impl PartitionParams {
             return Err(format!("k={nparts} out of range (1 ..= 2^20)"));
         }
         let tol: f64 = parse_num(req, "tol")?.unwrap_or(0.05);
-        if !tol.is_finite() || tol <= 0.0 || tol >= 10.0 {
-            return Err(format!("tol={tol} out of range (finite, 0 < tol < 10)"));
+        if !tol_in_range(tol) {
+            return Err(format!("tol={tol} out of range ({TOL_RANGE})"));
         }
         let seed: u64 = parse_num(req, "seed")?.unwrap_or(4242);
         let nthreads: usize = parse_num(req, "threads")?.unwrap_or(default_threads.max(1));
@@ -304,6 +317,9 @@ mod tests {
             "/partition?k=4&tol=0",
             "/partition?k=4&tol=-1",
             "/partition?k=4&tol=nope",
+            "/partition?k=4&tol=NaN",
+            "/partition?k=4&tol=inf",
+            "/partition?k=4&tol=10",
             "/partition?k=4&threads=0",
             "/partition?k=4&threads=999",
         ] {

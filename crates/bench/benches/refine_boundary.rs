@@ -15,6 +15,11 @@
 //! ~4k-vertex level of the same mesh, after coarsening and recursive
 //! bisection with seed 1.
 //!
+//! `refine/rb` times the k = 16 initial partitioning of the skewed-degree
+//! R-MAT graph (`rmat_default(16, 8, 1)`): recursive bisection of the
+//! 38,439-vertex graph its coarsening stalls at with seed 1, where 2-way FM
+//! does most of the work.
+//!
 //! `refine/smoke` is a small fast workload for the `verify.sh` bench smoke
 //! (`--samples 3 smoke`).
 
@@ -24,7 +29,7 @@ use mcgp_core::coarsen::coarsen;
 use mcgp_core::kway_refine::greedy_kway_refine;
 use mcgp_core::rb::recursive_bisection_assignment;
 use mcgp_core::{partition_kway, PartitionConfig};
-use mcgp_graph::generators::mrng_like;
+use mcgp_graph::generators::{mrng_like, rmat_default};
 use mcgp_graph::synthetic;
 use mcgp_parallel::refine_par::reservation_refine;
 use mcgp_parallel::slice_refine::slice_refine;
@@ -94,6 +99,15 @@ fn main() {
         let mut a = projected.clone();
         let mut pw = part_weights(bg, &a, kb);
         rebalance(bg, &mut a, &mut pw, &bmodel, &mut rng.clone())
+    });
+
+    // Recursive bisection at k = 16 where R-MAT coarsening stalls.
+    let rg = rmat_default(16, 8, 1);
+    let mut rrng = Rng::seed_from_u64(cfg.seed);
+    let rh = coarsen(&rg, cfg.coarsen_target(k), &cfg, &mut rrng);
+    let rcoarsest = rh.coarsest().unwrap_or(&rg);
+    b.run("refine/rb", "rmat16_k16", || {
+        recursive_bisection_assignment(rcoarsest, k, &cfg, &mut rrng.clone())
     });
 
     // Small, fast workload for CI smoke runs (filter: `smoke`).

@@ -11,6 +11,14 @@
 //! prefix — where "best" prefers feasible states, then lower cut, then lower
 //! load. Hill-climbing through negative-gain moves (bounded by a window) is
 //! what lets FM escape local minima.
+//!
+//! A call's buffers live in an [`FmWorkspace`] that callers making many
+//! calls (every level of a multilevel bisection, every try of an initial
+//! bisection) reuse. Gains are counted once per call and then kept exact
+//! through every move and rollback, so a pass only reshuffles, refills the
+//! queues and unlocks what the previous pass moved. The moves, their order
+//! and the RNG draws are exactly those of recounting every gain each pass;
+//! a test holds them to a kept copy of that code.
 
 use crate::config::PartitionConfig;
 use crate::pqueue::IndexedMaxHeap;
@@ -154,6 +162,86 @@ pub struct FmStats {
     pub passes: usize,
 }
 
+/// Buffers of one 2-way FM call, kept so that repeated calls — every level
+/// of one multilevel bisection, every try of one initial bisection —
+/// allocate them once. Nothing carries over between calls: each call
+/// rebuilds every field for its own graph.
+#[derive(Debug, Default)]
+pub(crate) struct FmWorkspace {
+    /// `gains[v]`: cut decrease if `v` switched sides, exact at every pass
+    /// start (a move updates every neighbour, locked or not).
+    gains: Vec<i64>,
+    locked: Vec<bool>,
+    /// `dominant[v]`: the constraint whose queue `v` is filed under.
+    dominant: Vec<u32>,
+    /// Queue fill order, reshuffled (not reset) every pass.
+    order: Vec<u32>,
+    /// Tentative moves of the current pass; the next pass unlocks them.
+    seq: Vec<u32>,
+    /// `queues[side * ncon + c]`.
+    queues: Vec<IndexedMaxHeap>,
+}
+
+impl FmWorkspace {
+    /// Sizes every buffer for `graph` and fills gains, dominant
+    /// constraints and the identity order. Returns the cut of `side`.
+    fn prepare(&mut self, graph: &Graph, side: &[u32], bal: &TwoWayBalance) -> i64 {
+        let n = graph.nvtxs();
+        self.gains.clear();
+        self.dominant.clear();
+        self.locked.clear();
+        self.locked.resize(n, false);
+        self.order.clear();
+        self.order.extend(0..n as u32);
+        self.seq.clear();
+        self.queues
+            .resize_with(2 * bal.ncon, || IndexedMaxHeap::new(0));
+        for q in &mut self.queues {
+            q.reset(n);
+        }
+        let mut cut2 = 0i64;
+        for v in 0..n {
+            let sv = side[v];
+            let (mut external, mut internal) = (0i64, 0i64);
+            for (u, w) in graph.edges(v) {
+                if side[u as usize] == sv {
+                    internal += w;
+                } else {
+                    external += w;
+                }
+            }
+            cut2 += external;
+            self.gains.push(external - internal);
+            self.dominant.push(bal.dominant(graph.vwgt(v)) as u32);
+        }
+        cut2 / 2
+    }
+
+    /// Switches `v` to the other side and keeps every gain exact: `v`'s
+    /// own gain changes sign, and each neighbour's changes by twice the
+    /// edge weight. Undoing a move is the same operation.
+    #[inline]
+    fn flip(&mut self, graph: &Graph, side: &mut [u32], v: usize) {
+        side[v] ^= 1;
+        self.gains[v] = -self.gains[v];
+        for (u, w) in graph.edges(v) {
+            let u = u as usize;
+            self.gains[u] += if side[u] == side[v] { -2 * w } else { 2 * w };
+        }
+    }
+}
+
+/// True when `gains` equals a recount from `side`.
+fn gains_match_recount(graph: &Graph, side: &[u32], gains: &[i64]) -> bool {
+    (0..graph.nvtxs()).all(|v| {
+        let g: i64 = graph
+            .edges(v)
+            .map(|(u, w)| if side[u as usize] == side[v] { -w } else { w })
+            .sum();
+        g == gains[v]
+    })
+}
+
 /// Runs multi-constraint 2-way FM on `side` (entries 0/1), in place.
 ///
 /// `fractions` are the target weight fractions of sides 0 and 1 (recursive
@@ -180,81 +268,83 @@ pub fn fm_refine_bisection(
     config: &PartitionConfig,
     rng: &mut Rng,
 ) -> FmStats {
+    let bal = TwoWayBalance::new(graph, fractions, config.imbalance_tol);
+    fm_refine_with(graph, side, &bal, config, rng, &mut FmWorkspace::default())
+}
+
+/// [`fm_refine_bisection`] under a prebuilt balance model, in the buffers
+/// of `ws`. `config` supplies the pass count and the hill-climbing window.
+pub(crate) fn fm_refine_with(
+    graph: &Graph,
+    side: &mut [u32],
+    bal: &TwoWayBalance,
+    config: &PartitionConfig,
+    rng: &mut Rng,
+    ws: &mut FmWorkspace,
+) -> FmStats {
     let n = graph.nvtxs();
     let ncon = graph.ncon();
-    let bal = TwoWayBalance::new(graph, fractions, config.imbalance_tol);
     let mut sw = bal.side_weights(graph, side);
-    let mut cut = cut_of(graph, side);
-    let mut gains: Vec<i64> = vec![0; n];
-    let mut locked: Vec<bool> = vec![false; n];
-    let mut queues: Vec<IndexedMaxHeap> = (0..2 * ncon).map(|_| IndexedMaxHeap::new(n)).collect();
-    let mut order: Vec<u32> = (0..n as u32).collect();
+    let mut cut = ws.prepare(graph, side, bal);
     let mut total_moves = 0usize;
     let mut passes = 0usize;
 
     for pass in 0..config.fm_passes {
         passes += 1;
         let mut sp = mcgp_runtime::span!("fm_pass", pass = pass, nvtxs = n, cut_before = cut);
-        // (Re)compute gains and fill queues in random order.
-        order.shuffle(rng);
-        for q in queues.iter_mut() {
+        // Gains are exact from the last pass; refill the queues in random
+        // order and unlock what the last pass moved.
+        debug_assert!(
+            gains_match_recount(graph, side, &ws.gains),
+            "kept gains drifted from a recount"
+        );
+        ws.order.shuffle(rng);
+        for q in ws.queues.iter_mut() {
             q.clear();
         }
-        for v in 0..n {
-            locked[v] = false;
-            let sv = side[v];
-            let mut g = 0i64;
-            for (u, w) in graph.edges(v) {
-                if side[u as usize] == sv {
-                    g -= w;
-                } else {
-                    g += w;
-                }
-            }
-            gains[v] = g;
+        for &v in &ws.seq {
+            ws.locked[v as usize] = false;
         }
-        for &v in &order {
+        ws.seq.clear();
+        for &v in &ws.order {
             let v = v as usize;
-            let q = side[v] as usize * ncon + bal.dominant(graph.vwgt(v));
-            queues[q].insert(v as u32, gains[v]);
+            let q = side[v] as usize * ncon + ws.dominant[v] as usize;
+            ws.queues[q].insert(v as u32, ws.gains[v]);
         }
 
         // Tentative move sequence with best-prefix rollback.
-        let mut seq: Vec<u32> = Vec::new();
         let mut best_prefix = 0usize;
         let mut best_cut = cut;
         let mut best_feasible = bal.is_feasible(&sw);
         let mut best_load = bal.load(&sw);
         let mut since_best = 0usize;
 
-        while let Some(v) = select_move(&bal, &sw, &mut queues, graph, ncon) {
-            let from = side[v as usize] as usize;
-            let vw = graph.vwgt(v as usize);
+        while let Some(v) = select_move(bal, &sw, &mut ws.queues, graph, ncon) {
+            let v = v as usize;
+            let from = side[v] as usize;
+            let vw = graph.vwgt(v);
             // Apply tentatively.
             for i in 0..ncon {
                 sw[from * ncon + i] -= vw[i];
                 sw[(1 - from) * ncon + i] += vw[i];
             }
-            cut -= gains[v as usize];
-            side[v as usize] = 1 - from as u32;
-            locked[v as usize] = true;
-            seq.push(v);
-            // Neighbour gain updates.
-            for (u, w) in graph.edges(v as usize) {
+            cut -= ws.gains[v];
+            side[v] ^= 1;
+            ws.gains[v] = -ws.gains[v];
+            ws.locked[v] = true;
+            ws.seq.push(v as u32);
+            // Neighbour gain updates, as in `FmWorkspace::flip`. Locked
+            // neighbours keep exact gains too but stay out of the queues.
+            for (u, w) in graph.edges(v) {
                 let u = u as usize;
-                if locked[u] {
+                // v flipped sides: the u-v contribution to gain(u) flips.
+                ws.gains[u] += if side[u] == side[v] { -2 * w } else { 2 * w };
+                if ws.locked[u] {
                     continue;
                 }
-                // v flipped sides: the u-v contribution to gain(u) flips.
-                let delta = if side[u] == side[v as usize] {
-                    -2 * w
-                } else {
-                    2 * w
-                };
-                gains[u] += delta;
-                let q = side[u] as usize * ncon + bal.dominant(graph.vwgt(u));
-                if queues[q].contains(u as u32) {
-                    queues[q].update(u as u32, gains[u]);
+                let q = side[u] as usize * ncon + ws.dominant[u] as usize;
+                if ws.queues[q].contains(u as u32) {
+                    ws.queues[q].update(u as u32, ws.gains[u]);
                 }
             }
             // Track the best prefix: feasibility first, then cut, then load.
@@ -270,7 +360,7 @@ pub fn fm_refine_bisection(
                 }
             };
             if better {
-                best_prefix = seq.len();
+                best_prefix = ws.seq.len();
                 best_cut = cut;
                 best_feasible = feasible;
                 best_load = load;
@@ -283,21 +373,23 @@ pub fn fm_refine_bisection(
             }
         }
 
-        // Roll back past the best prefix.
-        for &v in seq[best_prefix..].iter().rev() {
-            let cur = side[v as usize] as usize;
-            let vw = graph.vwgt(v as usize);
+        // Roll back past the best prefix, newest move first, so each undo
+        // restores the gains the move changed.
+        for k in (best_prefix..ws.seq.len()).rev() {
+            let v = ws.seq[k] as usize;
+            let cur = side[v] as usize;
+            let vw = graph.vwgt(v);
             for i in 0..ncon {
                 sw[cur * ncon + i] -= vw[i];
                 sw[(1 - cur) * ncon + i] += vw[i];
             }
-            side[v as usize] = 1 - cur as u32;
+            ws.flip(graph, side, v);
         }
         cut = best_cut;
         total_moves += best_prefix;
         debug_assert_eq!(cut, cut_of(graph, side), "cut bookkeeping drifted");
 
-        sp.record("tentative_moves", seq.len());
+        sp.record("tentative_moves", ws.seq.len());
         sp.record("kept_moves", best_prefix);
         sp.record("cut_after", cut);
         drop(sp);
@@ -326,20 +418,12 @@ fn select_move(
     let (ws, wc) = bal.worst_loaded(sw);
     // Queue preference order: worst (side, constraint), then the rest of
     // that side by top gain, then the other side by top gain.
-    let mut candidates: Vec<usize> = Vec::with_capacity(2 * ncon);
-    candidates.push(ws * ncon + wc);
-    for c in 0..ncon {
-        if c != wc {
-            candidates.push(ws * ncon + c);
-        }
-    }
-    for c in 0..ncon {
-        candidates.push((1 - ws) * ncon + c);
-    }
+    let candidates = std::iter::once(ws * ncon + wc)
+        .chain((0..ncon).filter(|&c| c != wc).map(|c| ws * ncon + c))
+        .chain((0..ncon).map(|c| (1 - ws) * ncon + c));
     for q in candidates {
         let side_of_q = q / ncon;
-        while let Some((v, _)) = queues[q].peek() {
-            queues[q].pop();
+        while let Some((v, _)) = queues[q].pop() {
             if bal.move_fits(sw, graph.vwgt(v as usize), side_of_q) {
                 return Some(v);
             }
@@ -360,6 +444,208 @@ pub fn cut_of(graph: &Graph, side: &[u32]) -> i64 {
         }
     }
     cut / 2
+}
+
+/// 2-way FM as it was before the workspace and the kept gains, kept word
+/// for word as an oracle: [`fm_refine_bisection`] must make exactly the
+/// moves this one makes, in the same order, with the same RNG draws.
+#[cfg(test)]
+mod reference {
+    use super::{cut_of, FmStats, TwoWayBalance};
+    use crate::config::PartitionConfig;
+    use crate::pqueue::reference::IndexedMaxHeap;
+    use mcgp_graph::Graph;
+    use mcgp_runtime::rng::Rng;
+    use mcgp_runtime::rng::SliceRandom;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Moves undone by rollbacks on this thread.
+        pub static ROLLED_BACK: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Runs multi-constraint 2-way FM on `side` (entries 0/1), in place.
+    ///
+    /// `fractions` are the target weight fractions of sides 0 and 1 (recursive
+    /// bisection uses uneven fractions for odd part counts). Returns the final
+    /// cut and move statistics.
+    pub fn fm_refine_bisection(
+        graph: &Graph,
+        side: &mut [u32],
+        fractions: (f64, f64),
+        config: &PartitionConfig,
+        rng: &mut Rng,
+    ) -> FmStats {
+        let n = graph.nvtxs();
+        let ncon = graph.ncon();
+        let bal = TwoWayBalance::new(graph, fractions, config.imbalance_tol);
+        let mut sw = bal.side_weights(graph, side);
+        let mut cut = cut_of(graph, side);
+        let mut gains: Vec<i64> = vec![0; n];
+        let mut locked: Vec<bool> = vec![false; n];
+        let mut queues: Vec<IndexedMaxHeap> =
+            (0..2 * ncon).map(|_| IndexedMaxHeap::new(n)).collect();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        let mut total_moves = 0usize;
+        let mut passes = 0usize;
+
+        for pass in 0..config.fm_passes {
+            passes += 1;
+            let mut sp = mcgp_runtime::span!("fm_pass", pass = pass, nvtxs = n, cut_before = cut);
+            // (Re)compute gains and fill queues in random order.
+            order.shuffle(rng);
+            for q in queues.iter_mut() {
+                q.clear();
+            }
+            for v in 0..n {
+                locked[v] = false;
+                let sv = side[v];
+                let mut g = 0i64;
+                for (u, w) in graph.edges(v) {
+                    if side[u as usize] == sv {
+                        g -= w;
+                    } else {
+                        g += w;
+                    }
+                }
+                gains[v] = g;
+            }
+            for &v in &order {
+                let v = v as usize;
+                let q = side[v] as usize * ncon + bal.dominant(graph.vwgt(v));
+                queues[q].insert(v as u32, gains[v]);
+            }
+
+            // Tentative move sequence with best-prefix rollback.
+            let mut seq: Vec<u32> = Vec::new();
+            let mut best_prefix = 0usize;
+            let mut best_cut = cut;
+            let mut best_feasible = bal.is_feasible(&sw);
+            let mut best_load = bal.load(&sw);
+            let mut since_best = 0usize;
+
+            while let Some(v) = select_move(&bal, &sw, &mut queues, graph, ncon) {
+                let from = side[v as usize] as usize;
+                let vw = graph.vwgt(v as usize);
+                // Apply tentatively.
+                for i in 0..ncon {
+                    sw[from * ncon + i] -= vw[i];
+                    sw[(1 - from) * ncon + i] += vw[i];
+                }
+                cut -= gains[v as usize];
+                side[v as usize] = 1 - from as u32;
+                locked[v as usize] = true;
+                seq.push(v);
+                // Neighbour gain updates.
+                for (u, w) in graph.edges(v as usize) {
+                    let u = u as usize;
+                    if locked[u] {
+                        continue;
+                    }
+                    // v flipped sides: the u-v contribution to gain(u) flips.
+                    let delta = if side[u] == side[v as usize] {
+                        -2 * w
+                    } else {
+                        2 * w
+                    };
+                    gains[u] += delta;
+                    let q = side[u] as usize * ncon + bal.dominant(graph.vwgt(u));
+                    if queues[q].contains(u as u32) {
+                        queues[q].update(u as u32, gains[u]);
+                    }
+                }
+                // Track the best prefix: feasibility first, then cut, then load.
+                let feasible = bal.is_feasible(&sw);
+                let load = bal.load(&sw);
+                let better = match (feasible, best_feasible) {
+                    (true, false) => true,
+                    (false, true) => false,
+                    (true, true) => cut < best_cut || (cut == best_cut && load < best_load),
+                    (false, false) => {
+                        load < best_load - 1e-12
+                            || ((load - best_load).abs() <= 1e-12 && cut < best_cut)
+                    }
+                };
+                if better {
+                    best_prefix = seq.len();
+                    best_cut = cut;
+                    best_feasible = feasible;
+                    best_load = load;
+                    since_best = 0;
+                } else {
+                    since_best += 1;
+                    if since_best > config.fm_window {
+                        break;
+                    }
+                }
+            }
+
+            // Roll back past the best prefix.
+            for &v in seq[best_prefix..].iter().rev() {
+                let cur = side[v as usize] as usize;
+                let vw = graph.vwgt(v as usize);
+                for i in 0..ncon {
+                    sw[cur * ncon + i] -= vw[i];
+                    sw[(1 - cur) * ncon + i] += vw[i];
+                }
+                side[v as usize] = 1 - cur as u32;
+            }
+            ROLLED_BACK.with(|r| r.set(r.get() + seq.len() - best_prefix));
+            cut = best_cut;
+            total_moves += best_prefix;
+            debug_assert_eq!(cut, cut_of(graph, side), "cut bookkeeping drifted");
+
+            sp.record("tentative_moves", seq.len());
+            sp.record("kept_moves", best_prefix);
+            sp.record("cut_after", cut);
+            drop(sp);
+            if best_prefix == 0 {
+                break; // local minimum
+            }
+        }
+        FmStats {
+            cut,
+            moves: total_moves,
+            passes,
+        }
+    }
+
+    /// Picks the next tentative move: prefer the queue of the worst-loaded
+    /// (side, constraint); fall back to any queue of that side, then the other
+    /// side. Vertices whose move would overflow the destination are discarded
+    /// for the rest of the pass (standard FM semantics).
+    fn select_move(
+        bal: &TwoWayBalance,
+        sw: &[i64],
+        queues: &mut [IndexedMaxHeap],
+        graph: &Graph,
+        ncon: usize,
+    ) -> Option<u32> {
+        let (ws, wc) = bal.worst_loaded(sw);
+        // Queue preference order: worst (side, constraint), then the rest of
+        // that side by top gain, then the other side by top gain.
+        let mut candidates: Vec<usize> = Vec::with_capacity(2 * ncon);
+        candidates.push(ws * ncon + wc);
+        for c in 0..ncon {
+            if c != wc {
+                candidates.push(ws * ncon + c);
+            }
+        }
+        for c in 0..ncon {
+            candidates.push((1 - ws) * ncon + c);
+        }
+        for q in candidates {
+            let side_of_q = q / ncon;
+            while let Some((v, _)) = queues[q].peek() {
+                queues[q].pop();
+                if bal.move_fits(sw, graph.vwgt(v as usize), side_of_q) {
+                    return Some(v);
+                }
+                // Discarded: stays out of every queue for this pass.
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]
@@ -461,6 +747,132 @@ mod tests {
             let mut side = random_side(100, s);
             let stats = fm_refine_bisection(&g, &mut side, (0.5, 0.5), &cfg, &mut rng(s));
             assert_eq!(stats.cut, cut_of(&g, &side), "seed {s}");
+        }
+    }
+
+    /// A small R-MAT graph with its isolated vertices kept and edge
+    /// weights drawn from `0..4`, so some edges weigh nothing.
+    fn weighted_rmat(seed: u64) -> Graph {
+        let g = mcgp_graph::generators::rmat_default(9, 4, seed);
+        let mut r = rng(seed ^ 0xfeed);
+        let mut b = mcgp_graph::csr::GraphBuilder::new(g.nvtxs());
+        for v in 0..g.nvtxs() {
+            for (u, _) in g.edges(v) {
+                if (u as usize) > v {
+                    b.weighted_edge(v, u as usize, r.gen_range(0..4i64));
+                }
+            }
+        }
+        let g = b.build().unwrap();
+        assert!(
+            (0..g.nvtxs()).any(|v| g.degree(v) == 0),
+            "no isolated vertex"
+        );
+        assert!(g.adjwgt().contains(&0), "no zero-weight edge");
+        g
+    }
+
+    /// `graph` with `ncon` type-1 (or, when `type2`, type-2) weights.
+    fn weighted(graph: &Graph, ncon: usize, type2: bool, seed: u64) -> Graph {
+        match (ncon, type2) {
+            (1, _) => graph.clone(),
+            (_, false) => synthetic::type1(graph, ncon, seed),
+            (_, true) => synthetic::type2(graph, ncon, seed),
+        }
+    }
+
+    #[test]
+    fn fm_makes_the_reference_moves() {
+        reference::ROLLED_BACK.with(|r| r.set(0));
+        let bases = [
+            ("grid16", grid_2d(16, 16)),
+            ("grid9x30", grid_2d(9, 30)),
+            ("mrng", mcgp_graph::generators::mrng_like(700, 3)),
+            ("rmat1", weighted_rmat(1)),
+            ("rmat2", weighted_rmat(2)),
+        ];
+        let configs = [
+            PartitionConfig::default(),
+            PartitionConfig {
+                fm_passes: 20,
+                fm_window: 15,
+                ..PartitionConfig::default()
+            },
+            PartitionConfig {
+                fm_passes: 12,
+                fm_window: 3,
+                imbalance_tol: 0.01,
+                ..PartitionConfig::default()
+            },
+        ];
+        let mut cases = 0usize;
+        for (name, base) in &bases {
+            let n = base.nvtxs();
+            for ncon in 1..=5usize {
+                let g = weighted(base, ncon, ncon % 2 == 0, ncon as u64);
+                for fraction in [0.5, 1.0 / 3.0] {
+                    let fr = (fraction, 1.0 - fraction);
+                    for (ci, cfg) in configs.iter().enumerate() {
+                        for seed in [1u64, 2] {
+                            let start: Vec<u32> = if seed == 1 {
+                                random_side(n, seed + ncon as u64)
+                            } else {
+                                // Skewed: about 90% on side 0.
+                                let mut r = rng(seed * 31 + ncon as u64);
+                                (0..n)
+                                    .map(|_| (r.gen_range(0..10u32) == 0) as u32)
+                                    .collect()
+                            };
+                            let mut want = start.clone();
+                            let mut want_rng = rng(seed);
+                            let want_stats = reference::fm_refine_bisection(
+                                &g,
+                                &mut want,
+                                fr,
+                                cfg,
+                                &mut want_rng,
+                            );
+                            let mut got = start;
+                            let mut got_rng = rng(seed);
+                            let got_stats =
+                                fm_refine_bisection(&g, &mut got, fr, cfg, &mut got_rng);
+                            let at =
+                                format!("{name} ncon {ncon} f {fraction:.3} cfg {ci} seed {seed}");
+                            assert_eq!(got, want, "{at}: side");
+                            assert_eq!(got_stats, want_stats, "{at}: stats");
+                            assert_eq!(got_rng.state(), want_rng.state(), "{at}: RNG draws");
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 5 * 5 * 2 * 3 * 2);
+        let undone = reference::ROLLED_BACK.with(|r| r.get());
+        assert!(undone > 1000, "only {undone} moves rolled back");
+    }
+
+    /// One workspace over calls on graphs of different sizes and
+    /// constraint counts gives what fresh buffers give.
+    #[test]
+    fn a_reused_workspace_matches_fresh_calls() {
+        let cfg = PartitionConfig::default();
+        let mut ws = FmWorkspace::default();
+        let graphs = [
+            synthetic::type1(&grid_2d(20, 20), 3, 1),
+            weighted_rmat(3),
+            grid_2d(6, 6),
+            synthetic::type2(&grid_2d(12, 12), 5, 2),
+        ];
+        for (i, g) in graphs.iter().enumerate() {
+            let start = random_side(g.nvtxs(), i as u64);
+            let mut want = start.clone();
+            let want_stats = fm_refine_bisection(g, &mut want, (0.5, 0.5), &cfg, &mut rng(7));
+            let bal = TwoWayBalance::new(g, (0.5, 0.5), cfg.imbalance_tol);
+            let mut got = start;
+            let got_stats = fm_refine_with(g, &mut got, &bal, &cfg, &mut rng(7), &mut ws);
+            assert_eq!(got, want, "graph {i}");
+            assert_eq!(got_stats, want_stats, "graph {i}");
         }
     }
 

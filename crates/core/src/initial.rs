@@ -19,7 +19,7 @@
 //! too imbalanced.
 
 use crate::config::PartitionConfig;
-use crate::fm2way::{cut_of, fm_refine_bisection, TwoWayBalance};
+use crate::fm2way::{fm_refine_with, FmWorkspace, TwoWayBalance};
 use crate::pqueue::IndexedMaxHeap;
 use mcgp_graph::Graph;
 use mcgp_runtime::rng::SliceRandom;
@@ -114,11 +114,11 @@ pub fn bin_packing(graph: &Graph, fraction: f64, rng: &mut Rng) -> Vec<u32> {
         .iter()
         .map(|&t| if t > 0 { 1.0 / t as f64 } else { 0.0 })
         .collect();
+    let dominant: Vec<f64> = (0..n).map(|v| dominant_norm(graph.vwgt(v), &inv)).collect();
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(rng);
     order.sort_by(|&a, &b| {
-        let da = dominant_norm(graph.vwgt(a as usize), &inv);
-        let db = dominant_norm(graph.vwgt(b as usize), &inv);
+        let (da, db) = (dominant[a as usize], dominant[b as usize]);
         db.partial_cmp(&da).unwrap_or(std::cmp::Ordering::Equal)
     });
 
@@ -170,6 +170,7 @@ pub fn initial_bisection(
 ) -> Vec<u32> {
     let bal = TwoWayBalance::new(graph, (fraction, 1.0 - fraction), config.imbalance_tol);
     let tries = config.init_tries.max(1);
+    let mut ws = FmWorkspace::default();
     let mut best: Option<(bool, i64, f64, Vec<u32>)> = None;
     for attempt in 0..tries {
         // Mostly greedy growing; every fourth attempt uses bin-packing to
@@ -179,10 +180,9 @@ pub fn initial_bisection(
         } else {
             greedy_grow(graph, fraction, config.imbalance_tol, rng)
         };
-        fm_refine_bisection(graph, &mut side, (fraction, 1.0 - fraction), config, rng);
+        let cut = fm_refine_with(graph, &mut side, &bal, config, rng, &mut ws).cut;
         let sw = bal.side_weights(graph, &side);
         let feasible = bal.is_feasible(&sw);
-        let cut = cut_of(graph, &side);
         let load = bal.load(&sw);
         let better = match &best {
             None => true,
@@ -203,6 +203,7 @@ pub fn initial_bisection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fm2way::cut_of;
     use mcgp_graph::generators::{grid_2d, mrng_like};
     use mcgp_graph::synthetic;
     use mcgp_runtime::rng::Rng;

@@ -11,7 +11,7 @@
 
 use crate::coarsen::coarsen;
 use crate::config::PartitionConfig;
-use crate::fm2way::fm_refine_bisection;
+use crate::fm2way::{fm_refine_with, FmWorkspace, TwoWayBalance};
 use crate::initial::initial_bisection;
 use crate::PartitionResult;
 use mcgp_graph::subgraph::split_bisection;
@@ -27,9 +27,21 @@ pub fn multilevel_bisection(
     config: &PartitionConfig,
     rng: &mut Rng,
 ) -> Vec<u32> {
+    bisect(graph, fraction, config, rng).0
+}
+
+/// [`multilevel_bisection`], also returning the number of coarsening
+/// levels its hierarchy had. One FM workspace serves every level.
+fn bisect(
+    graph: &Graph,
+    fraction: f64,
+    config: &PartitionConfig,
+    rng: &mut Rng,
+) -> (Vec<u32>, usize) {
     let hierarchy = coarsen(graph, config.coarsen_target(2), config, rng);
     let coarsest = hierarchy.coarsest().unwrap_or(graph);
     let mut side = initial_bisection(coarsest, fraction, config, rng);
+    let mut ws = FmWorkspace::default();
     for lvl in (0..hierarchy.nlevels()).rev() {
         side = hierarchy.project(lvl, &side);
         let finer = if lvl == 0 {
@@ -37,9 +49,10 @@ pub fn multilevel_bisection(
         } else {
             &hierarchy.levels()[lvl - 1].graph
         };
-        fm_refine_bisection(finer, &mut side, (fraction, 1.0 - fraction), config, rng);
+        let bal = TwoWayBalance::new(finer, (fraction, 1.0 - fraction), config.imbalance_tol);
+        fm_refine_with(finer, &mut side, &bal, config, rng, &mut ws);
     }
-    side
+    (side, hierarchy.nlevels())
 }
 
 /// Recursive bisection on a raw graph; returns the assignment into
@@ -51,6 +64,17 @@ pub fn recursive_bisection_assignment(
     config: &PartitionConfig,
     rng: &mut Rng,
 ) -> Vec<u32> {
+    recursive_bisection(graph, nparts, config, rng).0
+}
+
+/// [`recursive_bisection_assignment`], also returning the coarsening level
+/// count of the top-level bisection, or `None` when no bisection ran.
+fn recursive_bisection(
+    graph: &Graph,
+    nparts: usize,
+    config: &PartitionConfig,
+    rng: &mut Rng,
+) -> (Vec<u32>, Option<usize>) {
     // Per-bisection imbalance compounds multiplicatively over the recursion
     // depth, so split the user's tolerance across the levels:
     // (1 + tol_level)^depth = 1 + tol.
@@ -61,10 +85,12 @@ pub fn recursive_bisection_assignment(
         ..config.clone()
     };
     let mut assignment = vec![0u32; graph.nvtxs()];
-    recurse(graph, nparts, 0, &level_config, rng, &mut assignment);
-    assignment
+    let levels = recurse(graph, nparts, 0, &level_config, rng, &mut assignment);
+    (assignment, levels)
 }
 
+/// Fills `out` with parts `base..base + nparts`. Returns the coarsening
+/// level count of this call's own bisection, or `None` when it made none.
 fn recurse(
     graph: &Graph,
     nparts: usize,
@@ -72,11 +98,11 @@ fn recurse(
     config: &PartitionConfig,
     rng: &mut Rng,
     out: &mut [u32],
-) {
+) -> Option<usize> {
     debug_assert_eq!(out.len(), graph.nvtxs());
     if nparts <= 1 {
         out.fill(base);
-        return;
+        return None;
     }
     // Degenerate granularity: with as many parts as vertices (or fewer
     // vertices after an uneven split), give every vertex its own part —
@@ -85,17 +111,17 @@ fn recurse(
         for (i, o) in out.iter_mut().enumerate() {
             *o = base + (i as u32).min(nparts as u32 - 1);
         }
-        return;
+        return None;
     }
     let left_parts = nparts.div_ceil(2);
     let right_parts = nparts - left_parts;
     let fraction = left_parts as f64 / nparts as f64;
-    let side = multilevel_bisection(graph, fraction, config, rng);
+    let (side, levels) = bisect(graph, fraction, config, rng);
     if nparts == 2 {
         for (o, &s) in out.iter_mut().zip(&side) {
             *o = base + s;
         }
-        return;
+        return Some(levels);
     }
     let (left, right) = split_bisection(graph, &side);
     let mut left_out = vec![0u32; left.graph.nvtxs()];
@@ -142,6 +168,7 @@ fn recurse(
     for (local, &parent) in right.to_parent.iter().enumerate() {
         out[parent as usize] = right_out[local];
     }
+    Some(levels)
 }
 
 /// Multilevel recursive bisection partitioner (public driver).
@@ -157,12 +184,12 @@ pub fn partition_rb(graph: &Graph, nparts: usize, config: &PartitionConfig) -> P
     assert!(nparts >= 1, "nparts must be >= 1");
     assert!(graph.nvtxs() >= nparts, "more parts than vertices");
     let mut rng = Rng::seed_from_u64(config.seed);
-    // Level count of the top-level bisection, for statistics.
-    let levels = {
-        let mut probe_rng = Rng::seed_from_u64(config.seed);
-        coarsen(graph, config.coarsen_target(2), config, &mut probe_rng).nlevels()
-    };
-    let assignment = recursive_bisection_assignment(graph, nparts, config, &mut rng);
+    let (assignment, top_levels) = recursive_bisection(graph, nparts, config, &mut rng);
+    // Level count of the top-level bisection, for statistics. Coarsening
+    // does not read the tolerance that recursion splits per level, so that
+    // bisection's hierarchy is the one a fresh coarsening under `config`
+    // builds; only when no bisection ran is the probe coarsened.
+    let levels = top_levels.unwrap_or_else(|| probe_levels(graph, config));
     // Seam: post-refine (recursive bisection refines inside each split).
     if config.check.enabled() {
         crate::kway::enforce(mcgp_graph::check::check_assignment(
@@ -176,6 +203,13 @@ pub fn partition_rb(graph: &Graph, nparts: usize, config: &PartitionConfig) -> P
         ));
     }
     PartitionResult::measure(graph, assignment, nparts, levels)
+}
+
+/// Level count of a coarsening of `graph` to the bisection target, from a
+/// fresh RNG stream on `config.seed`.
+fn probe_levels(graph: &Graph, config: &PartitionConfig) -> usize {
+    let mut probe_rng = Rng::seed_from_u64(config.seed);
+    coarsen(graph, config.coarsen_target(2), config, &mut probe_rng).nlevels()
 }
 
 #[cfg(test)]
@@ -250,6 +284,26 @@ mod tests {
         let c = partition_rb(&g, 4, &cfg.with_seed(1));
         // Different seed very likely differs.
         assert_ne!(a.partition.assignment(), c.partition.assignment());
+    }
+
+    #[test]
+    fn coarsen_levels_equal_a_probe_coarsening() {
+        let g = synthetic::type1(&mrng_like(3000, 2), 2, 3);
+        for seed in [1u64, 4] {
+            for threads in [1usize, 2] {
+                let cfg = PartitionConfig::default()
+                    .with_seed(seed)
+                    .with_threads(threads);
+                // A second, stand-alone coarsening of the whole graph.
+                let mut probe_rng = Rng::seed_from_u64(seed);
+                let probe = coarsen(&g, cfg.coarsen_target(2), &cfg, &mut probe_rng).nlevels();
+                assert!(probe > 1, "mesh does not coarsen");
+                for k in [1usize, 2, 6] {
+                    let r = partition_rb(&g, k, &cfg);
+                    assert_eq!(r.coarsen_levels, probe, "k {k} seed {seed} t {threads}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1085,6 +1085,8 @@ fn run_serve(opts: &Opts) {
     }
     // Every request without `threads=` would get a 400 otherwise.
     check_threads(config.default_threads, "--threads (or MCGP_THREADS)", usage);
+    // One OS thread per worker, spawned after bind.
+    check_threads(config.workers, "--workers", usage);
     if trace_file.is_some() {
         mcgp_runtime::trace::set_enabled(true);
     }
@@ -1302,6 +1304,9 @@ fn run_bench(opts: &Opts) {
         Some(other) => die(format!("unknown bench target `{other}` (only `serve`)\n{usage}")),
         None => die(usage),
     }
+    // One OS thread per client and per daemon worker.
+    check_threads(cfg.clients, "--clients", usage);
+    check_threads(cfg.workers, "--workers", usage);
     // The load generator runs its daemon in-process, so one profiler
     // session sees both the clients and the server workers.
     let profiler = profile_file

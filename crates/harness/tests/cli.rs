@@ -200,6 +200,31 @@ fn tol_outside_the_daemon_range_is_a_usage_error() {
     }
 }
 
+/// Runs `cmd` with piped stderr and returns its exit code and stderr. A
+/// process still running after 20 s is killed and fails the test.
+fn exit_within_deadline(mut cmd: Command, what: &str) -> (Option<i32>, String) {
+    let mut child = cmd
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn mcgp");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll mcgp") {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{what}: mcgp kept running instead of exiting");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    (status.code(), stderr)
+}
+
 #[test]
 fn serve_rejects_out_of_range_default_threads_at_startup() {
     for (flag, env) in [(Some("0"), None), (Some("257"), None), (None, Some("100000000"))] {
@@ -211,33 +236,39 @@ fn serve_rejects_out_of_range_default_threads_at_startup() {
         if let Some(t) = env {
             cmd.env("MCGP_THREADS", t);
         }
-        let mut child = cmd
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::piped())
-            .spawn()
-            .expect("spawn mcgp serve");
-        // A daemon that starts anyway would never exit: give it a bounded
-        // wait, then kill it and fail.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        let status = loop {
-            if let Some(status) = child.try_wait().expect("poll mcgp serve") {
-                break status;
-            }
-            if std::time::Instant::now() > deadline {
-                let _ = child.kill();
-                let _ = child.wait();
-                panic!("{flag:?}/{env:?}: mcgp serve started instead of exiting");
-            }
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        };
-        let mut stderr = String::new();
-        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        let (code, stderr) = exit_within_deadline(cmd, &format!("{flag:?}/{env:?}"));
         let bad = flag.or(env).unwrap();
-        assert_eq!(status.code(), Some(2), "{flag:?}/{env:?}: {stderr}");
+        assert_eq!(code, Some(2), "{flag:?}/{env:?}: {stderr}");
         assert!(
             stderr.contains(&format!("got {bad}")),
             "{flag:?}/{env:?}: {stderr}"
         );
+    }
+}
+
+#[test]
+fn worker_and_client_counts_are_held_to_the_thread_range() {
+    // Each count is one OS thread; 0 workers used to run as 1 under a
+    // "0 workers" banner.
+    let serve: &[&str] = &["serve", "--addr", "127.0.0.1:0"];
+    let bench: &[&str] = &["bench", "serve", "--nvtxs", "2000", "--requests", "4"];
+    for (args, flag) in [
+        (serve, "--workers"),
+        (bench, "--workers"),
+        (bench, "--clients"),
+    ] {
+        for bad in ["0", "257"] {
+            let mut cmd = mcgp();
+            cmd.args(args).args([flag, bad]).env_remove("MCGP_THREADS");
+            let what = format!("{args:?} {flag} {bad}");
+            let (code, stderr) = exit_within_deadline(cmd, &what);
+            assert_eq!(code, Some(2), "{what}: {stderr}");
+            assert!(
+                stderr.contains(&format!("{flag} must be between 1 and 256, got {bad}")),
+                "{what}: {stderr}"
+            );
+            assert!(!stderr.contains("listening"), "{what} bound: {stderr}");
+        }
     }
 }
 

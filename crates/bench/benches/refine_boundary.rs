@@ -83,15 +83,14 @@ fn main() {
     let kb = 64usize;
     let cfg = PartitionConfig::default().with_seed(1);
     let mut rng = Rng::seed_from_u64(cfg.seed);
-    let hierarchy = coarsen(&g, cfg.coarsen_target(kb), &cfg, &mut rng);
-    let levels = hierarchy.levels();
+    let levels = coarsen(&g, cfg.coarsen_target(kb), &cfg, &mut rng);
     let coarsest = &levels[levels.len() - 1].graph;
     let mut projected = recursive_bisection_assignment(coarsest, kb, &cfg, &mut rng);
     let at = (0..levels.len())
         .min_by_key(|&l| levels[l].graph.nvtxs().abs_diff(4_000))
         .expect("mrng200k coarsens");
     for lvl in (at + 1..levels.len()).rev() {
-        projected = hierarchy.project(lvl, &projected);
+        projected = levels[lvl].project(&projected);
     }
     let bg = &levels[at].graph;
     let bmodel = BalanceModel::new(bg, kb, cfg.imbalance_tol);
@@ -105,7 +104,7 @@ fn main() {
     let rg = rmat_default(16, 8, 1);
     let mut rrng = Rng::seed_from_u64(cfg.seed);
     let rh = coarsen(&rg, cfg.coarsen_target(k), &cfg, &mut rrng);
-    let rcoarsest = rh.coarsest().unwrap_or(&rg);
+    let rcoarsest = rh.last().map_or(&rg, |l| &l.graph);
     b.run("refine/rb", "rmat16_k16", || {
         recursive_bisection_assignment(rcoarsest, k, &cfg, &mut rrng.clone())
     });

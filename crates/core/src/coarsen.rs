@@ -1,4 +1,4 @@
-//! Graph contraction and the coarsening hierarchy.
+//! Graph contraction and the serial coarsening hierarchy.
 //!
 //! Contraction merges each matched pair into one coarse vertex whose weight
 //! vector is the sum of its constituents and whose adjacency merges theirs
@@ -6,60 +6,16 @@
 //! vertex weight per constraint is invariant across levels — which is what
 //! keeps one balance model meaningful through the whole hierarchy.
 
-use crate::coarsen_smp::{match_smp, SMP_MIN_NVTXS};
 use crate::config::PartitionConfig;
-use crate::matching::{match_graph, GraphMatching};
+use crate::kway::Serial;
+use crate::matching::GraphMatching;
+use crate::multilevel::{build_levels, Level};
 use mcgp_graph::csr::Vertex;
 use mcgp_graph::{CheckLevel, Graph};
-use mcgp_runtime::phase::{counter_add, Counter};
 use mcgp_runtime::rng::Rng;
-use mcgp_runtime::span;
 
-/// One coarsening step: the coarse graph and the fine→coarse vertex map.
-#[derive(Clone, Debug)]
-pub struct CoarseLevel {
-    /// The contracted graph.
-    pub graph: Graph,
-    /// `cmap[fine_vertex] = coarse_vertex` for the *finer* graph of this
-    /// level.
-    pub cmap: Vec<u32>,
-}
-
-/// The full coarsening hierarchy above an input graph.
-///
-/// `levels[0]` was contracted from the input, `levels[i]` from
-/// `levels[i-1]`. An empty hierarchy means the input was already small
-/// enough.
-#[derive(Clone, Debug)]
-pub struct CoarsenHierarchy {
-    levels: Vec<CoarseLevel>,
-}
-
-impl CoarsenHierarchy {
-    /// Number of coarsening levels (0 = no contraction performed).
-    pub fn nlevels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// The levels, finest-first.
-    pub fn levels(&self) -> &[CoarseLevel] {
-        &self.levels
-    }
-
-    /// The coarsest graph, or `None` if no contraction happened.
-    pub fn coarsest(&self) -> Option<&Graph> {
-        self.levels.last().map(|l| &l.graph)
-    }
-
-    /// Projects a partition of the coarse graph of `level` onto that level's
-    /// finer graph.
-    pub fn project(&self, level: usize, coarse_assignment: &[u32]) -> Vec<u32> {
-        let cmap = &self.levels[level].cmap;
-        cmap.iter()
-            .map(|&c| coarse_assignment[c as usize])
-            .collect()
-    }
-}
+/// One coarsening step of a serial hierarchy.
+pub type CoarseLevel = Level<Graph>;
 
 const NONE: u32 = u32::MAX;
 
@@ -196,108 +152,25 @@ pub fn contract_with_scratch(
 /// Coarsens until the graph has at most `target` vertices, contraction
 /// stalls (less than 5 % reduction), or a safety cap of levels is hit.
 ///
-/// Returns the hierarchy; the number of levels is the paper's "coarsening
-/// levels" statistic (the parallel matching's under-matching shows up here).
+/// Returns the levels finest-first (`levels[0]` was contracted from the
+/// input; none means the input was already small enough); their number is
+/// the paper's "coarsening levels" statistic. This is the serial policy's
+/// level loop with no seam checks and no phase span, as recursive
+/// bisection runs it inside the initial phase.
 pub fn coarsen(
     graph: &Graph,
     target: usize,
     config: &PartitionConfig,
     rng: &mut Rng,
-) -> CoarsenHierarchy {
-    let mut coarsener = Coarsener::new(target, config);
-    let mut levels: Vec<CoarseLevel> = Vec::new();
-    while let Some(level) =
-        coarsener.next_level(levels.last().map_or(graph, |l| &l.graph), levels.len(), rng)
-    {
-        levels.push(level);
-    }
-    CoarsenHierarchy { levels }
-}
-
-/// The coarsening loop, one level per call: [`coarsen`] runs it to the end,
-/// and [`crate::hierarchy::HierarchySnapshot::build`] runs it recording the
-/// RNG state before every call.
-///
-/// A shallower coarsening of the same graph with target `T` stops before
-/// matching the first level whose input already has `≤ T` vertices — so
-/// its exit RNG state is exactly the state recorded before that level, and
-/// its levels are a prefix of a deeper run's. That prefix property is what
-/// lets one deep snapshot serve every `(nparts, ε)` combination
-/// bit-identically.
-pub(crate) struct Coarsener<'a> {
-    target: usize,
-    config: &'a PartitionConfig,
-    scratch: ContractionScratch,
-}
-
-impl<'a> Coarsener<'a> {
-    pub(crate) fn new(target: usize, config: &'a PartitionConfig) -> Self {
-        Coarsener {
-            target,
-            config,
-            scratch: ContractionScratch::with_check(config.check),
-        }
-    }
-
-    /// Contracts `cur`, the input graph of level `lvl`. Returns `None` when
-    /// the loop stops instead: `cur` is at or below the target, the level
-    /// cap is hit, or the matching stalls (less than 5 % reduction) — the
-    /// last after consuming the matching's RNG draws.
-    pub(crate) fn next_level(
-        &mut self,
-        cur: &Graph,
-        lvl: usize,
-        rng: &mut Rng,
-    ) -> Option<CoarseLevel> {
-        const MAX_LEVELS: usize = 64;
-        let config = self.config;
-        if cur.nvtxs() <= self.target || lvl >= MAX_LEVELS {
-            return None;
-        }
-        // Shared-memory matching above the size floor; small levels drop
-        // to the serial matcher (the constant floor keeps `(seed, nthreads)`
-        // determinism independent of the machine). Contraction is the one
-        // serial kernel either way.
-        let use_smp = config.nthreads > 1 && cur.nvtxs() >= SMP_MIN_NVTXS;
-        let mut sp = span!(
-            "coarsen_level",
-            level = lvl,
-            nvtxs = cur.nvtxs(),
-            nedges = cur.nedges(),
-            smp_threads = if use_smp { config.nthreads } else { 1 },
-        );
-        let matching = if use_smp {
-            // One RNG draw per level keeps the serial stream advancing
-            // identically whether or not a level aborts afterwards.
-            match_smp(cur, config.matching, config.nthreads, rng.next_u64())
-        } else {
-            match_graph(cur, config.matching, rng)
-        };
-        // Stall: a level that barely shrinks isn't worth its cost.
-        if matching.coarse_nvtxs as f64 > 0.95 * cur.nvtxs() as f64 {
-            counter_add(Counter::ContractionAborts, 1);
-            sp.record("aborted", 1u64);
-            return None;
-        }
-        counter_add(
-            Counter::VerticesMatched,
-            2 * (cur.nvtxs() - matching.coarse_nvtxs) as u64,
-        );
-        let (coarse, cmap) = contract_with_scratch(cur, &matching, &mut self.scratch);
-        sp.record("coarse_nvtxs", coarse.nvtxs());
-        sp.record("coarse_nedges", coarse.nedges());
-        sp.record("ratio", coarse.nvtxs() as f64 / cur.nvtxs() as f64);
-        Some(CoarseLevel {
-            graph: coarse,
-            cmap,
-        })
-    }
+) -> Vec<CoarseLevel> {
+    build_levels(&mut Serial::coarsening(config, rng), graph, target)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MatchingScheme;
+    use crate::matching::match_graph;
     use mcgp_graph::csr::GraphBuilder;
     use mcgp_graph::generators::{grid_2d, mrng_like};
     use mcgp_graph::synthetic;
@@ -393,12 +266,12 @@ mod tests {
         let g = mrng_like(4000, 5);
         let cfg = PartitionConfig::default();
         let h = coarsen(&g, 200, &cfg, &mut rng(4));
-        let coarsest = h.coarsest().unwrap();
-        assert!(coarsest.nvtxs() <= 200 || h.nlevels() > 0);
+        let coarsest = &h.last().unwrap().graph;
+        assert!(coarsest.nvtxs() <= 200 || !h.is_empty());
         assert!(coarsest.nvtxs() < g.nvtxs() / 4, "too little contraction");
         // Monotone shrinkage.
         let mut prev = g.nvtxs();
-        for level in h.levels() {
+        for level in &h {
             assert!(level.graph.nvtxs() < prev);
             prev = level.graph.nvtxs();
         }
@@ -409,7 +282,7 @@ mod tests {
         let g = synthetic::type2(&grid_2d(24, 24), 3, 9);
         let cfg = PartitionConfig::default();
         let h = coarsen(&g, 50, &cfg, &mut rng(5));
-        for level in h.levels() {
+        for level in &h {
             assert_eq!(level.graph.total_vwgt(), g.total_vwgt());
         }
     }
@@ -419,21 +292,21 @@ mod tests {
         let g = grid_2d(10, 10);
         let cfg = PartitionConfig::default();
         let h = coarsen(&g, 20, &cfg, &mut rng(6));
-        assert!(h.nlevels() >= 1);
-        let coarsest = h.coarsest().unwrap();
+        assert!(!h.is_empty());
+        let coarsest = &h.last().unwrap().graph;
         // Alternate parts on the coarsest graph, project to the finest.
         let mut assignment: Vec<u32> = (0..coarsest.nvtxs() as u32).map(|v| v % 2).collect();
-        for level in (0..h.nlevels()).rev() {
-            assignment = h.project(level, &assignment);
+        for level in h.iter().rev() {
+            assignment = level.project(&assignment);
         }
         assert_eq!(assignment.len(), g.nvtxs());
         // Matched fine vertices inherited the same part as their mates: the
         // projection is exactly cmap-composition, so spot-check level 0.
-        let l0 = &h.levels()[0];
+        let l0 = &h[0];
         let coarse0: Vec<u32> = {
             let mut a: Vec<u32> = (0..coarsest.nvtxs() as u32).map(|v| v % 2).collect();
-            for level in (1..h.nlevels()).rev() {
-                a = h.project(level, &a);
+            for level in h[1..].iter().rev() {
+                a = level.project(&a);
             }
             a
         };
@@ -447,7 +320,6 @@ mod tests {
         let g = grid_2d(3, 3);
         let cfg = PartitionConfig::default();
         let h = coarsen(&g, 100, &cfg, &mut rng(7));
-        assert_eq!(h.nlevels(), 0);
-        assert!(h.coarsest().is_none());
+        assert!(h.is_empty());
     }
 }

@@ -17,16 +17,18 @@
 //! cold driver stops coarsening *before* matching the first level whose
 //! input is at or below its target, so its levels are a prefix of the
 //! deep hierarchy and its post-coarsening RNG state is exactly the
-//! recorded boundary state (see `coarsen::Coarsener`); both
-//! paths then run the one shared `initial_and_refine` routine.
+//! recorded boundary state (see [`multilevel::build_levels`]); both paths
+//! then run the one shared [`multilevel::uncoarsen`] walk with the serial
+//! policy.
 
-use crate::coarsen::{CoarseLevel, Coarsener};
+use crate::coarsen::CoarseLevel;
 use crate::config::PartitionConfig;
-use crate::kway::{check_levels, initial_and_refine};
+use crate::kway::Serial;
+use crate::multilevel;
 use crate::PartitionResult;
 use mcgp_graph::Graph;
 use mcgp_runtime::rng::Rng;
-use mcgp_runtime::{span, Phase};
+use mcgp_runtime::span;
 
 /// A deep coarsening hierarchy with recorded per-level RNG states, able to
 /// serve any `(nparts, ε)` partitioning request on its graph without
@@ -56,25 +58,10 @@ impl HierarchySnapshot {
             nthreads = config.nthreads,
         );
         let mut rng = Rng::seed_from_u64(config.seed);
-        let mut coarsener = Coarsener::new(config.coarsen_to_min, config);
-        let mut levels: Vec<CoarseLevel> = Vec::new();
-        let mut rng_at = Vec::new();
-        let coarsening = span!(Phase::Coarsen, nvtxs = graph.nvtxs());
-        loop {
-            rng_at.push(rng.clone());
-            let cur = levels.last().map_or(graph, |l| &l.graph);
-            let Some(mut level) = coarsener.next_level(cur, levels.len(), &mut rng) else {
-                break;
-            };
-            // A snapshot outlives many requests: release the contraction's
-            // up-front adjacency reservation before the next level
-            // allocates, so that level can reuse the space.
-            level.graph.shrink_to_fit();
-            levels.push(level);
-        }
-        drop(coarsening);
+        let mut policy = Serial::snapshot(config, &mut rng);
+        let levels = multilevel::coarsen(&mut policy, graph, config.coarsen_to_min);
+        let rng_at = policy.rng_at.take().expect("a snapshot policy records");
         _root.record("levels", levels.len());
-        check_levels(graph, &levels, config.check);
         HierarchySnapshot {
             levels,
             rng_at,
@@ -261,7 +248,8 @@ impl HierarchySnapshot {
             self.rng_final.clone()
         };
         let used = &self.levels[..cut];
-        let assignment = initial_and_refine(graph, used, nparts, config, &mut rng);
+        let mut policy = Serial::new(config, nparts, &mut rng);
+        let assignment = multilevel::uncoarsen(&mut policy, graph, used);
         PartitionResult::measure(graph, assignment, nparts, used.len())
     }
 }
@@ -305,9 +293,9 @@ mod tests {
             for target in [150usize, 300, 600, 1200, 6000] {
                 let mut r = Rng::seed_from_u64(8);
                 let shallow = coarsen(&g, target, &cfg, &mut r);
-                let l = shallow.nlevels();
+                let l = shallow.len();
                 assert!(l <= snap.nlevels());
-                for (a, b) in shallow.levels().iter().zip(snap.levels()) {
+                for (a, b) in shallow.iter().zip(snap.levels()) {
                     assert_eq!(a.cmap, b.cmap);
                     assert_eq!(a.graph.nvtxs(), b.graph.nvtxs());
                     assert_eq!(a.graph.xadj(), b.graph.xadj());
@@ -318,7 +306,7 @@ mod tests {
                 let stopped_size = if l == 0 {
                     g.nvtxs() <= target
                 } else {
-                    shallow.levels()[l - 1].graph.nvtxs() <= target
+                    shallow[l - 1].graph.nvtxs() <= target
                 };
                 if stopped_size {
                     assert_eq!(r, rng_at[l]);

@@ -24,6 +24,7 @@ use crate::pqueue::IndexedMaxHeap;
 use mcgp_graph::Graph;
 use mcgp_runtime::rng::SliceRandom;
 use mcgp_runtime::rng::Rng;
+use std::collections::HashMap;
 
 /// Grows side 0 greedily to `fraction` of every constraint. Returns the
 /// side assignment (0 = grown region, 1 = remainder).
@@ -36,7 +37,13 @@ pub fn greedy_grow(graph: &Graph, fraction: f64, tol: f64, rng: &mut Rng) -> Vec
 
     let mut side = vec![1u32; n];
     let mut sw0 = vec![0i64; ncon];
-    let mut in_queue = vec![false; n];
+    // Gain of absorbing a vertex, (edges into the region) − (edges out):
+    // a queued vertex's is its key; one dropped as unfit keeps its key in
+    // `kept`, so the neighbour that re-adds it adds to that, not a rescan.
+    // Dropped vertices are few: a flag per vertex and a map hold their
+    // gains, not an `i64` per vertex.
+    let mut dropped = vec![false; n];
+    let mut kept: HashMap<u32, i64> = HashMap::new();
     let mut frontier = IndexedMaxHeap::new(n);
     let mut remaining: Vec<u32> = (0..n as u32).collect();
     remaining.shuffle(rng);
@@ -45,8 +52,8 @@ pub fn greedy_grow(graph: &Graph, fraction: f64, tol: f64, rng: &mut Rng) -> Vec
     let reached = |sw0: &[i64]| (0..ncon).all(|i| tot[i] == 0 || sw0[i] as f64 >= target[i]);
 
     while !reached(&sw0) {
-        let v = match frontier.pop() {
-            Some((v, _)) => v as usize,
+        let (v, key) = match frontier.pop() {
+            Some((v, key)) => (v as usize, Some(key)),
             None => {
                 // Disconnected or exhausted frontier: seed a fresh region.
                 let mut found = None;
@@ -59,7 +66,7 @@ pub fn greedy_grow(graph: &Graph, fraction: f64, tol: f64, rng: &mut Rng) -> Vec
                     }
                 }
                 match found {
-                    Some(s) => s,
+                    Some(s) => (s, None),
                     None => break, // everything grown
                 }
             }
@@ -70,9 +77,11 @@ pub fn greedy_grow(graph: &Graph, fraction: f64, tol: f64, rng: &mut Rng) -> Vec
         // Respect side-0 caps; an unfit vertex is simply skipped (it can
         // re-enter via a later neighbour with an updated gain).
         let vw = graph.vwgt(v);
-        let fits = (0..ncon).all(|i| sw0[i] + vw[i] <= bal.caps()[i]);
-        if !fits {
-            in_queue[v] = false;
+        if (0..ncon).any(|i| sw0[i] + vw[i] > bal.caps()[i]) {
+            if let Some(key) = key {
+                dropped[v] = true;
+                kept.insert(v as u32, key);
+            }
             continue;
         }
         side[v] = 0;
@@ -80,24 +89,19 @@ pub fn greedy_grow(graph: &Graph, fraction: f64, tol: f64, rng: &mut Rng) -> Vec
             sw0[i] += vw[i];
         }
         for (u, w) in graph.edges(v) {
-            let u = u as usize;
-            if side[u] == 1 {
-                // Gain of absorbing u = (edges into region) - (edges out).
-                let key_delta = 2 * w;
-                if in_queue[u] && frontier.contains(u as u32) {
-                    frontier.update(u as u32, frontier.key(u as u32) + key_delta);
+            if side[u as usize] == 1 {
+                let gain = if frontier.contains(u) {
+                    frontier.key(u) + 2 * w
+                } else if std::mem::take(&mut dropped[u as usize]) {
+                    kept[&u] + 2 * w
                 } else {
-                    let mut g = 0i64;
-                    for (x, xw) in graph.edges(u) {
-                        if side[x as usize] == 0 {
-                            g += xw;
-                        } else {
-                            g -= xw;
-                        }
-                    }
-                    frontier.upsert(u as u32, g);
-                    in_queue[u] = true;
-                }
+                    // First touch: count the gain from scratch (v included).
+                    graph
+                        .edges(u as usize)
+                        .map(|(x, xw)| if side[x as usize] == 0 { xw } else { -xw })
+                        .sum()
+                };
+                frontier.upsert(u, gain);
             }
         }
     }
@@ -210,6 +214,109 @@ mod tests {
 
     fn rng(seed: u64) -> Rng {
         Rng::seed_from_u64(seed)
+    }
+
+    /// The previous `greedy_grow`, kept as the oracle of the kept-gain
+    /// frontier: an unfit vertex is dropped and its gain recounted from its
+    /// whole adjacency when a later neighbour re-adds it.
+    fn greedy_grow_rescan(graph: &Graph, fraction: f64, tol: f64, rng: &mut Rng) -> Vec<u32> {
+        let n = graph.nvtxs();
+        let ncon = graph.ncon();
+        let bal = TwoWayBalance::new(graph, (fraction, 1.0 - fraction), tol);
+        let tot = graph.total_vwgt();
+        let target: Vec<f64> = tot.iter().map(|&t| fraction * t as f64).collect();
+        let mut side = vec![1u32; n];
+        let mut sw0 = vec![0i64; ncon];
+        let mut in_queue = vec![false; n];
+        let mut frontier = IndexedMaxHeap::new(n);
+        let mut remaining: Vec<u32> = (0..n as u32).collect();
+        remaining.shuffle(rng);
+        let mut next_seed = 0usize;
+        let reached = |sw0: &[i64]| (0..ncon).all(|i| tot[i] == 0 || sw0[i] as f64 >= target[i]);
+        while !reached(&sw0) {
+            let v = match frontier.pop() {
+                Some((v, _)) => v as usize,
+                None => {
+                    let mut found = None;
+                    while next_seed < remaining.len() {
+                        let s = remaining[next_seed] as usize;
+                        next_seed += 1;
+                        if side[s] == 1 {
+                            found = Some(s);
+                            break;
+                        }
+                    }
+                    match found {
+                        Some(s) => s,
+                        None => break,
+                    }
+                }
+            };
+            if side[v] == 0 {
+                continue;
+            }
+            let vw = graph.vwgt(v);
+            let fits = (0..ncon).all(|i| sw0[i] + vw[i] <= bal.caps()[i]);
+            if !fits {
+                in_queue[v] = false;
+                continue;
+            }
+            side[v] = 0;
+            for i in 0..ncon {
+                sw0[i] += vw[i];
+            }
+            for (u, w) in graph.edges(v) {
+                let u = u as usize;
+                if side[u] == 1 {
+                    let key_delta = 2 * w;
+                    if in_queue[u] && frontier.contains(u as u32) {
+                        frontier.update(u as u32, frontier.key(u as u32) + key_delta);
+                    } else {
+                        let mut g = 0i64;
+                        for (x, xw) in graph.edges(u) {
+                            if side[x as usize] == 0 {
+                                g += xw;
+                            } else {
+                                g -= xw;
+                            }
+                        }
+                        frontier.upsert(u as u32, g);
+                        in_queue[u] = true;
+                    }
+                }
+            }
+        }
+        side
+    }
+
+    #[test]
+    fn greedy_grow_matches_the_rescanning_oracle() {
+        use mcgp_graph::generators::rmat_default;
+        let bases = [
+            grid_2d(23, 17),
+            mrng_like(1500, 3),
+            mrng_like(4000, 8),
+            rmat_default(10, 8, 2),
+            rmat_default(11, 4, 5),
+        ];
+        let mut cases = 0;
+        for (b, base) in bases.iter().enumerate() {
+            for ncon in 1..=5usize {
+                for weighted in [synthetic::type1(base, ncon, b as u64), synthetic::type2(base, ncon, b as u64)] {
+                    for fraction in [0.5, 1.0 / 3.0] {
+                        for seed in 0..3u64 {
+                            let (mut r1, mut r2) = (rng(seed), rng(seed));
+                            let fast = greedy_grow(&weighted, fraction, 0.05, &mut r1);
+                            let slow = greedy_grow_rescan(&weighted, fraction, 0.05, &mut r2);
+                            assert_eq!(fast, slow, "base {b} ncon {ncon} fraction {fraction} seed {seed}");
+                            assert_eq!(r1, r2, "rng state, base {b} ncon {ncon} seed {seed}");
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 5 * 5 * 2 * 2 * 3);
     }
 
     #[test]

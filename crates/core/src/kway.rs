@@ -1,173 +1,210 @@
-//! The multilevel k-way driver — the serial algorithm of the paper's
+//! The multilevel k-way partitioner — the serial algorithm of the paper's
 //! experiments (coarsen → recursive-bisection initial partitioning of the
-//! coarsest graph → greedy multi-constraint refinement during uncoarsening).
+//! coarsest graph → greedy multi-constraint refinement during uncoarsening)
+//! — as the serial policy of the [`crate::multilevel`] driver.
 
-use crate::balance::{part_weights, rebalance, BalanceModel};
+use crate::balance::{imbalances_from_pw, part_weights, rebalance, BalanceModel};
 use crate::boundary::RefineWorkspace;
-use crate::coarsen::{coarsen, CoarseLevel};
+use crate::coarsen::{contract_with_scratch, CoarseLevel, ContractionScratch};
+use crate::coarsen_smp::{match_smp, SMP_MIN_NVTXS};
 use crate::config::PartitionConfig;
-use crate::kway_refine::{greedy_kway_refine_ws, KwayRefineStats};
+use crate::kway_refine::greedy_kway_refine_ws;
 use crate::kway_refine_smp::{smp_kway_refine_ws, SMP_REFINE_MIN_NVTXS};
+use crate::matching::match_graph;
+use crate::multilevel::{self, enforce, Level, LevelFields, Policy, Seam};
 use crate::rb::recursive_bisection_assignment;
 use crate::PartitionResult;
-use crate::balance::imbalances_from_pw;
 use mcgp_graph::check as gcheck;
 use mcgp_graph::{CheckLevel, Graph};
+use mcgp_runtime::phase::{counter_add, Counter};
 use mcgp_runtime::rng::Rng;
-use mcgp_runtime::{event, span, Phase};
+use mcgp_runtime::{span, trace, Span};
 
-/// Aborts on an invariant violation detected at a pipeline seam. These are
-/// partitioner bugs (never input errors — those surface as `Result`s from
-/// the I/O layer), so the driver fails loudly with the invariant's name.
-pub(crate) fn enforce(result: mcgp_graph::Result<()>) {
-    if let Err(e) = result {
-        panic!("mcgp-check: {e}");
-    }
-}
-
-/// Seam: post-coarsen. Each contraction must conserve the per-constraint
-/// weight totals, shrink the graph, and produce a structurally valid CSR
-/// with an in-range projection map. Shared between the cold driver and
-/// [`crate::hierarchy::HierarchySnapshot::build`].
-pub(crate) fn check_levels(graph: &Graph, levels: &[CoarseLevel], check: CheckLevel) {
-    if !check.enabled() {
-        return;
-    }
-    let mut finer = graph;
-    for level in levels {
-        enforce(gcheck::check_graph(&level.graph, check));
-        enforce(gcheck::check_conserved_weights(finer, &level.graph));
-        enforce(gcheck::check_projection(
-            &level.cmap,
-            finer.nvtxs(),
-            level.graph.nvtxs(),
-        ));
-        finer = &level.graph;
-    }
-}
-
-/// Phases 2+3 of the multilevel driver: initial partitioning of the
-/// coarsest graph, then uncoarsening with refinement down `levels`.
-///
-/// Factored out of [`partition_kway`] so the warm path of a cached
-/// [`crate::hierarchy::HierarchySnapshot`] runs *exactly* the same code on
-/// *exactly* the same RNG state as a cold run — bit-identical results are a
-/// structural property, not a re-implementation kept in sync by tests.
-/// `levels` is finest-first, as produced by [`coarsen`]; `rng` must hold
-/// the post-coarsening RNG state.
-pub(crate) fn initial_and_refine(
-    graph: &Graph,
-    levels: &[CoarseLevel],
+/// The serial policy: one RNG stream, the serial or pooled matcher, the one
+/// contraction kernel, recursive bisection, and the greedy or SMP k-way
+/// refiner. It serves every `nthreads`: the pooled matcher and the SMP
+/// refiner take over above fixed vertex counts, so which kernel runs is
+/// part of the `(seed, nthreads)` contract, not of the machine.
+pub(crate) struct Serial<'a> {
+    config: &'a PartitionConfig,
     nparts: usize,
-    config: &PartitionConfig,
-    rng: &mut Rng,
-) -> Vec<u32> {
-    let nlevels = levels.len();
-    let coarsest = levels.last().map_or(graph, |l| &l.graph);
+    rng: &'a mut Rng,
+    /// Seam validation level (the contraction scratch keeps its own).
+    check: CheckLevel,
+    scratch: ContractionScratch,
+    ws: RefineWorkspace,
+    /// Snapshot builds only: the RNG state after each level, and each
+    /// level's graph trimmed right after contraction.
+    pub(crate) rng_at: Option<Vec<Rng>>,
+}
 
-    // Phase 2: initial partitioning of the coarsest graph via recursive
-    // bisection.
-    let mut assignment = {
-        let _s = span!(Phase::Initial, nvtxs = coarsest.nvtxs(), nparts = nparts);
-        recursive_bisection_assignment(coarsest, nparts, config, rng)
-    };
-
-    // Seam: post-initial. Recursive bisection must emit an in-range
-    // assignment that covers every subdomain.
-    if config.check.enabled() {
-        enforce(gcheck::check_assignment(coarsest, &assignment, nparts));
-        enforce(gcheck::check_no_empty_parts(&assignment, nparts));
+impl<'a> Serial<'a> {
+    /// The policy of an `nparts`-way partition drawing from `rng`.
+    pub(crate) fn new(config: &'a PartitionConfig, nparts: usize, rng: &'a mut Rng) -> Self {
+        Serial {
+            config,
+            nparts,
+            rng,
+            check: config.check,
+            scratch: ContractionScratch::with_check(config.check),
+            ws: RefineWorkspace::new(),
+            rng_at: None,
+        }
     }
 
-    // Phase 3: uncoarsening with refinement (and explicit balancing when a
-    // level starts outside the caps). One workspace serves every level: the
-    // boundary engine's buffers grow to the finest level once instead of
-    // being reallocated per level.
-    let mut ws = RefineWorkspace::new();
-    let refine_on = |lvl: usize,
-                     g: &Graph,
-                     assignment: &mut Vec<u32>,
-                     rng: &mut Rng,
-                     ws: &mut RefineWorkspace| {
-        let model = BalanceModel::new(g, nparts, config.imbalance_tol);
-        let mut pw = part_weights(g, assignment, nparts);
-        if !model.is_balanced(&pw) {
-            rebalance(g, assignment, &mut pw, &model, rng);
+    /// A coarsening-only policy that checks no seams (recursive
+    /// bisection's hierarchies and [`crate::coarsen::coarsen`]).
+    pub(crate) fn coarsening(config: &'a PartitionConfig, rng: &'a mut Rng) -> Self {
+        Serial {
+            check: CheckLevel::Off,
+            ..Serial::new(config, 0, rng)
         }
-        // The parallel refiner takes over at `nthreads > 1` on levels big
-        // enough to stripe; the threshold is a fixed constant, so which
-        // refiner runs is part of the `(seed, nthreads)` contract.
-        let stats: KwayRefineStats =
-            if config.nthreads > 1 && g.nvtxs() >= SMP_REFINE_MIN_NVTXS {
-                smp_kway_refine_ws(
-                    g,
-                    assignment,
-                    &mut pw,
-                    &model,
-                    config.refine_iters,
-                    config.nthreads,
-                    rng,
-                    ws,
-                )
-            } else {
-                greedy_kway_refine_ws(g, assignment, &mut pw, &model, config.refine_iters, rng, ws)
-            };
-        // Seam: post-refine. Refinement moves vertices but must keep the
-        // assignment in range and every subdomain populated.
-        if config.check.enabled() {
-            enforce(gcheck::check_assignment(g, assignment, nparts));
-            enforce(gcheck::check_no_empty_parts(assignment, nparts));
-        }
-        // Field expressions (cut recount, imbalance scan) are only
-        // evaluated when tracing is enabled.
-        event!(
-            "uncoarsen_level",
-            level = lvl,
-            nvtxs = g.nvtxs(),
-            boundary = ws.engine.boundary().len(),
-            moves = stats.moves,
-            cut = mcgp_graph::metrics::edge_cut_raw(g, assignment),
-            imbalance = imbalances_from_pw(&pw, g.ncon(), &model),
-        );
-    };
+    }
 
-    // Refine the initial partitioning on the coarsest graph itself.
-    {
-        let _s = span!(Phase::Refine, nlevels = nlevels, nvtxs = graph.nvtxs());
-        refine_on(nlevels, coarsest, &mut assignment, rng, &mut ws);
-        for lvl in (0..nlevels).rev() {
-            let cmap = &levels[lvl].cmap;
-            assignment = cmap
-                .iter()
-                .map(|&c| assignment[c as usize])
-                .collect();
-            let finer = if lvl == 0 {
-                graph
+    /// A coarsening-only policy for a cached snapshot: it checks seams,
+    /// records the RNG state before every level and trims each level.
+    pub(crate) fn snapshot(config: &'a PartitionConfig, rng: &'a mut Rng) -> Self {
+        let rng_at = Some(vec![rng.clone()]);
+        Serial {
+            rng_at,
+            ..Serial::new(config, 0, rng)
+        }
+    }
+}
+
+impl Policy for Serial<'_> {
+    type Graph = Graph;
+
+    fn check(&self) -> CheckLevel {
+        self.check
+    }
+
+    fn nparts(&self) -> usize {
+        self.nparts
+    }
+
+    fn coarsen_level(&mut self, cur: &Graph, _lvl: usize, sp: &mut Span) -> Option<CoarseLevel> {
+        let config = self.config;
+        // Shared-memory matching above the size floor; small levels drop
+        // to the serial matcher (the constant floor keeps `(seed, nthreads)`
+        // determinism independent of the machine). Contraction is the one
+        // serial kernel either way.
+        let use_smp = config.nthreads > 1 && cur.nvtxs() >= SMP_MIN_NVTXS;
+        sp.record("nedges", cur.nedges());
+        sp.record("smp_threads", if use_smp { config.nthreads } else { 1 });
+        let matching = {
+            let _m = span!("matching", nvtxs = cur.nvtxs());
+            if use_smp {
+                // One RNG draw per level keeps the serial stream advancing
+                // identically whether or not a level aborts afterwards.
+                match_smp(cur, config.matching, config.nthreads, self.rng.next_u64())
             } else {
-                &levels[lvl - 1].graph
-            };
-            // Seam: post-project. Projection maps every fine vertex through
-            // the cmap, so length and range must already hold here.
-            if config.check.enabled() {
-                enforce(gcheck::check_assignment(finer, &assignment, nparts));
+                match_graph(cur, config.matching, self.rng)
             }
-            refine_on(lvl, finer, &mut assignment, rng, &mut ws);
+        };
+        // Stall: a level that barely shrinks isn't worth its cost.
+        if matching.coarse_nvtxs as f64 > 0.95 * cur.nvtxs() as f64 {
+            return None;
         }
+        counter_add(
+            Counter::VerticesMatched,
+            2 * (cur.nvtxs() - matching.coarse_nvtxs) as u64,
+        );
+        let (graph, cmap) = {
+            let _c = span!("contract", nvtxs = matching.coarse_nvtxs);
+            contract_with_scratch(cur, &matching, &mut self.scratch)
+        };
+        sp.record("coarse_nedges", graph.nedges());
+        let mut level = Level { graph, cmap };
+        if let Some(rng_at) = &mut self.rng_at {
+            // A snapshot outlives many requests: release the contraction's
+            // up-front adjacency reservation before the next level
+            // allocates, so that level can reuse the space.
+            level.graph.shrink_to_fit();
+            rng_at.push(self.rng.clone());
+        }
+        Some(level)
+    }
 
-        // Final feasibility passes at the finest level: alternate balancing
-        // and refinement until the caps hold (bounded rounds).
-        let model = BalanceModel::new(graph, nparts, config.imbalance_tol);
-        let mut pw = part_weights(graph, &assignment, nparts);
+    fn check_level(&self, finer: &Graph, level: &CoarseLevel) {
+        // Each contraction must conserve the per-constraint weight totals
+        // and produce a structurally valid CSR with an in-range projection.
+        enforce(gcheck::check_graph(&level.graph, self.check));
+        enforce(gcheck::check_conserved_weights(finer, &level.graph));
+        enforce(gcheck::check_projection(&level.cmap, finer.nvtxs(), level.graph.nvtxs()));
+    }
+
+    fn initial(&mut self, coarsest: &Graph) -> Vec<u32> {
+        // Coarsening is over: release the contraction scratch, sized by
+        // the first coarse level, before partitioning.
+        drop(std::mem::take(&mut self.scratch));
+        let _s = span!("rb", nvtxs = coarsest.nvtxs());
+        recursive_bisection_assignment(coarsest, self.nparts, self.config, self.rng)
+    }
+
+    fn check_part(&self, seam: Seam, graph: &Graph, part: &[u32]) {
+        enforce(gcheck::check_assignment(graph, part, self.nparts));
+        // Recursive bisection and refinement keep every subdomain
+        // populated; projection and the final balance rounds are not
+        // asked to.
+        if matches!(seam, Seam::Initial | Seam::Refined) {
+            enforce(gcheck::check_no_empty_parts(part, self.nparts));
+        }
+    }
+
+    fn refine(&mut self, _lvl: usize, _coarsest: bool, g: &Graph, part: &mut [u32]) -> LevelFields {
+        let (nparts, config) = (self.nparts, self.config);
+        let (model, mut pw) = {
+            let _b = span!("balance", nvtxs = g.nvtxs());
+            (BalanceModel::new(g, nparts, config.imbalance_tol), part_weights(g, part, nparts))
+        };
+        // Explicit balancing when a level starts outside the caps.
+        if !model.is_balanced(&pw) {
+            rebalance(g, part, &mut pw, &model, self.rng);
+        }
+        let stats = {
+            let _k = span!("kway_refine", nvtxs = g.nvtxs());
+            // The SMP refiner takes over at `nthreads > 1` on levels big
+            // enough to stripe.
+            if config.nthreads > 1 && g.nvtxs() >= SMP_REFINE_MIN_NVTXS {
+                let t = config.nthreads;
+                smp_kway_refine_ws(g, part, &mut pw, &model, config.refine_iters, t, self.rng, &mut self.ws)
+            } else {
+                greedy_kway_refine_ws(g, part, &mut pw, &model, config.refine_iters, self.rng, &mut self.ws)
+            }
+        };
+        if !trace::enabled() {
+            return Vec::new();
+        }
+        vec![
+            ("boundary", self.ws.engine.boundary().len().into()),
+            ("moves", stats.moves.into()),
+            ("cut", mcgp_graph::metrics::edge_cut_raw(g, part).into()),
+            ("imbalance", imbalances_from_pw(&pw, g.ncon(), &model).into()),
+        ]
+    }
+
+    fn project(&mut self, level: &CoarseLevel, _finer: &Graph, part: &[u32]) -> Vec<u32> {
+        level.project(part)
+    }
+
+    fn finish(&mut self, g: &Graph, part: &mut [u32]) {
+        // Alternate balancing and refinement until the caps hold (bounded
+        // rounds).
+        let (nparts, config) = (self.nparts, self.config);
+        let (model, mut pw) = {
+            let _b = span!("balance", nvtxs = g.nvtxs());
+            (BalanceModel::new(g, nparts, config.imbalance_tol), part_weights(g, part, nparts))
+        };
         for _ in 0..4 {
             if model.is_balanced(&pw) {
                 break;
             }
-            rebalance(graph, &mut assignment, &mut pw, &model, rng);
-            greedy_kway_refine_ws(graph, &mut assignment, &mut pw, &model, 2, rng, &mut ws);
+            rebalance(g, part, &mut pw, &model, self.rng);
+            let _k = span!("kway_refine", nvtxs = g.nvtxs());
+            greedy_kway_refine_ws(g, part, &mut pw, &model, 2, self.rng, &mut self.ws);
         }
     }
-
-    assignment
 }
 
 /// Computes a k-way multi-constraint partition with the multilevel k-way
@@ -185,16 +222,10 @@ pub fn partition_kway(graph: &Graph, nparts: usize, config: &PartitionConfig) ->
         nparts = nparts,
         ncon = graph.ncon(),
     );
-
-    // Phase 1: coarsening.
-    let hierarchy = {
-        let _s = span!(Phase::Coarsen, nvtxs = graph.nvtxs());
-        coarsen(graph, config.coarsen_target(nparts), config, &mut rng)
-    };
-    check_levels(graph, hierarchy.levels(), config.check);
-
-    let assignment = initial_and_refine(graph, hierarchy.levels(), nparts, config, &mut rng);
-    PartitionResult::measure(graph, assignment, nparts, hierarchy.nlevels())
+    let mut policy = Serial::new(config, nparts, &mut rng);
+    let (assignment, nlevels) =
+        multilevel::partition(&mut policy, graph, config.coarsen_target(nparts));
+    PartitionResult::measure(graph, assignment, nparts, nlevels)
 }
 
 #[cfg(test)]

@@ -26,7 +26,8 @@
 //!
 //! The two drivers mirror METIS: [`partition_rb`] (multilevel recursive
 //! bisection) and [`partition_kway`] (multilevel k-way, the method all paper
-//! experiments use). The single-constraint baseline of the paper's Table 4
+//! experiments use). The k-way order itself lives in [`multilevel`], shared
+//! with the cached-hierarchy replay and the parallel partitioner. The single-constraint baseline of the paper's Table 4
 //! is the same code at `ncon = 1`, re-exported through [`single`].
 //!
 //! ```
@@ -53,6 +54,7 @@ pub mod kway;
 pub mod kway_refine;
 pub mod kway_refine_smp;
 pub mod matching;
+pub mod multilevel;
 pub mod pqueue;
 pub mod rb;
 pub mod single;
@@ -84,6 +86,7 @@ impl PartitionResult {
         nparts: usize,
         levels: usize,
     ) -> Self {
+        let _s = mcgp_runtime::span!("metrics", nvtxs = graph.nvtxs());
         let partition = Partition::new(nparts, assignment)
             .expect("partitioner produced out-of-range assignment");
         let quality = PartitionQuality::measure(graph, &partition);

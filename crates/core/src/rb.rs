@@ -13,7 +13,9 @@ use crate::coarsen::coarsen;
 use crate::config::PartitionConfig;
 use crate::fm2way::{fm_refine_with, FmWorkspace, TwoWayBalance};
 use crate::initial::initial_bisection;
+use crate::multilevel::enforce;
 use crate::PartitionResult;
+use mcgp_graph::check as gcheck;
 use mcgp_graph::subgraph::split_bisection;
 use mcgp_graph::Graph;
 use mcgp_runtime::pool;
@@ -38,21 +40,17 @@ fn bisect(
     config: &PartitionConfig,
     rng: &mut Rng,
 ) -> (Vec<u32>, usize) {
-    let hierarchy = coarsen(graph, config.coarsen_target(2), config, rng);
-    let coarsest = hierarchy.coarsest().unwrap_or(graph);
+    let levels = coarsen(graph, config.coarsen_target(2), config, rng);
+    let coarsest = levels.last().map_or(graph, |l| &l.graph);
     let mut side = initial_bisection(coarsest, fraction, config, rng);
     let mut ws = FmWorkspace::default();
-    for lvl in (0..hierarchy.nlevels()).rev() {
-        side = hierarchy.project(lvl, &side);
-        let finer = if lvl == 0 {
-            graph
-        } else {
-            &hierarchy.levels()[lvl - 1].graph
-        };
+    for lvl in (0..levels.len()).rev() {
+        side = levels[lvl].project(&side);
+        let finer = if lvl == 0 { graph } else { &levels[lvl - 1].graph };
         let bal = TwoWayBalance::new(finer, (fraction, 1.0 - fraction), config.imbalance_tol);
         fm_refine_with(finer, &mut side, &bal, config, rng, &mut ws);
     }
-    (side, hierarchy.nlevels())
+    (side, levels.len())
 }
 
 /// Recursive bisection on a raw graph; returns the assignment into
@@ -192,15 +190,8 @@ pub fn partition_rb(graph: &Graph, nparts: usize, config: &PartitionConfig) -> P
     let levels = top_levels.unwrap_or_else(|| probe_levels(graph, config));
     // Seam: post-refine (recursive bisection refines inside each split).
     if config.check.enabled() {
-        crate::kway::enforce(mcgp_graph::check::check_assignment(
-            graph,
-            &assignment,
-            nparts,
-        ));
-        crate::kway::enforce(mcgp_graph::check::check_no_empty_parts(
-            &assignment,
-            nparts,
-        ));
+        enforce(gcheck::check_assignment(graph, &assignment, nparts));
+        enforce(gcheck::check_no_empty_parts(&assignment, nparts));
     }
     PartitionResult::measure(graph, assignment, nparts, levels)
 }
@@ -209,7 +200,7 @@ pub fn partition_rb(graph: &Graph, nparts: usize, config: &PartitionConfig) -> P
 /// fresh RNG stream on `config.seed`.
 fn probe_levels(graph: &Graph, config: &PartitionConfig) -> usize {
     let mut probe_rng = Rng::seed_from_u64(config.seed);
-    coarsen(graph, config.coarsen_target(2), config, &mut probe_rng).nlevels()
+    coarsen(graph, config.coarsen_target(2), config, &mut probe_rng).len()
 }
 
 #[cfg(test)]
@@ -296,7 +287,7 @@ mod tests {
                     .with_threads(threads);
                 // A second, stand-alone coarsening of the whole graph.
                 let mut probe_rng = Rng::seed_from_u64(seed);
-                let probe = coarsen(&g, cfg.coarsen_target(2), &cfg, &mut probe_rng).nlevels();
+                let probe = coarsen(&g, cfg.coarsen_target(2), &cfg, &mut probe_rng).len();
                 assert!(probe > 1, "mesh does not coarsen");
                 for k in [1usize, 2, 6] {
                     let r = partition_rb(&g, k, &cfg);

@@ -86,13 +86,18 @@ pub fn check_graph(graph: &Graph, level: CheckLevel) -> Result<()> {
 /// Validates that `assignment` is a well-formed k-way assignment for
 /// `graph`: one entry per vertex, every entry `< nparts`.
 pub fn check_assignment(graph: &Graph, assignment: &[u32], nparts: usize) -> Result<()> {
-    if assignment.len() != graph.nvtxs() {
+    check_assignment_of(graph.nvtxs(), assignment, nparts)
+}
+
+/// [`check_assignment`] against a vertex count, for graphs held in another
+/// form (a distributed graph).
+pub fn check_assignment_of(nvtxs: usize, assignment: &[u32], nparts: usize) -> Result<()> {
+    if assignment.len() != nvtxs {
         return Err(McgpError::invariant(
             "partition/length",
             format!(
-                "assignment has {} entries for a graph of {} vertices",
+                "assignment has {} entries for a graph of {nvtxs} vertices",
                 assignment.len(),
-                graph.nvtxs()
             ),
         ));
     }
@@ -172,12 +177,7 @@ pub fn check_balance(graph: &Graph, assignment: &[u32], nparts: usize, tol: f64)
 /// weight exactly conserved, vertex count non-increasing, and total edge
 /// weight non-increasing (contraction only drops or merges edges).
 pub fn check_conserved_weights(fine: &Graph, coarse: &Graph) -> Result<()> {
-    if fine.ncon() != coarse.ncon() {
-        return Err(McgpError::invariant(
-            "coarsen/ncon",
-            format!("fine ncon {} != coarse ncon {}", fine.ncon(), coarse.ncon()),
-        ));
-    }
+    check_conserved_totals(&fine.total_vwgt(), &coarse.total_vwgt())?;
     if coarse.nvtxs() > fine.nvtxs() {
         return Err(McgpError::invariant(
             "coarsen/shrinks",
@@ -188,13 +188,6 @@ pub fn check_conserved_weights(fine: &Graph, coarse: &Graph) -> Result<()> {
             ),
         ));
     }
-    let (ft, ct) = (fine.total_vwgt(), coarse.total_vwgt());
-    if ft != ct {
-        return Err(McgpError::invariant(
-            "coarsen/weight-conservation",
-            format!("fine totals {ft:?} != coarse totals {ct:?}"),
-        ));
-    }
     if coarse.total_adjwgt() > fine.total_adjwgt() {
         return Err(McgpError::invariant(
             "coarsen/adjwgt-monotone",
@@ -203,6 +196,25 @@ pub fn check_conserved_weights(fine: &Graph, coarse: &Graph) -> Result<()> {
                 coarse.total_adjwgt(),
                 fine.total_adjwgt()
             ),
+        ));
+    }
+    Ok(())
+}
+
+/// The vertex-weight half of [`check_conserved_weights`], from the fine and
+/// coarse per-constraint totals (for graphs held in another form): same
+/// constraint count, every total exactly conserved.
+pub fn check_conserved_totals(fine: &[i64], coarse: &[i64]) -> Result<()> {
+    if fine.len() != coarse.len() {
+        return Err(McgpError::invariant(
+            "coarsen/ncon",
+            format!("fine ncon {} != coarse ncon {}", fine.len(), coarse.len()),
+        ));
+    }
+    if fine != coarse {
+        return Err(McgpError::invariant(
+            "coarsen/weight-conservation",
+            format!("fine totals {fine:?} != coarse totals {coarse:?}"),
         ));
     }
     Ok(())

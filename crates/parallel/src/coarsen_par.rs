@@ -14,16 +14,11 @@
 use crate::cost::CostTracker;
 use crate::dist::{DistGraph, LocalGraph};
 use crate::match_par::ParallelMatching;
+use mcgp_core::multilevel::Level;
 use mcgp_graph::csr::Vertex;
 
 /// One coarsening level of the distributed hierarchy.
-#[derive(Clone, Debug)]
-pub struct DistLevel {
-    /// The coarse distributed graph.
-    pub graph: DistGraph,
-    /// Global fine→coarse vertex map for the finer graph of this level.
-    pub cmap: Vec<u32>,
-}
+pub type DistLevel = Level<DistGraph>;
 
 /// Contracts a distributed graph along a parallel matching.
 pub fn parallel_contract(

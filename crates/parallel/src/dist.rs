@@ -235,6 +235,12 @@ impl DistGraph {
     }
 }
 
+impl mcgp_core::multilevel::LevelGraph for DistGraph {
+    fn nvtxs(&self) -> usize {
+        DistGraph::nvtxs(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,4 +1,5 @@
-//! The full parallel multilevel multi-constraint k-way driver.
+//! The full parallel multilevel multi-constraint k-way partitioner: the BSP
+//! policy of the [`mcgp_core::multilevel`] driver.
 
 use crate::coarsen_par::{parallel_contract, DistLevel};
 use crate::cost::{CostModel, CostTracker, RunStats};
@@ -7,11 +8,12 @@ use crate::initial_par::parallel_initial_partition;
 use crate::match_par::parallel_match;
 use crate::refine_par::{parallel_balance, reservation_refine, ParRefineStats};
 use crate::slice_refine::slice_refine;
-use mcgp_core::balance::BalanceModel;
+use mcgp_core::balance::{imbalances_from_pw, BalanceModel};
 use mcgp_core::config::PartitionConfig;
+use mcgp_core::multilevel::{self, enforce, LevelFields, Policy, Seam};
 use mcgp_graph::check as gcheck;
-use mcgp_graph::{CheckLevel, Graph, McgpError, Partition, PartitionQuality};
-use mcgp_runtime::Phase;
+use mcgp_graph::{CheckLevel, Graph, Partition, PartitionQuality};
+use mcgp_runtime::{event, Span};
 
 /// Which parallel refinement scheme to run during uncoarsening.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,60 +108,6 @@ pub struct ParallelResult {
     pub stats: RunStats,
 }
 
-/// Aborts on a seam-invariant violation: like the serial driver, a failed
-/// internal invariant is a partitioner bug and fails loudly with the
-/// catalogued invariant name.
-fn enforce(result: mcgp_graph::Result<()>) {
-    if let Err(e) = result {
-        panic!("mcgp-check: {e}");
-    }
-}
-
-/// Validates a global assignment over a distributed graph: one entry per
-/// global vertex, every entry `< nparts`.
-fn check_dist_assignment(dist: &DistGraph, part: &[u32], nparts: usize) -> mcgp_graph::Result<()> {
-    if part.len() != dist.nvtxs() {
-        return Err(McgpError::invariant(
-            "partition/length",
-            format!(
-                "assignment has {} entries for a distributed graph of {} vertices",
-                part.len(),
-                dist.nvtxs()
-            ),
-        ));
-    }
-    if let Some((v, &p)) = part.iter().enumerate().find(|(_, &p)| p as usize >= nparts) {
-        return Err(McgpError::invariant(
-            "partition/range",
-            format!("vertex {v} assigned to part {p} >= nparts {nparts}"),
-        ));
-    }
-    Ok(())
-}
-
-/// Validates the contraction seam between two distributed levels: conserved
-/// per-constraint weight totals and an in-range projection map.
-fn check_dist_contraction(
-    fine: &DistGraph,
-    coarse: &DistGraph,
-    cmap: &[u32],
-) -> mcgp_graph::Result<()> {
-    if coarse.ncon() != fine.ncon() {
-        return Err(McgpError::invariant(
-            "coarsen/ncon",
-            format!("fine ncon {} != coarse ncon {}", fine.ncon(), coarse.ncon()),
-        ));
-    }
-    let (ft, ct) = (fine.total_vwgt(), coarse.total_vwgt());
-    if ft != ct {
-        return Err(McgpError::invariant(
-            "coarsen/weight-conservation",
-            format!("fine totals {ft:?} != coarse totals {ct:?}"),
-        ));
-    }
-    gcheck::check_projection(cmap, fine.nvtxs(), coarse.nvtxs())
-}
-
 /// Computes the global `nparts × ncon` subdomain weights with one local scan
 /// plus an allreduce (both accounted).
 fn compute_pw(
@@ -187,6 +135,161 @@ fn compute_pw(
     pw
 }
 
+/// The balance model of a distributed level.
+fn dist_model(dist: &DistGraph, nparts: usize, tol: f64) -> BalanceModel {
+    BalanceModel::from_parts(dist.ncon(), nparts, dist.total_vwgt(), &dist.max_vwgt(), tol)
+}
+
+/// The BSP policy: distributed levels, handshake matching and contraction
+/// with graph folding, replicated initial partitioning, reservation or
+/// slice refinement, and the cost of every superstep. Each level draws from
+/// its own seed, derived from the run's seed and the level.
+struct Bsp<'a> {
+    cfg: &'a ParallelConfig,
+    nparts: usize,
+    tracker: CostTracker,
+    stats: ParRefineStats,
+}
+
+impl Policy for Bsp<'_> {
+    type Graph = DistGraph;
+
+    fn check(&self) -> CheckLevel {
+        self.cfg.check
+    }
+
+    fn nparts(&self) -> usize {
+        self.nparts
+    }
+
+    fn coarsen_level(&mut self, cur: &DistGraph, lvl: usize, _: &mut Span) -> Option<DistLevel> {
+        let cfg = self.cfg;
+        let matching = parallel_match(
+            cur,
+            cfg.serial.matching,
+            cfg.match_rounds,
+            cfg.serial.seed ^ ((lvl as u64) << 40),
+            &mut self.tracker,
+        );
+        if matching.coarse_nvtxs as f64 > 0.98 * cur.nvtxs() as f64 {
+            return None; // stall
+        }
+        let mut level = parallel_contract(cur, &matching, &mut self.tracker);
+        // Graph folding: redistribute small coarse graphs onto fewer
+        // processors. Vertex ids are preserved (only ownership changes),
+        // so the cmap stays valid; the shipment of each block is accounted.
+        let cn = level.graph.nvtxs();
+        let active = level.graph.nprocs();
+        if cfg.fold_threshold > 0 && cn < cfg.fold_threshold * active && active > 1 {
+            let new_p = (cn / cfg.fold_threshold).max(1).min(active);
+            event!("graph_fold", level = lvl, nvtxs = cn, from_procs = active, to_procs = new_p);
+            let gathered = level.graph.gather();
+            let bytes_per_proc = (gathered.adjacency_len() * 12 / active.max(1)) as u64;
+            self.tracker.superstep(&vec![cn as u64; active], &vec![bytes_per_proc; active]);
+            level.graph = DistGraph::distribute(&gathered, new_p);
+        }
+        Some(level)
+    }
+
+    fn check_level(&self, finer: &DistGraph, level: &DistLevel) {
+        // Contraction (and folding, which only moves ownership) must
+        // conserve weight totals and keep the cmap in range; Full
+        // additionally gathers and validates the CSR itself.
+        enforce(gcheck::check_conserved_totals(&finer.total_vwgt(), &level.graph.total_vwgt()));
+        enforce(gcheck::check_projection(&level.cmap, finer.nvtxs(), level.graph.nvtxs()));
+        if self.cfg.check >= CheckLevel::Full {
+            enforce(gcheck::check_graph(&level.graph.gather(), self.cfg.check));
+        }
+    }
+
+    fn initial(&mut self, coarsest: &DistGraph) -> Vec<u32> {
+        let cfg = self.cfg;
+        parallel_initial_partition(coarsest, self.nparts, &cfg.serial, cfg.init_runs_executed, &mut self.tracker)
+    }
+
+    fn check_part(&self, seam: Seam, dist: &DistGraph, part: &[u32]) {
+        enforce(gcheck::check_assignment_of(dist.nvtxs(), part, self.nparts));
+        // The replicated initial partitioning and the finished partition
+        // cover every subdomain; a refined coarse level need not.
+        if matches!(seam, Seam::Initial | Seam::Finished) {
+            enforce(gcheck::check_no_empty_parts(part, self.nparts));
+        }
+    }
+
+    fn refine(&mut self, lvl: usize, coarsest: bool, dist: &DistGraph, part: &mut [u32]) -> LevelFields {
+        let (cfg, nparts, tracker) = (self.cfg, self.nparts, &mut self.tracker);
+        let seed = cfg.serial.seed;
+        let lvl_seed = if coarsest { seed ^ 0xC0A0 } else { seed ^ ((lvl as u64) << 16) };
+        let model = dist_model(dist, nparts, cfg.serial.imbalance_tol);
+        let mut pw = compute_pw(dist, part, nparts, tracker);
+        // Restore the caps before refining, as the serial policy does with
+        // its explicit balancing pass (bounded rounds).
+        let bal_moves = parallel_balance(dist, part, &mut pw, &model, 8, true, lvl_seed ^ 0xBA7, tracker);
+        let iters = cfg.refine_iters;
+        let s = match cfg.refiner {
+            RefinerKind::Reservation => {
+                reservation_refine(dist, part, &mut pw, &model, iters, lvl_seed, tracker)
+            }
+            RefinerKind::Slice => slice_refine(dist, part, &mut pw, &model, iters, lvl_seed, tracker),
+        };
+        self.stats.iterations += s.iterations;
+        self.stats.committed += s.committed;
+        self.stats.disallowed += s.disallowed;
+        self.stats.balance_moves += bal_moves;
+        if !mcgp_runtime::trace::enabled() {
+            return Vec::new();
+        }
+        let mut cut2 = 0i64; // every cut edge counted from both sides
+        for q in 0..dist.nprocs() {
+            let lg = dist.local(q);
+            for lv in 0..lg.nlocal() {
+                let pv = part[lg.global(lv)];
+                cut2 += lg.edges(lv).filter(|&(u, _)| part[u as usize] != pv).map(|(_, w)| w).sum::<i64>();
+            }
+        }
+        vec![
+            ("cut", (cut2 / 2).into()),
+            ("committed", s.committed.into()),
+            ("disallowed", s.disallowed.into()),
+            ("balance_moves", bal_moves.into()),
+            ("imbalance", imbalances_from_pw(&pw, dist.ncon(), &model).into()),
+        ]
+    }
+
+    fn project(&mut self, level: &DistLevel, finer: &DistGraph, part: &[u32]) -> Vec<u32> {
+        // Fine v takes the part of its coarse vertex; vertices whose coarse
+        // vertex lives on another processor fetch it.
+        let p = finer.nprocs();
+        let mut comp = vec![0u64; p];
+        let mut bytes = vec![0u64; p];
+        let mut fine_part = vec![0u32; finer.nvtxs()];
+        for q in 0..p {
+            let lg = finer.local(q);
+            comp[q] = lg.nlocal() as u64;
+            for lv in 0..lg.nlocal() {
+                let v = lg.global(lv);
+                let c = level.cmap[v] as usize;
+                if level.graph.owner(c) != q {
+                    bytes[q] += 4;
+                }
+                fine_part[v] = part[c];
+            }
+        }
+        self.tracker.superstep(&comp, &bytes);
+        fine_part
+    }
+
+    fn finish(&mut self, finest: &DistGraph, part: &mut [u32]) {
+        // The reservation scheme's residual overshoot at the finest level
+        // is corrected here (cheap — the overshoot is small).
+        let model = dist_model(finest, self.nparts, self.cfg.serial.imbalance_tol);
+        let mut pw = compute_pw(finest, part, self.nparts, &mut self.tracker);
+        let seed = self.cfg.serial.seed ^ 0xF1A1;
+        self.stats.balance_moves +=
+            parallel_balance(finest, part, &mut pw, &model, 16, true, seed, &mut self.tracker);
+    }
+}
+
 /// Runs the parallel multilevel k-way multi-constraint partitioner on
 /// `nprocs` logical processors (`cfg.nprocs`), producing `nparts`
 /// subdomains. The paper's experiments use `nparts == nprocs`.
@@ -199,251 +302,23 @@ pub fn parallel_partition_kway(
     assert!(cfg.nprocs >= 1);
     assert!(graph.nvtxs() >= nparts, "more parts than vertices");
     let wall_start = std::time::Instant::now();
-    let mut tracker = CostTracker::new();
-    let seed = cfg.serial.seed;
-
-    // --- Distribute ----------------------------------------------------
     let finest = DistGraph::distribute(graph, cfg.nprocs.min(graph.nvtxs()));
-
-    // --- Parallel coarsening --------------------------------------------
-    let target = (cfg.coarsen_to_per_part * nparts).max(cfg.serial.coarsen_target(nparts));
-    let mut levels: Vec<DistLevel> = Vec::new();
-    let coarsening = mcgp_runtime::span!(Phase::Coarsen, nvtxs = graph.nvtxs());
-    loop {
-        let lvl = levels.len();
-        let cur = levels.last().map_or(&finest, |l| &l.graph);
-        if cur.nvtxs() <= target || lvl >= 64 {
-            break;
-        }
-        let mut sp = mcgp_runtime::span!("coarsen_level", level = lvl, nvtxs = cur.nvtxs());
-        let matching = parallel_match(
-            cur,
-            cfg.serial.matching,
-            cfg.match_rounds,
-            seed ^ ((lvl as u64) << 40),
-            &mut tracker,
-        );
-        if matching.coarse_nvtxs as f64 > 0.98 * cur.nvtxs() as f64 {
-            mcgp_runtime::phase::counter_add(mcgp_runtime::phase::Counter::ContractionAborts, 1);
-            sp.record("aborted", 1u64);
-            break; // stall
-        }
-        sp.record("coarse_nvtxs", matching.coarse_nvtxs);
-        sp.record(
-            "ratio",
-            matching.coarse_nvtxs as f64 / cur.nvtxs() as f64,
-        );
-        let mut level = parallel_contract(cur, &matching, &mut tracker);
-        // Graph folding: redistribute small coarse graphs onto fewer
-        // processors. Vertex ids are preserved (only ownership changes),
-        // so the cmap stays valid; the shipment of each block is accounted.
-        if cfg.fold_threshold > 0 {
-            let cn = level.graph.nvtxs();
-            let active = level.graph.nprocs();
-            if cn < cfg.fold_threshold * active && active > 1 {
-                let new_p = (cn / cfg.fold_threshold).max(1).min(active);
-                mcgp_runtime::event!(
-                    "graph_fold",
-                    level = lvl,
-                    nvtxs = cn,
-                    from_procs = active,
-                    to_procs = new_p,
-                );
-                let gathered = level.graph.gather();
-                let bytes_per_proc = (gathered.adjacency_len() * 12 / active.max(1)) as u64;
-                let comp = vec![cn as u64; active];
-                let bytes = vec![bytes_per_proc; active];
-                tracker.superstep(&comp, &bytes);
-                level.graph = DistGraph::distribute(&gathered, new_p);
-            }
-        }
-        // Seam: post-coarsen. Contraction (and folding, which only moves
-        // ownership) must conserve weight totals and keep the cmap in
-        // range; Full additionally gathers and validates the CSR itself.
-        if cfg.check.enabled() {
-            enforce(check_dist_contraction(cur, &level.graph, &level.cmap));
-            if cfg.check >= CheckLevel::Full {
-                enforce(gcheck::check_graph(&level.graph.gather(), cfg.check));
-            }
-        }
-        levels.push(level);
-    }
-    drop(coarsening);
-    let coarsen_levels = levels.len();
-
-    // --- Initial partitioning on the coarsest graph ----------------------
-    let coarsest = levels.last().map_or(&finest, |l| &l.graph);
-    let mut part = {
-        let _s = mcgp_runtime::span!(Phase::Initial, nvtxs = coarsest.nvtxs(), nparts = nparts);
-        parallel_initial_partition(
-            coarsest,
-            nparts,
-            &cfg.serial,
-            cfg.init_runs_executed,
-            &mut tracker,
-        )
+    let mut policy = Bsp {
+        cfg,
+        nparts,
+        tracker: CostTracker::new(),
+        stats: ParRefineStats::default(),
     };
+    let target = (cfg.coarsen_to_per_part * nparts).max(cfg.serial.coarsen_target(nparts));
+    let (part, coarsen_levels) = multilevel::partition(&mut policy, &finest, target);
 
-    // Seam: post-initial. The replicated initial partitioning must emit an
-    // in-range assignment covering every subdomain.
-    if cfg.check.enabled() {
-        enforce(check_dist_assignment(coarsest, &part, nparts));
-        enforce(gcheck::check_no_empty_parts(&part, nparts));
-    }
-
-    // --- Uncoarsening with parallel multi-constraint refinement ----------
-    let mut refine_stats = ParRefineStats::default();
-    let mut refine_level =
-        |lvl: usize, dist: &DistGraph, part: &mut Vec<u32>, lvl_seed: u64, tracker: &mut CostTracker| {
-            let model = BalanceModel::from_parts(
-                dist.ncon(),
-                nparts,
-                dist.total_vwgt(),
-                &dist.max_vwgt(),
-                cfg.serial.imbalance_tol,
-            );
-            let mut pw = compute_pw(dist, part, nparts, tracker);
-            // Restore the caps before refining, as the serial driver does with
-            // its explicit balancing pass (bounded rounds).
-            let bal_moves = parallel_balance(
-                dist,
-                part,
-                &mut pw,
-                &model,
-                8,
-                true,
-                lvl_seed ^ 0xBA7,
-                tracker,
-            );
-            let s = match cfg.refiner {
-                RefinerKind::Reservation => reservation_refine(
-                    dist,
-                    part,
-                    &mut pw,
-                    &model,
-                    cfg.refine_iters,
-                    lvl_seed,
-                    tracker,
-                ),
-                RefinerKind::Slice => slice_refine(
-                    dist,
-                    part,
-                    &mut pw,
-                    &model,
-                    cfg.refine_iters,
-                    lvl_seed,
-                    tracker,
-                ),
-            };
-            refine_stats.iterations += s.iterations;
-            refine_stats.committed += s.committed;
-            refine_stats.disallowed += s.disallowed;
-            refine_stats.balance_moves += bal_moves;
-            // Seam: post-refine. Balancing and reservation/slice commits
-            // must keep the global assignment well-formed.
-            if cfg.check.enabled() {
-                enforce(check_dist_assignment(dist, part, nparts));
-            }
-            if mcgp_runtime::trace::enabled() {
-                let mut cut2 = 0i64; // every cut edge counted from both sides
-                for q in 0..dist.nprocs() {
-                    let lg = dist.local(q);
-                    for lv in 0..lg.nlocal() {
-                        let pv = part[lg.global(lv)];
-                        for (u, w) in lg.edges(lv) {
-                            if part[u as usize] != pv {
-                                cut2 += w;
-                            }
-                        }
-                    }
-                }
-                mcgp_runtime::event!(
-                    "uncoarsen_level",
-                    level = lvl,
-                    nvtxs = dist.nvtxs(),
-                    cut = cut2 / 2,
-                    committed = s.committed,
-                    disallowed = s.disallowed,
-                    balance_moves = bal_moves,
-                    imbalance = mcgp_core::balance::imbalances_from_pw(&pw, dist.ncon(), &model),
-                );
-            }
-        };
-
-    {
-        let _s = mcgp_runtime::span!(Phase::Refine, nlevels = levels.len(), nvtxs = graph.nvtxs());
-        // Refine the coarsest level itself, then project down.
-        refine_level(levels.len(), coarsest, &mut part, seed ^ 0xC0A0, &mut tracker);
-        for lvl in (0..levels.len()).rev() {
-            // Project: fine v takes the part of its coarse vertex; vertices
-            // whose coarse vertex lives on another processor fetch it.
-            let finer: &DistGraph = if lvl == 0 {
-                &finest
-            } else {
-                &levels[lvl - 1].graph
-            };
-            let cmap = &levels[lvl].cmap;
-            let coarse = &levels[lvl].graph;
-            let p = finer.nprocs();
-            let mut comp = vec![0u64; p];
-            let mut bytes = vec![0u64; p];
-            let mut fine_part = vec![0u32; finer.nvtxs()];
-            for q in 0..p {
-                let lg = finer.local(q);
-                comp[q] = lg.nlocal() as u64;
-                for lv in 0..lg.nlocal() {
-                    let v = lg.global(lv);
-                    let c = cmap[v] as usize;
-                    if coarse.owner(c) != q {
-                        bytes[q] += 4;
-                    }
-                    fine_part[v] = part[c];
-                }
-            }
-            tracker.superstep(&comp, &bytes);
-            part = fine_part;
-            // Seam: post-project. Every fine vertex inherited its coarse
-            // vertex's part, so length and range must hold before refining.
-            if cfg.check.enabled() {
-                enforce(check_dist_assignment(finer, &part, nparts));
-            }
-            refine_level(lvl, finer, &mut part, seed ^ ((lvl as u64) << 16), &mut tracker);
-        }
-
-        // Final balance pass (still the refinement phase): the reservation
-        // scheme's residual overshoot at the finest level is corrected here
-        // (cheap — the overshoot is small).
-        let model = BalanceModel::from_parts(
-            finest.ncon(),
-            nparts,
-            finest.total_vwgt(),
-            &finest.max_vwgt(),
-            cfg.serial.imbalance_tol,
-        );
-        let mut pw = compute_pw(&finest, &part, nparts, &mut tracker);
-        refine_stats.balance_moves += parallel_balance(
-            &finest,
-            &mut part,
-            &mut pw,
-            &model,
-            16,
-            true,
-            seed ^ 0xF1A1,
-            &mut tracker,
-        );
-    }
-
-    // --- Measure ----------------------------------------------------------
-    // Seam: final. The finished assignment must be a valid k-way partition
-    // of the *input* graph with no empty subdomain.
-    if cfg.check.enabled() {
-        enforce(gcheck::check_assignment(graph, &part, nparts));
-        enforce(gcheck::check_no_empty_parts(&part, nparts));
-    }
     let partition =
         Partition::new(nparts, part).expect("parallel partitioner produced invalid assignment");
-    let quality = PartitionQuality::measure(graph, &partition);
-    let wall = wall_start.elapsed().as_secs_f64();
+    let quality = {
+        let _s = mcgp_runtime::span!("metrics", nvtxs = graph.nvtxs());
+        PartitionQuality::measure(graph, &partition)
+    };
+    let tracker = &policy.tracker;
     let stats = RunStats {
         nprocs: cfg.nprocs,
         supersteps: tracker.supersteps(),
@@ -451,13 +326,13 @@ pub fn parallel_partition_kway(
         comp_ops: tracker.total_comp(),
         modeled_time_s: tracker.modeled_time(&cfg.cost),
         modeled_serial_time_s: tracker.total_comp() as f64 * cfg.cost.t_comp,
-        wall_time_s: wall,
+        wall_time_s: wall_start.elapsed().as_secs_f64(),
     };
     ParallelResult {
         partition,
         quality,
         coarsen_levels,
-        refine: refine_stats,
+        refine: policy.stats,
         stats,
     }
 }
@@ -519,7 +394,7 @@ mod tests {
             coarsen_to_min: target,
             ..PartitionConfig::default()
         };
-        let serial_levels = coarsen(&g, target, &serial_cfg, &mut rng).nlevels();
+        let serial_levels = coarsen(&g, target, &serial_cfg, &mut rng).len();
         let par = parallel_partition_kway(&g, 8, &cfg);
         assert!(
             par.coarsen_levels >= serial_levels,

@@ -6,13 +6,16 @@
 //! vertex weight per constraint is invariant across levels — which is what
 //! keeps one balance model meaningful through the whole hierarchy.
 
+use crate::coarsen_smp::{match_smp, SMP_MIN_NVTXS};
 use crate::config::PartitionConfig;
-use crate::kway::Serial;
-use crate::matching::GraphMatching;
-use crate::multilevel::{build_levels, Level};
+use crate::matching::{match_graph, GraphMatching};
+use crate::multilevel::{build_levels, enforce, Coarsening, Level};
+use mcgp_graph::check as gcheck;
 use mcgp_graph::csr::Vertex;
 use mcgp_graph::{CheckLevel, Graph};
+use mcgp_runtime::phase::{counter_add, Counter};
 use mcgp_runtime::rng::Rng;
+use mcgp_runtime::{span, Span};
 
 /// One coarsening step of a serial hierarchy.
 pub type CoarseLevel = Level<Graph>;
@@ -149,21 +152,119 @@ pub fn contract_with_scratch(
     )
 }
 
+/// The serial coarsening of the [`crate::multilevel`] driver: one RNG
+/// stream, the serial or pooled matcher and the one contraction kernel.
+/// The pooled matcher takes over above a fixed vertex count, so which
+/// kernel runs is part of the `(seed, nthreads)` contract, not of the
+/// machine.
+pub(crate) struct Coarsener<'a> {
+    config: &'a PartitionConfig,
+    rng: &'a mut Rng,
+    /// Seam validation level (the contraction scratch keeps its own).
+    check: CheckLevel,
+    scratch: ContractionScratch,
+    /// Shrink each level's graph right after contraction. A cached
+    /// snapshot outlives many requests, so it releases the contraction's
+    /// up-front adjacency reservation before the next level allocates and
+    /// can reuse the space; a one-shot run keeps the reservation.
+    trim: bool,
+    /// The RNG state after each level, which a snapshot replays from.
+    pub(crate) rng_after: Vec<Rng>,
+}
+
+impl<'a> Coarsener<'a> {
+    /// A coarsener drawing from `rng` that validates its seams at `check`
+    /// and, if `trim` is set, shrinks every level it builds.
+    pub(crate) fn new(
+        config: &'a PartitionConfig,
+        rng: &'a mut Rng,
+        check: CheckLevel,
+        trim: bool,
+    ) -> Self {
+        Coarsener {
+            config,
+            rng,
+            check,
+            scratch: ContractionScratch::with_check(config.check),
+            trim,
+            rng_after: Vec::new(),
+        }
+    }
+}
+
+impl Coarsening<Graph> for Coarsener<'_> {
+    fn check(&self) -> CheckLevel {
+        self.check
+    }
+
+    fn coarsen_level(&mut self, cur: &Graph, _lvl: usize, sp: &mut Span) -> Option<CoarseLevel> {
+        let config = self.config;
+        // Shared-memory matching above the size floor; small levels drop
+        // to the serial matcher (the constant floor keeps `(seed, nthreads)`
+        // determinism independent of the machine). Contraction is the one
+        // serial kernel either way.
+        let use_smp = config.nthreads > 1 && cur.nvtxs() >= SMP_MIN_NVTXS;
+        sp.record("nedges", cur.nedges());
+        sp.record("smp_threads", if use_smp { config.nthreads } else { 1 });
+        let matching = {
+            let _m = span!("matching", nvtxs = cur.nvtxs());
+            if use_smp {
+                // One RNG draw per level keeps the serial stream advancing
+                // identically whether or not a level aborts afterwards.
+                match_smp(cur, config.matching, config.nthreads, self.rng.next_u64())
+            } else {
+                match_graph(cur, config.matching, self.rng)
+            }
+        };
+        // Stall: a level that barely shrinks isn't worth its cost.
+        if matching.coarse_nvtxs as f64 > 0.95 * cur.nvtxs() as f64 {
+            return None;
+        }
+        counter_add(
+            Counter::VerticesMatched,
+            2 * (cur.nvtxs() - matching.coarse_nvtxs) as u64,
+        );
+        let (mut graph, cmap) = {
+            let _c = span!("contract", nvtxs = matching.coarse_nvtxs);
+            contract_with_scratch(cur, &matching, &mut self.scratch)
+        };
+        sp.record("coarse_nedges", graph.nedges());
+        if self.trim {
+            graph.shrink_to_fit();
+        }
+        self.rng_after.push(self.rng.clone());
+        Some(Level { graph, cmap })
+    }
+
+    fn check_level(&self, finer: &Graph, level: &CoarseLevel) {
+        // Each contraction must conserve the per-constraint weight totals
+        // and produce a structurally valid CSR with an in-range projection.
+        enforce(gcheck::check_graph(&level.graph, self.check));
+        enforce(gcheck::check_conserved_weights(finer, &level.graph));
+        enforce(gcheck::check_projection(
+            &level.cmap,
+            finer.nvtxs(),
+            level.graph.nvtxs(),
+        ));
+    }
+}
+
 /// Coarsens until the graph has at most `target` vertices, contraction
 /// stalls (less than 5 % reduction), or a safety cap of levels is hit.
 ///
 /// Returns the levels finest-first (`levels[0]` was contracted from the
 /// input; none means the input was already small enough); their number is
-/// the paper's "coarsening levels" statistic. This is the serial policy's
-/// level loop with no seam checks and no phase span, as recursive
-/// bisection runs it inside the initial phase.
+/// the paper's "coarsening levels" statistic. This is the serial level
+/// loop with no seam checks and no phase span, as recursive bisection runs
+/// it inside the initial phase.
 pub fn coarsen(
     graph: &Graph,
     target: usize,
     config: &PartitionConfig,
     rng: &mut Rng,
 ) -> Vec<CoarseLevel> {
-    build_levels(&mut Serial::coarsening(config, rng), graph, target)
+    let mut coarsener = Coarsener::new(config, rng, CheckLevel::Off, false);
+    build_levels(&mut coarsener, graph, target)
 }
 
 #[cfg(test)]

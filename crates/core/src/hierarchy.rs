@@ -21,7 +21,7 @@
 //! then run the one shared [`multilevel::uncoarsen`] walk with the serial
 //! policy.
 
-use crate::coarsen::CoarseLevel;
+use crate::coarsen::{CoarseLevel, Coarsener};
 use crate::config::PartitionConfig;
 use crate::kway::Serial;
 use crate::multilevel;
@@ -58,9 +58,10 @@ impl HierarchySnapshot {
             nthreads = config.nthreads,
         );
         let mut rng = Rng::seed_from_u64(config.seed);
-        let mut policy = Serial::snapshot(config, &mut rng);
-        let levels = multilevel::coarsen(&mut policy, graph, config.coarsen_to_min);
-        let rng_at = policy.rng_at.take().expect("a snapshot policy records");
+        let mut rng_at = vec![rng.clone()];
+        let mut coarsener = Coarsener::new(config, &mut rng, config.check, true);
+        let levels = multilevel::coarsen(&mut coarsener, graph, config.coarsen_to_min);
+        rng_at.append(&mut coarsener.rng_after);
         _root.record("levels", levels.len());
         HierarchySnapshot {
             levels,

@@ -24,7 +24,6 @@ use crate::pqueue::IndexedMaxHeap;
 use mcgp_graph::Graph;
 use mcgp_runtime::rng::SliceRandom;
 use mcgp_runtime::rng::Rng;
-use std::collections::HashMap;
 
 /// Grows side 0 greedily to `fraction` of every constraint. Returns the
 /// side assignment (0 = grown region, 1 = remainder).
@@ -37,13 +36,15 @@ pub fn greedy_grow(graph: &Graph, fraction: f64, tol: f64, rng: &mut Rng) -> Vec
 
     let mut side = vec![1u32; n];
     let mut sw0 = vec![0i64; ncon];
-    // Gain of absorbing a vertex, (edges into the region) − (edges out):
-    // a queued vertex's is its key; one dropped as unfit keeps its key in
-    // `kept`, so the neighbour that re-adds it adds to that, not a rescan.
-    // Dropped vertices are few: a flag per vertex and a map hold their
-    // gains, not an `i64` per vertex.
-    let mut dropped = vec![false; n];
-    let mut kept: HashMap<u32, i64> = HashMap::new();
+    // Gain of absorbing a vertex, (edges into the region) − (edges out): a
+    // queued vertex's is its key, raised by 2w per absorbed neighbour. One
+    // dropped as unfit keeps its key in `kept`, which stays current until
+    // a neighbour is absorbed and re-adds the vertex from it, without a
+    // rescan; a re-added vertex leaves the queue only to be absorbed or
+    // dropped again. `kept` is sized on the first drop, as many bisections
+    // (all of R-MAT's) drop nothing.
+    const NOT_KEPT: i64 = i64::MIN;
+    let mut kept: Vec<i64> = Vec::new();
     let mut frontier = IndexedMaxHeap::new(n);
     let mut remaining: Vec<u32> = (0..n as u32).collect();
     remaining.shuffle(rng);
@@ -79,8 +80,8 @@ pub fn greedy_grow(graph: &Graph, fraction: f64, tol: f64, rng: &mut Rng) -> Vec
         let vw = graph.vwgt(v);
         if (0..ncon).any(|i| sw0[i] + vw[i] > bal.caps()[i]) {
             if let Some(key) = key {
-                dropped[v] = true;
-                kept.insert(v as u32, key);
+                kept.resize(n, NOT_KEPT);
+                kept[v] = key;
             }
             continue;
         }
@@ -92,8 +93,8 @@ pub fn greedy_grow(graph: &Graph, fraction: f64, tol: f64, rng: &mut Rng) -> Vec
             if side[u as usize] == 1 {
                 let gain = if frontier.contains(u) {
                     frontier.key(u) + 2 * w
-                } else if std::mem::take(&mut dropped[u as usize]) {
-                    kept[&u] + 2 * w
+                } else if kept.get(u as usize).is_some_and(|&g| g != NOT_KEPT) {
+                    kept[u as usize] + 2 * w
                 } else {
                     // First touch: count the gain from scratch (v included).
                     graph
@@ -302,13 +303,19 @@ mod tests {
         let mut cases = 0;
         for (b, base) in bases.iter().enumerate() {
             for ncon in 1..=5usize {
-                for weighted in [synthetic::type1(base, ncon, b as u64), synthetic::type2(base, ncon, b as u64)] {
+                for weighted in [
+                    synthetic::type1(base, ncon, b as u64),
+                    synthetic::type2(base, ncon, b as u64),
+                ] {
                     for fraction in [0.5, 1.0 / 3.0] {
                         for seed in 0..3u64 {
                             let (mut r1, mut r2) = (rng(seed), rng(seed));
                             let fast = greedy_grow(&weighted, fraction, 0.05, &mut r1);
                             let slow = greedy_grow_rescan(&weighted, fraction, 0.05, &mut r2);
-                            assert_eq!(fast, slow, "base {b} ncon {ncon} fraction {fraction} seed {seed}");
+                            assert_eq!(
+                                fast, slow,
+                                "base {b} ncon {ncon} fraction {fraction} seed {seed}"
+                            );
                             assert_eq!(r1, r2, "rng state, base {b} ncon {ncon} seed {seed}");
                             cases += 1;
                         }

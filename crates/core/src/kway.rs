@@ -5,37 +5,28 @@
 
 use crate::balance::{imbalances_from_pw, part_weights, rebalance, BalanceModel};
 use crate::boundary::RefineWorkspace;
-use crate::coarsen::{contract_with_scratch, CoarseLevel, ContractionScratch};
-use crate::coarsen_smp::{match_smp, SMP_MIN_NVTXS};
+use crate::coarsen::{CoarseLevel, Coarsener};
 use crate::config::PartitionConfig;
 use crate::kway_refine::greedy_kway_refine_ws;
 use crate::kway_refine_smp::{smp_kway_refine_ws, SMP_REFINE_MIN_NVTXS};
-use crate::matching::match_graph;
-use crate::multilevel::{self, enforce, Level, LevelFields, Policy, Seam};
+use crate::multilevel::{self, enforce, LevelFields, Policy, Seam};
 use crate::rb::recursive_bisection_assignment;
 use crate::PartitionResult;
 use mcgp_graph::check as gcheck;
 use mcgp_graph::{CheckLevel, Graph};
-use mcgp_runtime::phase::{counter_add, Counter};
 use mcgp_runtime::rng::Rng;
-use mcgp_runtime::{span, trace, Span};
+use mcgp_runtime::{span, trace};
 
-/// The serial policy: one RNG stream, the serial or pooled matcher, the one
-/// contraction kernel, recursive bisection, and the greedy or SMP k-way
-/// refiner. It serves every `nthreads`: the pooled matcher and the SMP
-/// refiner take over above fixed vertex counts, so which kernel runs is
-/// part of the `(seed, nthreads)` contract, not of the machine.
+/// The serial policy: recursive bisection of the coarsest graph and the
+/// greedy or SMP k-way refiner, drawing from the stream coarsening left.
+/// It serves every `nthreads`: the SMP refiner takes over above a fixed
+/// vertex count, so which kernel runs is part of the `(seed, nthreads)`
+/// contract, not of the machine.
 pub(crate) struct Serial<'a> {
     config: &'a PartitionConfig,
     nparts: usize,
     rng: &'a mut Rng,
-    /// Seam validation level (the contraction scratch keeps its own).
-    check: CheckLevel,
-    scratch: ContractionScratch,
     ws: RefineWorkspace,
-    /// Snapshot builds only: the RNG state after each level, and each
-    /// level's graph trimmed right after contraction.
-    pub(crate) rng_at: Option<Vec<Rng>>,
 }
 
 impl<'a> Serial<'a> {
@@ -45,99 +36,21 @@ impl<'a> Serial<'a> {
             config,
             nparts,
             rng,
-            check: config.check,
-            scratch: ContractionScratch::with_check(config.check),
             ws: RefineWorkspace::new(),
-            rng_at: None,
-        }
-    }
-
-    /// A coarsening-only policy that checks no seams (recursive
-    /// bisection's hierarchies and [`crate::coarsen::coarsen`]).
-    pub(crate) fn coarsening(config: &'a PartitionConfig, rng: &'a mut Rng) -> Self {
-        Serial {
-            check: CheckLevel::Off,
-            ..Serial::new(config, 0, rng)
-        }
-    }
-
-    /// A coarsening-only policy for a cached snapshot: it checks seams,
-    /// records the RNG state before every level and trims each level.
-    pub(crate) fn snapshot(config: &'a PartitionConfig, rng: &'a mut Rng) -> Self {
-        let rng_at = Some(vec![rng.clone()]);
-        Serial {
-            rng_at,
-            ..Serial::new(config, 0, rng)
         }
     }
 }
 
-impl Policy for Serial<'_> {
-    type Graph = Graph;
-
+impl Policy<Graph> for Serial<'_> {
     fn check(&self) -> CheckLevel {
-        self.check
+        self.config.check
     }
 
     fn nparts(&self) -> usize {
         self.nparts
     }
 
-    fn coarsen_level(&mut self, cur: &Graph, _lvl: usize, sp: &mut Span) -> Option<CoarseLevel> {
-        let config = self.config;
-        // Shared-memory matching above the size floor; small levels drop
-        // to the serial matcher (the constant floor keeps `(seed, nthreads)`
-        // determinism independent of the machine). Contraction is the one
-        // serial kernel either way.
-        let use_smp = config.nthreads > 1 && cur.nvtxs() >= SMP_MIN_NVTXS;
-        sp.record("nedges", cur.nedges());
-        sp.record("smp_threads", if use_smp { config.nthreads } else { 1 });
-        let matching = {
-            let _m = span!("matching", nvtxs = cur.nvtxs());
-            if use_smp {
-                // One RNG draw per level keeps the serial stream advancing
-                // identically whether or not a level aborts afterwards.
-                match_smp(cur, config.matching, config.nthreads, self.rng.next_u64())
-            } else {
-                match_graph(cur, config.matching, self.rng)
-            }
-        };
-        // Stall: a level that barely shrinks isn't worth its cost.
-        if matching.coarse_nvtxs as f64 > 0.95 * cur.nvtxs() as f64 {
-            return None;
-        }
-        counter_add(
-            Counter::VerticesMatched,
-            2 * (cur.nvtxs() - matching.coarse_nvtxs) as u64,
-        );
-        let (graph, cmap) = {
-            let _c = span!("contract", nvtxs = matching.coarse_nvtxs);
-            contract_with_scratch(cur, &matching, &mut self.scratch)
-        };
-        sp.record("coarse_nedges", graph.nedges());
-        let mut level = Level { graph, cmap };
-        if let Some(rng_at) = &mut self.rng_at {
-            // A snapshot outlives many requests: release the contraction's
-            // up-front adjacency reservation before the next level
-            // allocates, so that level can reuse the space.
-            level.graph.shrink_to_fit();
-            rng_at.push(self.rng.clone());
-        }
-        Some(level)
-    }
-
-    fn check_level(&self, finer: &Graph, level: &CoarseLevel) {
-        // Each contraction must conserve the per-constraint weight totals
-        // and produce a structurally valid CSR with an in-range projection.
-        enforce(gcheck::check_graph(&level.graph, self.check));
-        enforce(gcheck::check_conserved_weights(finer, &level.graph));
-        enforce(gcheck::check_projection(&level.cmap, finer.nvtxs(), level.graph.nvtxs()));
-    }
-
     fn initial(&mut self, coarsest: &Graph) -> Vec<u32> {
-        // Coarsening is over: release the contraction scratch, sized by
-        // the first coarse level, before partitioning.
-        drop(std::mem::take(&mut self.scratch));
         let _s = span!("rb", nvtxs = coarsest.nvtxs());
         recursive_bisection_assignment(coarsest, self.nparts, self.config, self.rng)
     }
@@ -156,7 +69,10 @@ impl Policy for Serial<'_> {
         let (nparts, config) = (self.nparts, self.config);
         let (model, mut pw) = {
             let _b = span!("balance", nvtxs = g.nvtxs());
-            (BalanceModel::new(g, nparts, config.imbalance_tol), part_weights(g, part, nparts))
+            (
+                BalanceModel::new(g, nparts, config.imbalance_tol),
+                part_weights(g, part, nparts),
+            )
         };
         // Explicit balancing when a level starts outside the caps.
         if !model.is_balanced(&pw) {
@@ -168,9 +84,26 @@ impl Policy for Serial<'_> {
             // enough to stripe.
             if config.nthreads > 1 && g.nvtxs() >= SMP_REFINE_MIN_NVTXS {
                 let t = config.nthreads;
-                smp_kway_refine_ws(g, part, &mut pw, &model, config.refine_iters, t, self.rng, &mut self.ws)
+                smp_kway_refine_ws(
+                    g,
+                    part,
+                    &mut pw,
+                    &model,
+                    config.refine_iters,
+                    t,
+                    self.rng,
+                    &mut self.ws,
+                )
             } else {
-                greedy_kway_refine_ws(g, part, &mut pw, &model, config.refine_iters, self.rng, &mut self.ws)
+                greedy_kway_refine_ws(
+                    g,
+                    part,
+                    &mut pw,
+                    &model,
+                    config.refine_iters,
+                    self.rng,
+                    &mut self.ws,
+                )
             }
         };
         if !trace::enabled() {
@@ -180,7 +113,10 @@ impl Policy for Serial<'_> {
             ("boundary", self.ws.engine.boundary().len().into()),
             ("moves", stats.moves.into()),
             ("cut", mcgp_graph::metrics::edge_cut_raw(g, part).into()),
-            ("imbalance", imbalances_from_pw(&pw, g.ncon(), &model).into()),
+            (
+                "imbalance",
+                imbalances_from_pw(&pw, g.ncon(), &model).into(),
+            ),
         ]
     }
 
@@ -194,7 +130,10 @@ impl Policy for Serial<'_> {
         let (nparts, config) = (self.nparts, self.config);
         let (model, mut pw) = {
             let _b = span!("balance", nvtxs = g.nvtxs());
-            (BalanceModel::new(g, nparts, config.imbalance_tol), part_weights(g, part, nparts))
+            (
+                BalanceModel::new(g, nparts, config.imbalance_tol),
+                part_weights(g, part, nparts),
+            )
         };
         for _ in 0..4 {
             if model.is_balanced(&pw) {
@@ -222,10 +161,14 @@ pub fn partition_kway(graph: &Graph, nparts: usize, config: &PartitionConfig) ->
         nparts = nparts,
         ncon = graph.ncon(),
     );
+    // The coarsener, and with it the contraction scratch sized by the
+    // first coarse level, is gone before partitioning starts.
+    let mut coarsener = Coarsener::new(config, &mut rng, config.check, false);
+    let levels = multilevel::coarsen(&mut coarsener, graph, config.coarsen_target(nparts));
+    drop(coarsener);
     let mut policy = Serial::new(config, nparts, &mut rng);
-    let (assignment, nlevels) =
-        multilevel::partition(&mut policy, graph, config.coarsen_target(nparts));
-    PartitionResult::measure(graph, assignment, nparts, nlevels)
+    let assignment = multilevel::uncoarsen(&mut policy, graph, &levels);
+    PartitionResult::measure(graph, assignment, nparts, levels.len())
 }
 
 #[cfg(test)]

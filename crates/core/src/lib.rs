@@ -27,8 +27,9 @@
 //! The two drivers mirror METIS: [`partition_rb`] (multilevel recursive
 //! bisection) and [`partition_kway`] (multilevel k-way, the method all paper
 //! experiments use). The k-way order itself lives in [`multilevel`], shared
-//! with the cached-hierarchy replay and the parallel partitioner. The single-constraint baseline of the paper's Table 4
-//! is the same code at `ncon = 1`, re-exported through [`single`].
+//! with the cached-hierarchy replay and the parallel partitioner. The
+//! single-constraint baseline of the paper's Table 4 is the same code at
+//! `ncon = 1`, re-exported through [`single`].
 //!
 //! ```
 //! use mcgp_graph::generators::grid_2d;

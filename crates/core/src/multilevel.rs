@@ -2,19 +2,19 @@
 //! refine order for every execution policy.
 //!
 //! The paper's serial and parallel partitioners are one scheme. What
-//! differs between them is how a level is matched and contracted, how the
-//! coarsest graph is partitioned, and how a level is projected and
-//! refined; a [`Policy`] supplies exactly those steps. This module owns the
-//! order, the phase spans, the `coarsen_level` spans, the `project` spans,
-//! the `uncoarsen_level` events, the seam checks and the level cap.
+//! differs between them is how a level is matched and contracted (a
+//! [`Coarsening`]), and how the coarsest graph is partitioned and a level
+//! projected and refined (a [`Policy`]). This module owns the order, the
+//! phase spans, the `coarsen_level` spans, the `project` spans, the
+//! `uncoarsen_level` events, the seam checks and the level cap.
 //!
-//! Two policies exist: the serial one (`kway::Serial`), which serves every
-//! `nthreads` as well as the warm replay of a
-//! [`crate::hierarchy::HierarchySnapshot`], and the BSP one in
-//! `mcgp_parallel::kway_par`. Recursive bisection's 2-way multilevel
-//! bisection builds its levels with [`build_levels`] but walks them with
-//! its own FM loop: it runs inside the initial phase, where this driver's
-//! phase spans would count its time twice.
+//! The serial halves (`coarsen::Coarsener` and `kway::Serial`) serve every
+//! `nthreads`, the cached [`crate::hierarchy::HierarchySnapshot`] and its
+//! warm replay; the BSP policy in `mcgp_parallel::kway_par` is both halves
+//! in one type, as its cost tracker spans the whole run. Recursive bisection's
+//! 2-way multilevel bisection builds its levels with [`build_levels`] but
+//! walks them with its own FM loop: it runs inside the initial phase, where
+//! this driver's phase spans would count its time twice.
 
 use mcgp_graph::{CheckLevel, Graph};
 use mcgp_runtime::phase::{counter_add, Counter};
@@ -79,55 +79,47 @@ pub enum Seam {
 /// Fields a policy adds to one level's `uncoarsen_level` event.
 pub type LevelFields = Vec<(&'static str, FieldValue)>;
 
-/// What differs per execution policy. Every method runs at the point of
+/// How one level is matched and contracted: what [`build_levels`] needs.
+pub trait Coarsening<G: LevelGraph> {
+    /// Seam validation level; the driver skips the checks when it is off.
+    fn check(&self) -> CheckLevel;
+
+    /// Matches and contracts `cur`, the input graph of level `lvl`, or
+    /// returns `None` when the matching stalls. May record fields on the
+    /// level's `coarsen_level` span.
+    fn coarsen_level(&mut self, cur: &G, lvl: usize, span: &mut Span) -> Option<Level<G>>;
+
+    /// Seam: post-coarsen. Validates `level` against its finer graph.
+    fn check_level(&self, finer: &G, level: &Level<G>);
+}
+
+/// How the coarsest graph is partitioned and each level projected and
+/// refined: what [`uncoarsen`] needs. Every method runs at the point of
 /// the multilevel order the driver calls it at; a policy keeps its own RNG
 /// streams, cost accounting and workspaces.
-pub trait Policy {
-    /// The graph type of every level.
-    type Graph: LevelGraph;
-
+pub trait Policy<G: LevelGraph> {
     /// Seam validation level; the driver skips the checks when it is off.
     fn check(&self) -> CheckLevel;
 
     /// Number of parts.
     fn nparts(&self) -> usize;
 
-    /// Matches and contracts `cur`, the input graph of level `lvl`, or
-    /// returns `None` when the matching stalls. May record fields on the
-    /// level's `coarsen_level` span.
-    fn coarsen_level(
-        &mut self,
-        cur: &Self::Graph,
-        lvl: usize,
-        span: &mut Span,
-    ) -> Option<Level<Self::Graph>>;
-
-    /// Seam: post-coarsen. Validates `level` against its finer graph.
-    fn check_level(&self, finer: &Self::Graph, level: &Level<Self::Graph>);
-
     /// Partitions the coarsest graph.
-    fn initial(&mut self, coarsest: &Self::Graph) -> Vec<u32>;
+    fn initial(&mut self, coarsest: &G) -> Vec<u32>;
 
     /// Validates `part` on `graph` at `seam`.
-    fn check_part(&self, seam: Seam, graph: &Self::Graph, part: &[u32]);
+    fn check_part(&self, seam: Seam, graph: &G, part: &[u32]);
 
     /// Balances and refines `part` on `graph`, the graph of level `lvl`
     /// (`coarsest` on the first call). Returns the level's event fields
     /// when tracing is on, and nothing otherwise.
-    fn refine(
-        &mut self,
-        lvl: usize,
-        coarsest: bool,
-        graph: &Self::Graph,
-        part: &mut [u32],
-    ) -> LevelFields;
+    fn refine(&mut self, lvl: usize, coarsest: bool, graph: &G, part: &mut [u32]) -> LevelFields;
 
     /// Projects a partition of `level.graph` onto `finer`.
-    fn project(&mut self, level: &Level<Self::Graph>, finer: &Self::Graph, part: &[u32])
-        -> Vec<u32>;
+    fn project(&mut self, level: &Level<G>, finer: &G, part: &[u32]) -> Vec<u32>;
 
     /// The last pass on the finest level, after it has been refined.
-    fn finish(&mut self, finest: &Self::Graph, part: &mut [u32]);
+    fn finish(&mut self, finest: &G, part: &mut [u32]);
 }
 
 /// Builds levels above `finest` until the next level's input has at most
@@ -139,12 +131,12 @@ pub trait Policy {
 /// levels are a prefix of a deeper build's and its exit RNG state is the
 /// state before that level. That prefix property is what lets one deep
 /// [`crate::HierarchySnapshot`] serve every `(nparts, ε)` bit-identically.
-pub fn build_levels<P: Policy>(
-    policy: &mut P,
-    finest: &P::Graph,
+pub fn build_levels<G: LevelGraph>(
+    coarsening: &mut impl Coarsening<G>,
+    finest: &G,
     target: usize,
-) -> Vec<Level<P::Graph>> {
-    let mut levels: Vec<Level<P::Graph>> = Vec::new();
+) -> Vec<Level<G>> {
+    let mut levels: Vec<Level<G>> = Vec::new();
     loop {
         let lvl = levels.len();
         let cur = levels.last().map_or(finest, |l| &l.graph);
@@ -152,7 +144,7 @@ pub fn build_levels<P: Policy>(
             break;
         }
         let mut sp = span!("coarsen_level", level = lvl, nvtxs = cur.nvtxs());
-        let Some(level) = policy.coarsen_level(cur, lvl, &mut sp) else {
+        let Some(level) = coarsening.coarsen_level(cur, lvl, &mut sp) else {
             counter_add(Counter::ContractionAborts, 1);
             sp.record("aborted", 1u64);
             break;
@@ -160,8 +152,8 @@ pub fn build_levels<P: Policy>(
         sp.record("coarse_nvtxs", level.graph.nvtxs());
         sp.record("ratio", level.graph.nvtxs() as f64 / cur.nvtxs() as f64);
         drop(sp);
-        if policy.check().enabled() {
-            policy.check_level(cur, &level);
+        if coarsening.check().enabled() {
+            coarsening.check_level(cur, &level);
         }
         levels.push(level);
     }
@@ -169,21 +161,33 @@ pub fn build_levels<P: Policy>(
 }
 
 /// Phase 1: [`build_levels`] under the `coarsen` phase span.
-pub fn coarsen<P: Policy>(policy: &mut P, finest: &P::Graph, target: usize) -> Vec<Level<P::Graph>> {
+pub fn coarsen<G: LevelGraph>(
+    coarsening: &mut impl Coarsening<G>,
+    finest: &G,
+    target: usize,
+) -> Vec<Level<G>> {
     let _s = span!(Phase::Coarsen, nvtxs = finest.nvtxs());
-    build_levels(policy, finest, target)
+    build_levels(coarsening, finest, target)
 }
 
 /// Phases 2 and 3: partitions the coarsest of `levels` (`finest` itself
 /// when there are none), refines it, then projects and refines level by
 /// level down to `finest` and finishes there. Returns the finest
 /// assignment.
-pub fn uncoarsen<P: Policy>(policy: &mut P, finest: &P::Graph, levels: &[Level<P::Graph>]) -> Vec<u32> {
+pub fn uncoarsen<G: LevelGraph>(
+    policy: &mut impl Policy<G>,
+    finest: &G,
+    levels: &[Level<G>],
+) -> Vec<u32> {
     let nlevels = levels.len();
     let check = policy.check().enabled();
     let coarsest = levels.last().map_or(finest, |l| &l.graph);
     let mut part = {
-        let _s = span!(Phase::Initial, nvtxs = coarsest.nvtxs(), nparts = policy.nparts());
+        let _s = span!(
+            Phase::Initial,
+            nvtxs = coarsest.nvtxs(),
+            nparts = policy.nparts()
+        );
         policy.initial(coarsest)
     };
     if check {
@@ -193,7 +197,11 @@ pub fn uncoarsen<P: Policy>(policy: &mut P, finest: &P::Graph, levels: &[Level<P
         let _s = span!(Phase::Refine, nlevels = nlevels, nvtxs = finest.nvtxs());
         refine(policy, nlevels, true, coarsest, &mut part);
         for lvl in (0..nlevels).rev() {
-            let finer = if lvl == 0 { finest } else { &levels[lvl - 1].graph };
+            let finer = if lvl == 0 {
+                finest
+            } else {
+                &levels[lvl - 1].graph
+            };
             part = {
                 let _p = span!("project", level = lvl, nvtxs = finer.nvtxs());
                 policy.project(&levels[lvl], finer, &part)
@@ -211,15 +219,14 @@ pub fn uncoarsen<P: Policy>(policy: &mut P, finest: &P::Graph, levels: &[Level<P
     part
 }
 
-/// The whole multilevel order. Returns the finest assignment and the
-/// number of levels it went through.
-pub fn partition<P: Policy>(policy: &mut P, finest: &P::Graph, target: usize) -> (Vec<u32>, usize) {
-    let levels = coarsen(policy, finest, target);
-    (uncoarsen(policy, finest, &levels), levels.len())
-}
-
 /// One level of the finest-ward walk: refine, check, report.
-fn refine<P: Policy>(policy: &mut P, lvl: usize, coarsest: bool, graph: &P::Graph, part: &mut [u32]) {
+fn refine<G: LevelGraph>(
+    policy: &mut impl Policy<G>,
+    lvl: usize,
+    coarsest: bool,
+    graph: &G,
+    part: &mut [u32],
+) {
     let fields = policy.refine(lvl, coarsest, graph, part);
     if policy.check().enabled() {
         policy.check_part(Seam::Refined, graph, part);
@@ -272,15 +279,9 @@ mod tests {
         }
     }
 
-    impl Policy for Recorder {
-        type Graph = Fake;
-
+    impl Coarsening<Fake> for Recorder {
         fn check(&self) -> CheckLevel {
             self.check
-        }
-
-        fn nparts(&self) -> usize {
-            2
         }
 
         fn coarsen_level(&mut self, cur: &Fake, lvl: usize, _: &mut Span) -> Option<Level<Fake>> {
@@ -294,6 +295,16 @@ mod tests {
         fn check_level(&self, _: &Fake, level: &Level<Fake>) {
             self.log(Call::LevelChecked(level.graph.0));
         }
+    }
+
+    impl Policy<Fake> for Recorder {
+        fn check(&self) -> CheckLevel {
+            self.check
+        }
+
+        fn nparts(&self) -> usize {
+            2
+        }
 
         fn initial(&mut self, coarsest: &Fake) -> Vec<u32> {
             self.log(Call::Initial(coarsest.0));
@@ -304,7 +315,13 @@ mod tests {
             self.log(Call::PartChecked(seam, graph.0));
         }
 
-        fn refine(&mut self, lvl: usize, coarsest: bool, graph: &Fake, part: &mut [u32]) -> LevelFields {
+        fn refine(
+            &mut self,
+            lvl: usize,
+            coarsest: bool,
+            graph: &Fake,
+            part: &mut [u32],
+        ) -> LevelFields {
             assert_eq!(part.len(), graph.0);
             self.log(Call::Refine(lvl, coarsest, graph.0));
             Vec::new()
@@ -330,9 +347,10 @@ mod tests {
             stall_at,
             calls: RefCell::new(Vec::new()),
         };
-        let (part, nlevels) = partition(&mut policy, &Fake(n), target);
+        let levels = coarsen(&mut policy, &Fake(n), target);
+        let part = uncoarsen(&mut policy, &Fake(n), &levels);
         assert_eq!(part.len(), n);
-        (policy.calls.into_inner(), nlevels)
+        (policy.calls.into_inner(), levels.len())
     }
 
     #[test]
@@ -385,9 +403,15 @@ mod tests {
         // target or stalls: only the cap stops the loop.
         let (calls, nlevels) = run(CheckLevel::Off, usize::MAX, 1, 0);
         assert_eq!(nlevels, MAX_LEVELS);
-        let coarsened = calls.iter().filter(|c| matches!(c, Call::Coarsen(..))).count();
+        let coarsened = calls
+            .iter()
+            .filter(|c| matches!(c, Call::Coarsen(..)))
+            .count();
         assert_eq!(coarsened, MAX_LEVELS);
-        let refined = calls.iter().filter(|c| matches!(c, Call::Refine(..))).count();
+        let refined = calls
+            .iter()
+            .filter(|c| matches!(c, Call::Refine(..)))
+            .count();
         assert_eq!(refined, MAX_LEVELS + 1);
         assert_eq!(calls.last(), Some(&Call::Finish(1)));
     }
@@ -404,7 +428,9 @@ mod tests {
     fn seams_are_checked_only_when_enabled() {
         use Call::*;
         let (calls, _) = run(CheckLevel::Off, usize::MAX, 8, 2);
-        assert!(!calls.iter().any(|c| matches!(c, LevelChecked(_) | PartChecked(..))));
+        assert!(!calls
+            .iter()
+            .any(|c| matches!(c, LevelChecked(_) | PartChecked(..))));
 
         let (calls, _) = run(CheckLevel::Cheap, usize::MAX, 8, 2);
         assert_eq!(

@@ -10,7 +10,7 @@ use crate::refine_par::{parallel_balance, reservation_refine, ParRefineStats};
 use crate::slice_refine::slice_refine;
 use mcgp_core::balance::{imbalances_from_pw, BalanceModel};
 use mcgp_core::config::PartitionConfig;
-use mcgp_core::multilevel::{self, enforce, LevelFields, Policy, Seam};
+use mcgp_core::multilevel::{self, enforce, Coarsening, LevelFields, Policy, Seam};
 use mcgp_graph::check as gcheck;
 use mcgp_graph::{CheckLevel, Graph, Partition, PartitionQuality};
 use mcgp_runtime::{event, Span};
@@ -137,7 +137,13 @@ fn compute_pw(
 
 /// The balance model of a distributed level.
 fn dist_model(dist: &DistGraph, nparts: usize, tol: f64) -> BalanceModel {
-    BalanceModel::from_parts(dist.ncon(), nparts, dist.total_vwgt(), &dist.max_vwgt(), tol)
+    BalanceModel::from_parts(
+        dist.ncon(),
+        nparts,
+        dist.total_vwgt(),
+        &dist.max_vwgt(),
+        tol,
+    )
 }
 
 /// The BSP policy: distributed levels, handshake matching and contraction
@@ -151,15 +157,9 @@ struct Bsp<'a> {
     stats: ParRefineStats,
 }
 
-impl Policy for Bsp<'_> {
-    type Graph = DistGraph;
-
+impl Coarsening<DistGraph> for Bsp<'_> {
     fn check(&self) -> CheckLevel {
         self.cfg.check
-    }
-
-    fn nparts(&self) -> usize {
-        self.nparts
     }
 
     fn coarsen_level(&mut self, cur: &DistGraph, lvl: usize, _: &mut Span) -> Option<DistLevel> {
@@ -182,10 +182,17 @@ impl Policy for Bsp<'_> {
         let active = level.graph.nprocs();
         if cfg.fold_threshold > 0 && cn < cfg.fold_threshold * active && active > 1 {
             let new_p = (cn / cfg.fold_threshold).max(1).min(active);
-            event!("graph_fold", level = lvl, nvtxs = cn, from_procs = active, to_procs = new_p);
+            event!(
+                "graph_fold",
+                level = lvl,
+                nvtxs = cn,
+                from_procs = active,
+                to_procs = new_p
+            );
             let gathered = level.graph.gather();
             let bytes_per_proc = (gathered.adjacency_len() * 12 / active.max(1)) as u64;
-            self.tracker.superstep(&vec![cn as u64; active], &vec![bytes_per_proc; active]);
+            self.tracker
+                .superstep(&vec![cn as u64; active], &vec![bytes_per_proc; active]);
             level.graph = DistGraph::distribute(&gathered, new_p);
         }
         Some(level)
@@ -195,16 +202,39 @@ impl Policy for Bsp<'_> {
         // Contraction (and folding, which only moves ownership) must
         // conserve weight totals and keep the cmap in range; Full
         // additionally gathers and validates the CSR itself.
-        enforce(gcheck::check_conserved_totals(&finer.total_vwgt(), &level.graph.total_vwgt()));
-        enforce(gcheck::check_projection(&level.cmap, finer.nvtxs(), level.graph.nvtxs()));
+        enforce(gcheck::check_conserved_totals(
+            &finer.total_vwgt(),
+            &level.graph.total_vwgt(),
+        ));
+        enforce(gcheck::check_projection(
+            &level.cmap,
+            finer.nvtxs(),
+            level.graph.nvtxs(),
+        ));
         if self.cfg.check >= CheckLevel::Full {
             enforce(gcheck::check_graph(&level.graph.gather(), self.cfg.check));
         }
     }
+}
+
+impl Policy<DistGraph> for Bsp<'_> {
+    fn check(&self) -> CheckLevel {
+        self.cfg.check
+    }
+
+    fn nparts(&self) -> usize {
+        self.nparts
+    }
 
     fn initial(&mut self, coarsest: &DistGraph) -> Vec<u32> {
         let cfg = self.cfg;
-        parallel_initial_partition(coarsest, self.nparts, &cfg.serial, cfg.init_runs_executed, &mut self.tracker)
+        parallel_initial_partition(
+            coarsest,
+            self.nparts,
+            &cfg.serial,
+            cfg.init_runs_executed,
+            &mut self.tracker,
+        )
     }
 
     fn check_part(&self, seam: Seam, dist: &DistGraph, part: &[u32]) {
@@ -216,21 +246,42 @@ impl Policy for Bsp<'_> {
         }
     }
 
-    fn refine(&mut self, lvl: usize, coarsest: bool, dist: &DistGraph, part: &mut [u32]) -> LevelFields {
+    fn refine(
+        &mut self,
+        lvl: usize,
+        coarsest: bool,
+        dist: &DistGraph,
+        part: &mut [u32],
+    ) -> LevelFields {
         let (cfg, nparts, tracker) = (self.cfg, self.nparts, &mut self.tracker);
         let seed = cfg.serial.seed;
-        let lvl_seed = if coarsest { seed ^ 0xC0A0 } else { seed ^ ((lvl as u64) << 16) };
+        let lvl_seed = if coarsest {
+            seed ^ 0xC0A0
+        } else {
+            seed ^ ((lvl as u64) << 16)
+        };
         let model = dist_model(dist, nparts, cfg.serial.imbalance_tol);
         let mut pw = compute_pw(dist, part, nparts, tracker);
         // Restore the caps before refining, as the serial policy does with
         // its explicit balancing pass (bounded rounds).
-        let bal_moves = parallel_balance(dist, part, &mut pw, &model, 8, true, lvl_seed ^ 0xBA7, tracker);
+        let bal_moves = parallel_balance(
+            dist,
+            part,
+            &mut pw,
+            &model,
+            8,
+            true,
+            lvl_seed ^ 0xBA7,
+            tracker,
+        );
         let iters = cfg.refine_iters;
         let s = match cfg.refiner {
             RefinerKind::Reservation => {
                 reservation_refine(dist, part, &mut pw, &model, iters, lvl_seed, tracker)
             }
-            RefinerKind::Slice => slice_refine(dist, part, &mut pw, &model, iters, lvl_seed, tracker),
+            RefinerKind::Slice => {
+                slice_refine(dist, part, &mut pw, &model, iters, lvl_seed, tracker)
+            }
         };
         self.stats.iterations += s.iterations;
         self.stats.committed += s.committed;
@@ -244,7 +295,11 @@ impl Policy for Bsp<'_> {
             let lg = dist.local(q);
             for lv in 0..lg.nlocal() {
                 let pv = part[lg.global(lv)];
-                cut2 += lg.edges(lv).filter(|&(u, _)| part[u as usize] != pv).map(|(_, w)| w).sum::<i64>();
+                cut2 += lg
+                    .edges(lv)
+                    .filter(|&(u, _)| part[u as usize] != pv)
+                    .map(|(_, w)| w)
+                    .sum::<i64>();
             }
         }
         vec![
@@ -252,7 +307,10 @@ impl Policy for Bsp<'_> {
             ("committed", s.committed.into()),
             ("disallowed", s.disallowed.into()),
             ("balance_moves", bal_moves.into()),
-            ("imbalance", imbalances_from_pw(&pw, dist.ncon(), &model).into()),
+            (
+                "imbalance",
+                imbalances_from_pw(&pw, dist.ncon(), &model).into(),
+            ),
         ]
     }
 
@@ -285,8 +343,16 @@ impl Policy for Bsp<'_> {
         let model = dist_model(finest, self.nparts, self.cfg.serial.imbalance_tol);
         let mut pw = compute_pw(finest, part, self.nparts, &mut self.tracker);
         let seed = self.cfg.serial.seed ^ 0xF1A1;
-        self.stats.balance_moves +=
-            parallel_balance(finest, part, &mut pw, &model, 16, true, seed, &mut self.tracker);
+        self.stats.balance_moves += parallel_balance(
+            finest,
+            part,
+            &mut pw,
+            &model,
+            16,
+            true,
+            seed,
+            &mut self.tracker,
+        );
     }
 }
 
@@ -310,7 +376,8 @@ pub fn parallel_partition_kway(
         stats: ParRefineStats::default(),
     };
     let target = (cfg.coarsen_to_per_part * nparts).max(cfg.serial.coarsen_target(nparts));
-    let (part, coarsen_levels) = multilevel::partition(&mut policy, &finest, target);
+    let levels = multilevel::coarsen(&mut policy, &finest, target);
+    let part = multilevel::uncoarsen(&mut policy, &finest, &levels);
 
     let partition =
         Partition::new(nparts, part).expect("parallel partitioner produced invalid assignment");
@@ -331,7 +398,7 @@ pub fn parallel_partition_kway(
     ParallelResult {
         partition,
         quality,
-        coarsen_levels,
+        coarsen_levels: levels.len(),
         refine: policy.stats,
         stats,
     }

@@ -40,17 +40,10 @@ test -s "$TRACE_DIR/smoke.folded"
 ./target/release/mcgp trace-check "$TRACE_DIR/smoke.folded" --format folded
 grep -q "partition_kway" "$TRACE_DIR/smoke.folded"
 # The k-way layers keep their span names in release builds: the refiner
-# call and the projection show up under the refine phase. Projection is a
-# short linear pass (about 5 samples per run at 20 kHz on 200k vertices),
-# so up to three profiled runs look for it.
+# call shows up in the samples, and the release trace above records the
+# projection (a pass too short to be sampled reliably).
 grep -q ";kway_refine" "$TRACE_DIR/smoke.folded"
-for try in 1 2 3; do
-    ./target/release/mcgp partition gen:mrng:200000:3 8 \
-        --profile "$TRACE_DIR/layers.folded" --profile-hz 20000 \
-        --outfile "$TRACE_DIR/layers.part" > /dev/null
-    if grep -q ";project" "$TRACE_DIR/layers.folded"; then break; fi
-    test "$try" -lt 3
-done
+grep -q '"name":"project"' "$TRACE_DIR/smoke.trace.jsonl"
 ./target/release/mcgp partition gen:mrng:60000:3 8 \
     --outfile "$TRACE_DIR/noprof.part" > /dev/null
 cmp "$TRACE_DIR/prof.part" "$TRACE_DIR/noprof.part"

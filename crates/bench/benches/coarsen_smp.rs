@@ -13,8 +13,8 @@
 //!   k = 16 target, the end-to-end number `scripts/bench.sh` records in
 //!   `BENCH_coarsen.json`.
 //! * `partition/full` — end-to-end `partition_kway` (coarsen + threaded
-//!   recursive-bisection initial partitioning + parallel k-way
-//!   refinement), the row the `mcgp bench-gate --threads-win` rule
+//!   recursive-bisection initial partitioning + k-way refinement), the
+//!   row the `mcgp bench-gate --threads-win` rule
 //!   enforces `t2 ≤ t1` on.
 //! * `coarsen/smoke` — a small fast workload for the `verify.sh` bench
 //!   smoke (`--samples 3 smoke`).
@@ -89,7 +89,7 @@ fn bench_graph(b: &Bench, g: &Graph, tag: &str) {
     );
 
     // The end-to-end pipeline — coarsen, threaded recursive-bisection
-    // initial partitioning, parallel k-way refinement — at the same
+    // initial partitioning, k-way refinement — at the same
     // stripe counts. This is the row the threads-win gate enforces:
     // `_t2` must hold `_t1`'s speed on whatever host ran the bench.
     b.run_variants(

@@ -187,8 +187,8 @@ pub fn differential_case(
     };
     let serial = partition_kway(graph, nparts, &serial_cfg);
 
-    // Determinism row: the striped coarsener, threaded initial
-    // partitioning, and parallel refiner must make the serial driver a
+    // Determinism row: the striped coarsener and threaded initial
+    // partitioning must keep the serial driver a
     // pure function of `(graph, seed, threads)` — a rerun reproduces the
     // assignment bit-for-bit in every cell, threaded or not.
     let rerun = partition_kway(graph, nparts, &serial_cfg);

@@ -8,7 +8,6 @@ use crate::boundary::RefineWorkspace;
 use crate::coarsen::{CoarseLevel, Coarsener};
 use crate::config::PartitionConfig;
 use crate::kway_refine::greedy_kway_refine_ws;
-use crate::kway_refine_smp::{smp_kway_refine_ws, SMP_REFINE_MIN_NVTXS};
 use crate::multilevel::{self, enforce, LevelFields, Policy, Seam};
 use crate::rb::recursive_bisection_assignment;
 use crate::PartitionResult;
@@ -18,10 +17,10 @@ use mcgp_runtime::rng::Rng;
 use mcgp_runtime::{span, trace};
 
 /// The serial policy: recursive bisection of the coarsest graph and the
-/// greedy or SMP k-way refiner, drawing from the stream coarsening left.
-/// It serves every `nthreads`: the SMP refiner takes over above a fixed
-/// vertex count, so which kernel runs is part of the `(seed, nthreads)`
-/// contract, not of the machine.
+/// greedy k-way refiner, drawing from the stream coarsening left. It
+/// serves every `nthreads`: threads reach only the striped matching and
+/// the recursive-bisection task tree, and every level is refined by the
+/// same serial boundary sweep.
 pub(crate) struct Serial<'a> {
     config: &'a PartitionConfig,
     nparts: usize,
@@ -80,31 +79,15 @@ impl Policy<Graph> for Serial<'_> {
         }
         let stats = {
             let _k = span!("kway_refine", nvtxs = g.nvtxs());
-            // The SMP refiner takes over at `nthreads > 1` on levels big
-            // enough to stripe.
-            if config.nthreads > 1 && g.nvtxs() >= SMP_REFINE_MIN_NVTXS {
-                let t = config.nthreads;
-                smp_kway_refine_ws(
-                    g,
-                    part,
-                    &mut pw,
-                    &model,
-                    config.refine_iters,
-                    t,
-                    self.rng,
-                    &mut self.ws,
-                )
-            } else {
-                greedy_kway_refine_ws(
-                    g,
-                    part,
-                    &mut pw,
-                    &model,
-                    config.refine_iters,
-                    self.rng,
-                    &mut self.ws,
-                )
-            }
+            greedy_kway_refine_ws(
+                g,
+                part,
+                &mut pw,
+                &model,
+                config.refine_iters,
+                self.rng,
+                &mut self.ws,
+            )
         };
         if !trace::enabled() {
             return Vec::new();

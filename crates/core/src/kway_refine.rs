@@ -1,5 +1,5 @@
-//! Greedy multi-constraint k-way refinement (the serial uncoarsening-phase
-//! refinement of the multilevel k-way driver).
+//! Greedy multi-constraint k-way refinement: the uncoarsening-phase
+//! refinement of the multilevel k-way driver at every thread count.
 //!
 //! Each iteration sweeps the boundary vertices in random order. A vertex
 //! moves to the adjacent subdomain with the largest positive cut gain whose
@@ -120,7 +120,7 @@ pub fn greedy_kway_refine_ws(
 
 /// `1 / (per-part average weight)` per constraint (0 for an all-zero
 /// constraint), so every balance probe is a multiply instead of a division.
-pub(crate) fn inverse_averages(model: &BalanceModel) -> Vec<f64> {
+fn inverse_averages(model: &BalanceModel) -> Vec<f64> {
     model
         .totals()
         .iter()
@@ -134,18 +134,15 @@ pub(crate) fn inverse_averages(model: &BalanceModel) -> Vec<f64> {
         .collect()
 }
 
-/// The k-way move rule, shared by the serial sweep and both supersteps of
-/// [`crate::kway_refine_smp`], evaluated against the given engine /
+/// The k-way move rule of the sweep, evaluated against the given engine /
 /// part-weight state for vertex `v` in part `a`. Phase 1 picks the best
 /// non-negative cut gain among destinations whose caps fit (integer
 /// arithmetic only). Phase 2 breaks gain ties by balance improvement — the
 /// float probes run only for the (usually one) tied candidates — and a
 /// zero-gain move must strictly improve balance. Returns the winning
-/// `(gain, bal_gain, to)` (or `None` when no admissible move exists) plus
-/// the best cut gain *ignoring the caps*, which the SMP proposal scan uses
-/// to spot capacity-blocked vertices without a second `conn_of` pass.
+/// `(gain, bal_gain, to)`, or `None` when no admissible move exists.
 #[inline(always)]
-pub(crate) fn best_move_scan(
+fn best_move(
     graph: &Graph,
     engine: &BoundaryEngine,
     pw: &[i64],
@@ -153,18 +150,14 @@ pub(crate) fn best_move_scan(
     inv_avg: &[f64],
     v: usize,
     a: usize,
-) -> (Option<(i64, f64, usize)>, i64) {
+) -> Option<(i64, f64, usize)> {
     let ncon = graph.ncon();
     let vw = graph.vwgt(v);
     let internal = engine.internal(v);
     let mut best_gain: Option<i64> = None;
-    let mut best_nocap = i64::MIN;
     for pc in engine.conn_of(v) {
         let b = pc.part as usize;
         let gain = pc.weight - internal;
-        if gain > best_nocap {
-            best_nocap = gain;
-        }
         if gain < 0 || best_gain.is_some_and(|bg| gain < bg) {
             continue;
         }
@@ -175,9 +168,7 @@ pub(crate) fn best_move_scan(
             best_gain = Some(gain);
         }
     }
-    let Some(bg) = best_gain else {
-        return (None, best_nocap);
-    };
+    let bg = best_gain?;
     let load_a_before = part_load(pw, ncon, a, inv_avg);
     let mut best: Option<(i64, f64, usize)> = None;
     for pc in engine.conn_of(v) {
@@ -202,28 +193,14 @@ pub(crate) fn best_move_scan(
             best = Some((gain, bal_gain, b));
         }
     }
-    (best, best_nocap)
-}
-
-/// [`best_move_scan`] without the no-caps sideband.
-#[inline(always)]
-pub(crate) fn best_move(
-    graph: &Graph,
-    engine: &BoundaryEngine,
-    pw: &[i64],
-    model: &BalanceModel,
-    inv_avg: &[f64],
-    v: usize,
-    a: usize,
-) -> Option<(i64, f64, usize)> {
-    best_move_scan(graph, engine, pw, model, inv_avg, v, a).0
+    best
 }
 
 /// Relative load of part `p`: its worst per-constraint weight over the
 /// per-part average (`inv_avg[i]` = nparts / total weight of constraint `i`,
 /// or 0 for an all-zero constraint).
 #[inline]
-pub(crate) fn part_load(pw: &[i64], ncon: usize, p: usize, inv_avg: &[f64]) -> f64 {
+fn part_load(pw: &[i64], ncon: usize, p: usize, inv_avg: &[f64]) -> f64 {
     let mut worst: f64 = 0.0;
     for i in 0..ncon {
         worst = worst.max(pw[p * ncon + i] as f64 * inv_avg[i]);
@@ -236,7 +213,14 @@ pub(crate) fn part_load(pw: &[i64], ncon: usize, p: usize, inv_avg: &[f64]) -> f
 /// same float multiply as `part_load`, so the value is bit-identical to an
 /// apply/revert probe.
 #[inline]
-pub(crate) fn part_load_shifted(pw: &[i64], ncon: usize, p: usize, vw: &[i64], sign: i64, inv_avg: &[f64]) -> f64 {
+fn part_load_shifted(
+    pw: &[i64],
+    ncon: usize,
+    p: usize,
+    vw: &[i64],
+    sign: i64,
+    inv_avg: &[f64],
+) -> f64 {
     let mut worst: f64 = 0.0;
     for i in 0..ncon {
         worst = worst.max((pw[p * ncon + i] + sign * vw[i]) as f64 * inv_avg[i]);

@@ -29,7 +29,7 @@
 //! experiments use). The k-way order itself lives in [`multilevel`], shared
 //! with the cached-hierarchy replay and the parallel partitioner. The
 //! single-constraint baseline of the paper's Table 4 is the same code at
-//! `ncon = 1`, re-exported through [`single`].
+//! `ncon = 1`, fed by [`single::collapse_to_single`].
 //!
 //! ```
 //! use mcgp_graph::generators::grid_2d;
@@ -53,7 +53,6 @@ pub mod hierarchy;
 pub mod initial;
 pub mod kway;
 pub mod kway_refine;
-pub mod kway_refine_smp;
 pub mod matching;
 pub mod multilevel;
 pub mod pqueue;
@@ -64,7 +63,6 @@ pub use config::{MatchingScheme, PartitionConfig};
 pub use hierarchy::HierarchySnapshot;
 pub use kway::partition_kway;
 pub use rb::partition_rb;
-pub use single::{partition_kway_single, partition_rb_single};
 
 use mcgp_graph::{Graph, Partition, PartitionQuality};
 

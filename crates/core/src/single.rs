@@ -1,10 +1,9 @@
-//! Single-constraint convenience API — the baseline partitioner of the
-//! paper's Table 4 ("the k-way single-constraint parallel graph partitioning
-//! algorithm implemented in ParMeTiS" is the `m = 1` specialisation of the
-//! same multilevel machinery).
+//! The single-constraint baseline of the paper's Table 4 ("the k-way
+//! single-constraint parallel graph partitioning algorithm implemented in
+//! ParMeTiS" is the `m = 1` specialisation of the same multilevel
+//! machinery): every partitioner takes `ncon = 1` graphs as they are, and
+//! this module collapses a multi-constraint workload to one constraint.
 
-use crate::config::PartitionConfig;
-use crate::{partition_kway, partition_rb, PartitionResult};
 use mcgp_graph::Graph;
 
 /// Collapses an `ncon`-weight graph to a single constraint by summing each
@@ -21,29 +20,6 @@ pub fn collapse_to_single(graph: &Graph) -> Graph {
         .clone()
         .with_vwgt(1, vwgt)
         .expect("collapsed weights sized by construction")
-}
-
-/// Multilevel k-way partitioning of a single-constraint graph.
-///
-/// Panics if the graph carries more than one constraint — collapse first
-/// with [`collapse_to_single`] to make the modelling decision explicit.
-pub fn partition_kway_single(
-    graph: &Graph,
-    nparts: usize,
-    config: &PartitionConfig,
-) -> PartitionResult {
-    assert_eq!(graph.ncon(), 1, "single-constraint API requires ncon == 1");
-    partition_kway(graph, nparts, config)
-}
-
-/// Multilevel recursive bisection of a single-constraint graph.
-pub fn partition_rb_single(
-    graph: &Graph,
-    nparts: usize,
-    config: &PartitionConfig,
-) -> PartitionResult {
-    assert_eq!(graph.ncon(), 1, "single-constraint API requires ncon == 1");
-    partition_rb(graph, nparts, config)
 }
 
 #[cfg(test)]
@@ -67,23 +43,5 @@ mod tests {
     fn collapse_of_single_is_identity() {
         let g = grid_2d(6, 6);
         assert_eq!(collapse_to_single(&g), g);
-    }
-
-    #[test]
-    fn single_constraint_partition_works() {
-        let g = grid_2d(20, 20);
-        let cfg = PartitionConfig::default();
-        let r = partition_kway_single(&g, 4, &cfg);
-        assert!(r.quality.max_imbalance <= 1.06);
-        assert!(r.partition.all_parts_nonempty());
-        let r = partition_rb_single(&g, 4, &cfg);
-        assert!(r.quality.max_imbalance <= 1.10);
-    }
-
-    #[test]
-    #[should_panic(expected = "ncon == 1")]
-    fn rejects_multiconstraint_graph() {
-        let g = synthetic::type1(&grid_2d(8, 8), 2, 1);
-        partition_kway_single(&g, 2, &PartitionConfig::default());
     }
 }

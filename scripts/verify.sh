@@ -31,8 +31,7 @@ test -s "$TRACE_DIR/smoke.trace.jsonl"
 
 # Profiler smoke: a profiled run must produce a valid non-empty collapsed
 # file and a partition byte-identical to the unprofiled run — the span
-# profiler is a pure observer (DESIGN.md, "Observability v2"). Both the
-# serial and the threaded coarsening paths must show up in the samples.
+# profiler is a pure observer (DESIGN.md, "Observability v2").
 ./target/release/mcgp partition gen:mrng:60000:3 8 \
     --profile "$TRACE_DIR/smoke.folded" --profile-hz 4000 \
     --outfile "$TRACE_DIR/prof.part" > /dev/null
@@ -57,6 +56,15 @@ cmp "$TRACE_DIR/prof.part" "$TRACE_DIR/noprof.part"
 ./target/release/mcgp partition gen:mrng:60000:3 8 --threads 4 \
     --outfile "$TRACE_DIR/noprof_t4.part" > /dev/null
 cmp "$TRACE_DIR/prof_t4.part" "$TRACE_DIR/noprof_t4.part"
+# The threaded pipeline runs the striped matching and refines with the
+# serial sweep's passes. A trace records every span, so this check is
+# deterministic where profile samples are not.
+./target/release/mcgp partition gen:mrng:60000:3 8 --threads 2 \
+    --trace "$TRACE_DIR/smoke_t2.trace.jsonl" \
+    --outfile "$TRACE_DIR/trace_t2.part" > /dev/null
+./target/release/mcgp trace-check "$TRACE_DIR/smoke_t2.trace.jsonl"
+grep -q '"name":"match_smp"' "$TRACE_DIR/smoke_t2.trace.jsonl"
+grep -q '"name":"refine_pass"' "$TRACE_DIR/smoke_t2.trace.jsonl"
 
 # Bench-gate smoke: the gate must pass comparing a committed baseline to
 # itself — including the threads-win rule over the committed threaded

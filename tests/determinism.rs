@@ -53,11 +53,11 @@ fn parallel_kway_is_bit_identical_across_runs_and_thread_counts() {
 
 #[test]
 fn threaded_full_pipeline_is_bit_identical_per_seed_and_thread_count() {
-    // The end-to-end shared-memory pipeline — striped coarsening, threaded
-    // recursive-bisection initial partitioning, parallel k-way refinement —
-    // must be a pure function of `(graph, seed, nthreads)`. Big enough that
-    // every parallel stage actually engages (the SMP refiner has a minimum
-    // level size), multi-constraint so the balance model is exercised.
+    // The end-to-end shared-memory pipeline — striped coarsening and
+    // threaded recursive-bisection initial partitioning around the serial
+    // k-way sweep — must be a pure function of `(graph, seed, nthreads)`.
+    // Big enough that every parallel stage actually engages,
+    // multi-constraint so the balance model is exercised.
     let g = synthetic::type1(&mrng_like(6_000, 11), 3, 11);
     for t in [1usize, 2, 4, 8] {
         let cfg = PartitionConfig::default().with_seed(5).with_threads(t);

@@ -3,9 +3,9 @@
 //! The Euro-Par 2000 parallel formulation is *supposed* to approximate the
 //! serial SC'98 algorithm: same multilevel structure, coarser-grained
 //! refinement. This module makes that claim executable. For every cell of a
-//! seeded sweep (weight type × ncon × k × p, the serial driver's
-//! shared-memory coarsener running at `p` stripes so the envelopes also
-//! cover parallel coarsening) it runs both drivers with full seam
+//! seeded sweep (weight type × ncon × k × p, the serial driver running at
+//! `p` threads so the envelopes also cover its threaded recursive
+//! bisection) it runs both drivers with full seam
 //! validation enabled and checks, against documented envelopes, that
 //!
 //! 1. both partitions are structurally valid (in-range, every subdomain
@@ -176,9 +176,9 @@ pub fn differential_case(
     seed: u64,
     env: &Envelope,
 ) -> DiffRecord {
-    // The serial driver runs its shared-memory coarsening engine at
-    // `nprocs` stripes, so every cell of the grid also covers parallel
-    // coarsening (threads 1/2/8 on the default grids) under the same
+    // The serial driver runs at `nprocs` threads, so every cell of the
+    // grid with `nprocs > 1` also covers the threaded recursive-bisection
+    // task tree (threads 1/2/8 on the default grids) under the same
     // envelopes.
     let serial_cfg = {
         let mut c = PartitionConfig::default().with_seed(seed).with_threads(nprocs);
@@ -187,10 +187,9 @@ pub fn differential_case(
     };
     let serial = partition_kway(graph, nparts, &serial_cfg);
 
-    // Determinism row: the striped coarsener and threaded initial
-    // partitioning must keep the serial driver a
-    // pure function of `(graph, seed, threads)` — a rerun reproduces the
-    // assignment bit-for-bit in every cell, threaded or not.
+    // Determinism row: threaded initial partitioning must keep the serial
+    // driver a pure function of `(graph, seed, threads > 1)` — a rerun
+    // reproduces the assignment bit-for-bit in every cell, threaded or not.
     let rerun = partition_kway(graph, nparts, &serial_cfg);
     let rerun_identical = rerun.partition.assignment() == serial.partition.assignment();
 

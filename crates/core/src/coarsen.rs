@@ -6,7 +6,6 @@
 //! vertex weight per constraint is invariant across levels — which is what
 //! keeps one balance model meaningful through the whole hierarchy.
 
-use crate::coarsen_smp::{match_smp, SMP_MIN_NVTXS};
 use crate::config::PartitionConfig;
 use crate::matching::{match_graph, GraphMatching};
 use crate::multilevel::{build_levels, enforce, Coarsening, Level};
@@ -152,11 +151,9 @@ pub fn contract_with_scratch(
     )
 }
 
-/// The serial coarsening of the [`crate::multilevel`] driver: one RNG
-/// stream, the serial or pooled matcher and the one contraction kernel.
-/// The pooled matcher takes over above a fixed vertex count, so which
-/// kernel runs is part of the `(seed, nthreads)` contract, not of the
-/// machine.
+/// The coarsening of the [`crate::multilevel`] driver: one RNG stream,
+/// the serial matcher and the one contraction kernel. It never reads
+/// `nthreads`, so every thread count builds the same levels.
 pub(crate) struct Coarsener<'a> {
     config: &'a PartitionConfig,
     rng: &'a mut Rng,
@@ -198,23 +195,10 @@ impl Coarsening<Graph> for Coarsener<'_> {
     }
 
     fn coarsen_level(&mut self, cur: &Graph, _lvl: usize, sp: &mut Span) -> Option<CoarseLevel> {
-        let config = self.config;
-        // Shared-memory matching above the size floor; small levels drop
-        // to the serial matcher (the constant floor keeps `(seed, nthreads)`
-        // determinism independent of the machine). Contraction is the one
-        // serial kernel either way.
-        let use_smp = config.nthreads > 1 && cur.nvtxs() >= SMP_MIN_NVTXS;
         sp.record("nedges", cur.nedges());
-        sp.record("smp_threads", if use_smp { config.nthreads } else { 1 });
         let matching = {
             let _m = span!("matching", nvtxs = cur.nvtxs());
-            if use_smp {
-                // One RNG draw per level keeps the serial stream advancing
-                // identically whether or not a level aborts afterwards.
-                match_smp(cur, config.matching, config.nthreads, self.rng.next_u64())
-            } else {
-                match_graph(cur, config.matching, self.rng)
-            }
+            match_graph(cur, self.config.matching, self.rng)
         };
         // Stall: a level that barely shrinks isn't worth its cost.
         if matching.coarse_nvtxs as f64 > 0.95 * cur.nvtxs() as f64 {

@@ -33,15 +33,13 @@ pub struct PartitionConfig {
     pub coarsen_to_min: usize,
     /// Matching scheme used during coarsening.
     pub matching: MatchingScheme,
-    /// Worker threads for the shared-memory pipeline. Threads reach two
-    /// stages: the striped matching ([`crate::coarsen_smp`]), whose
-    /// proposal/arbitration supersteps stripe vertices across this many
-    /// workers, and the recursive-bisection task tree of the initial
-    /// partition. Contraction and k-way refinement are the serial kernels
+    /// Worker threads for the shared-memory pipeline. Threads reach one
+    /// stage, the recursive-bisection task tree of the initial partition;
+    /// matching, contraction and k-way refinement are the serial kernels
     /// at every count. `1` (the default) runs the serial path unchanged.
-    /// Output is deterministic for a fixed `(seed, nthreads)` pair — the
-    /// stripe count shapes the result, the physical thread count never
-    /// does.
+    /// Output is a function of `seed` and of whether `nthreads > 1`: every
+    /// count above one gives the same partition, and the physical thread
+    /// count never shows.
     pub nthreads: usize,
     /// Maximum refinement iterations per uncoarsening level (the paper
     /// upper-bounds these; early exit on a local minimum).

@@ -204,8 +204,8 @@ impl HierarchySnapshot {
     /// hierarchy, paying only initial partitioning + refinement.
     ///
     /// `graph` must be the graph this snapshot was built from, and
-    /// `config` must agree on everything coarsening consumed (seed,
-    /// stripe count, matching scheme, coarsening floors) — the serve
+    /// `config` must agree on everything the snapshot is keyed on (seed,
+    /// thread count, matching scheme, coarsening floors) — the serve
     /// cache's fingerprint keying guarantees this; violating it here is a
     /// caller bug and panics. `nparts`, `imbalance_tol`, and refinement
     /// knobs are free: that is the point of the cache.
@@ -223,7 +223,7 @@ impl HierarchySnapshot {
         assert_eq!(config.seed, self.seed, "snapshot used with a different seed");
         assert_eq!(
             config.nthreads, self.nthreads,
-            "snapshot used with a different stripe count"
+            "snapshot used with a different thread count"
         );
         assert!(nparts >= 1, "nparts must be >= 1");
         assert!(graph.nvtxs() >= nparts, "more parts than vertices");

@@ -18,9 +18,9 @@ use mcgp_runtime::{span, trace};
 
 /// The serial policy: recursive bisection of the coarsest graph and the
 /// greedy k-way refiner, drawing from the stream coarsening left. It
-/// serves every `nthreads`: threads reach only the striped matching and
-/// the recursive-bisection task tree, and every level is refined by the
-/// same serial boundary sweep.
+/// serves every `nthreads`: threads reach only the recursive-bisection
+/// task tree, and every level is refined by the same serial boundary
+/// sweep.
 pub(crate) struct Serial<'a> {
     config: &'a PartitionConfig,
     nparts: usize,

@@ -46,7 +46,6 @@
 pub mod balance;
 pub mod boundary;
 pub mod coarsen;
-pub mod coarsen_smp;
 pub mod config;
 pub mod fm2way;
 pub mod hierarchy;

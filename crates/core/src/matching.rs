@@ -5,11 +5,16 @@
 //! twist from SC'98 is the **balanced-edge tie-break**: among (near-)equally
 //! heavy candidate edges, prefer the partner whose combined weight vector is
 //! flattest across the constraints, so coarse vertices stay easy to balance.
+//!
+//! [`match_graph`] is the one shared-memory matcher: the coarsening of every
+//! thread count runs it. The distributed request/grant protocol of the BSP
+//! partitioner (`mcgp-parallel::match_par`) reuses this module's
+//! [`combined_spread`] and [`grant_beats`].
 
 use crate::config::MatchingScheme;
 use mcgp_graph::Graph;
-use mcgp_runtime::rng::SliceRandom;
 use mcgp_runtime::rng::Rng;
+use mcgp_runtime::rng::SliceRandom;
 
 /// A matching over a graph: `mate[v] == v` for unmatched vertices, otherwise
 /// `mate[mate[v]] == v`.
@@ -23,6 +28,11 @@ pub struct GraphMatching {
 }
 
 /// Computes a matching with the given scheme. Deterministic per RNG state.
+///
+/// One greedy pass over a random vertex order: every still-unmatched
+/// visited vertex picks its best unmatched neighbour under `scheme` and the
+/// pair commits immediately. Visited vertices that find no partner become
+/// singletons.
 pub fn match_graph(graph: &Graph, scheme: MatchingScheme, rng: &mut Rng) -> GraphMatching {
     let n = graph.nvtxs();
     let mut mate: Vec<u32> = (0..n as u32).collect();
@@ -30,30 +40,8 @@ pub fn match_graph(graph: &Graph, scheme: MatchingScheme, rng: &mut Rng) -> Grap
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(rng);
     let inv_tot = inv_totals(graph);
-    let pairs = greedy_match_pass(graph, scheme, &order, &mut mate, &mut matched, &inv_tot, rng);
-    GraphMatching {
-        mate,
-        coarse_nvtxs: n - pairs,
-    }
-}
-
-/// One greedy pass over `order`: every still-unmatched visited vertex picks
-/// its best unmatched neighbour under `scheme` and the pair commits
-/// immediately. Visited vertices that find no partner become singletons.
-/// Returns the number of pairs formed. This is the whole serial matcher,
-/// and the communication-free cleanup tail of the shared-memory matcher
-/// ([`crate::coarsen_smp`]) on whatever the arbitration rounds left over.
-pub(crate) fn greedy_match_pass(
-    graph: &Graph,
-    scheme: MatchingScheme,
-    order: &[u32],
-    mate: &mut [u32],
-    matched: &mut [bool],
-    inv_tot: &[f64],
-    rng: &mut Rng,
-) -> usize {
     let mut pairs = 0usize;
-    for &v in order {
+    for v in order {
         let v = v as usize;
         if matched[v] {
             continue;
@@ -61,10 +49,10 @@ pub(crate) fn greedy_match_pass(
         let partner = match scheme {
             MatchingScheme::Random => {
                 // First unmatched neighbour in (randomised) adjacency scan.
-                pick_random(graph, v, matched, rng)
+                pick_random(graph, v, &matched, rng)
             }
-            MatchingScheme::HeavyEdge => pick_heavy(graph, v, matched),
-            MatchingScheme::BalancedHeavyEdge => pick_balanced_heavy(graph, v, matched, inv_tot),
+            MatchingScheme::HeavyEdge => pick_heavy(graph, v, &matched),
+            MatchingScheme::BalancedHeavyEdge => pick_balanced_heavy(graph, v, &matched, &inv_tot),
         };
         if let Some(u) = partner {
             mate[v] = u as u32;
@@ -76,13 +64,16 @@ pub(crate) fn greedy_match_pass(
             matched[v] = true; // stays a singleton
         }
     }
-    pairs
+    GraphMatching {
+        mate,
+        coarse_nvtxs: n - pairs,
+    }
 }
 
 /// Per-constraint reciprocal weight totals — the normalisation the
 /// balanced-edge tie-break needs before weight spreads are comparable
 /// across constraints (zero-total constraints contribute nothing).
-pub fn inv_totals(graph: &Graph) -> Vec<f64> {
+fn inv_totals(graph: &Graph) -> Vec<f64> {
     graph
         .total_vwgt()
         .iter()
@@ -108,12 +99,11 @@ pub fn combined_spread(a: &[i64], b: &[i64], inv_tot: &[f64]) -> f64 {
     hi - lo
 }
 
-/// The Euro-Par grant-arbitration ordering, shared by the shared-memory
-/// matcher and the distributed request/grant protocol
-/// (`mcgp-parallel::match_par`): a candidate proposal `(edge weight,
-/// combined spread, proposer id)` beats the incumbent on a heavier edge,
-/// then a flatter combined weight vector, then the **lower proposer id**
-/// (the deterministic conflict tie-break).
+/// The Euro-Par grant-arbitration ordering of the distributed request/grant
+/// protocol (`mcgp-parallel::match_par`): a candidate proposal `(edge
+/// weight, combined spread, proposer id)` beats the incumbent on a heavier
+/// edge, then a flatter combined weight vector, then the **lower proposer
+/// id** (the deterministic conflict tie-break).
 pub fn grant_beats(cand: (i64, f64, u32), best: (i64, f64, u32)) -> bool {
     if cand.0 != best.0 {
         return cand.0 > best.0;
@@ -141,7 +131,7 @@ fn pick_random(graph: &Graph, v: usize, matched: &[bool], rng: &mut Rng) -> Opti
     None
 }
 
-pub(crate) fn pick_heavy(graph: &Graph, v: usize, matched: &[bool]) -> Option<usize> {
+fn pick_heavy(graph: &Graph, v: usize, matched: &[bool]) -> Option<usize> {
     let mut best: Option<(i64, usize)> = None;
     for (u, w) in graph.edges(v) {
         let u = u as usize;
@@ -155,13 +145,12 @@ pub(crate) fn pick_heavy(graph: &Graph, v: usize, matched: &[bool]) -> Option<us
 /// Heavy-edge with the balanced-edge tie-break: among unmatched neighbours
 /// whose edge weight equals the maximum, minimise the spread
 /// `max_i − min_i` of the combined normalised weight vector.
-pub(crate) fn pick_balanced_heavy(
+fn pick_balanced_heavy(
     graph: &Graph,
     v: usize,
     matched: &[bool],
     inv_tot: &[f64],
 ) -> Option<usize> {
-    let ncon = graph.ncon();
     let vw = graph.vwgt(v);
     let mut best: Option<(i64, f64, usize)> = None;
     for (u, w) in graph.edges(v) {
@@ -174,15 +163,7 @@ pub(crate) fn pick_balanced_heavy(
         if !better_weight && !tied_weight {
             continue;
         }
-        let uw = graph.vwgt(u);
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for i in 0..ncon {
-            let c = (vw[i] + uw[i]) as f64 * inv_tot[i];
-            lo = lo.min(c);
-            hi = hi.max(c);
-        }
-        let spread = if ncon > 1 { hi - lo } else { 0.0 };
+        let spread = combined_spread(vw, graph.vwgt(u), inv_tot);
         if better_weight || best.is_none_or(|(_, bs, _)| spread < bs) {
             best = Some((w, spread, u));
         }

@@ -7,7 +7,9 @@
 //! standalone partitioner and the initial-partitioning engine of the k-way
 //! driver, exactly as in METIS. At `nthreads > 1` the two halves of every
 //! split recurse as independent [`pool::join`] tasks with split
-//! deterministic RNG streams.
+//! deterministic RNG streams. This task tree is the only place threads
+//! reach the shared-memory pipeline, so a partition is a function of the
+//! seed and of `nthreads > 1`, never of the count itself.
 
 use crate::coarsen::coarsen;
 use crate::config::PartitionConfig;
@@ -128,8 +130,8 @@ fn recurse(
         // Task-tree parallelism: the two halves are independent, so they
         // run as pool tasks. Each subtree reseeds from a value drawn off
         // the parent stream, making the RNG streams (and so the output) a
-        // function of `(seed, nthreads)` alone — whether `pool::join`
-        // actually spawned a worker or degraded inline never shows.
+        // function of the seed alone — whether `pool::join` actually
+        // spawned a worker or degraded inline never shows.
         let lseed = rng.next_u64();
         let rseed = rng.next_u64();
         pool::join(

@@ -450,7 +450,8 @@ fn run_partition(opts: &Opts) {
         graph.nedges(),
         graph.ncon()
     );
-    // Shared-memory coarsening stripes; deterministic per (seed, threads).
+    // Threads fork the recursive-bisection task tree; the output depends on
+    // the seed and on whether threads > 1.
     let mut cfg = mcgp_core::PartitionConfig::default()
         .with_seed(seed)
         .with_threads(threads);

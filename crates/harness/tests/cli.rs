@@ -124,7 +124,7 @@ fn partition_rejects_bad_part_and_processor_counts() {
 
 #[test]
 fn partition_holds_threads_to_the_daemon_range() {
-    // A huge stripe count used to abort on a multi-gigabyte allocation.
+    // A huge thread count used to abort on a multi-gigabyte allocation.
     for bad in ["0", "257", "100000000"] {
         let out = mcgp()
             .args(["partition", "gen:mrng:4000:3", "8", "--threads", bad])

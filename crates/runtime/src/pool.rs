@@ -1,6 +1,6 @@
 //! Scoped worker pool over index ranges.
 //!
-//! The parallel partitioner's supersteps all have the same shape: `p`
+//! The BSP partitioner's supersteps all have the same shape: `p`
 //! independent units of work whose outputs must be merged *in unit order*
 //! so that parallel execution never changes the result. [`map`] and
 //! [`for_each`] provide exactly that: work units are claimed from a shared
@@ -16,30 +16,21 @@
 //! `available_parallelism` deliberately oversubscribes, so multi-thread
 //! merge paths are testable on small machines).
 //!
-//! For work that must *write* into disjoint regions of shared buffers —
-//! the shared-memory matching's arbitration superstep gives each worker
-//! its own stripe of the slot array — [`zip_map`] runs one worker per
-//! owned work item (e.g. a `&mut` chunk) with the same ordered merge, and
-//! [`stripe_bounds`] computes the contiguous stripes those kernels are
-//! built from.
-//!
 //! For *task-tree* parallelism — recursive bisection runs the two halves
 //! of each split as independent tasks — [`join`] runs two closures,
 //! spawning the second on a scoped thread only when the process-wide
 //! worker budget has room. The budget (a live-worker count capped at
-//! `MCGP_THREADS` / `available_parallelism`) is shared with [`map`] and
-//! [`zip_map`], so nested parallel regions anywhere in a task tree
-//! degrade to inline execution instead of oversubscribing the pool, and
-//! no caller ever blocks waiting for a slot — there is no deadlock to
-//! have. Spawning decisions never affect results: `join` always returns
+//! `MCGP_THREADS` / `available_parallelism`) is shared with [`map`], so
+//! nested parallel regions anywhere in a task tree degrade to inline
+//! execution instead of oversubscribing the pool, and no caller ever
+//! blocks waiting for a slot — there is no deadlock to have. Spawning decisions never affect results: `join` always returns
 //! `(a(), b())` and merges thread-local tallies in that fixed order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Live pool worker threads across the whole process (spawned by [`map`],
-/// [`zip_map`], or [`join`], released when their region ends). The cap is
-/// re-read from the environment per region, so only the *count* is global
-/// state.
+/// Live pool worker threads across the whole process (spawned by [`map`]
+/// or [`join`], released when their region ends). The cap is re-read from
+/// the environment per region, so only the *count* is global state.
 static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// The process-wide worker-thread cap: `MCGP_THREADS` if set, else
@@ -210,57 +201,6 @@ where
     map(n, f);
 }
 
-/// Consumes `items` and applies `f(index, item)` to each, one worker per
-/// item, returning results **in item order**. Unlike [`map`], each work
-/// unit *owns* its input — this is how striped kernels hand every worker a
-/// disjoint `&mut` chunk of a shared buffer without any unsafe aliasing
-/// (build the chunks with `split_at_mut`, move one tuple into each item).
-///
-/// Thread-local phase counters, trace events, and metrics recorded inside
-/// `f` are merged back into the caller in item order, exactly as [`map`]
-/// does, so instrumented kernels stay observable and deterministic.
-pub fn zip_map<A, T, F>(items: Vec<A>, f: F) -> Vec<T>
-where
-    A: Send,
-    T: Send,
-    F: Fn(usize, A) -> T + Sync,
-{
-    let n = items.len();
-    if threads_for(n) <= 1 || n <= 1 {
-        return items.into_iter().enumerate().map(|(i, a)| f(i, a)).collect();
-    }
-    // One worker per owned item is structural (each item owns disjoint
-    // `&mut` state), so a partial budget grant cannot be used — either the
-    // whole region fits the budget or it runs inline.
-    let budget = reserve_workers(n, worker_cap());
-    if budget.0 < n {
-        drop(budget);
-        return items.into_iter().enumerate().map(|(i, a)| f(i, a)).collect();
-    }
-    let profile_prefix = crate::profile::current_stack_ids();
-    let mut out: Vec<T> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let f = &f;
-                let profile_prefix = &profile_prefix;
-                scope.spawn(move || {
-                    let _pg = crate::profile::adopt_stack(profile_prefix);
-                    (f(i, item), WorkerReport::take())
-                })
-            })
-            .collect();
-        for h in handles {
-            let (v, report) = h.join().expect("zip_map worker panicked");
-            out.push(v);
-            report.merge();
-        }
-    });
-    out
-}
-
 /// Runs `a` and `b`, returning `(a(), b())`. When the process-wide worker
 /// budget has a free slot, `b` runs on a scoped thread concurrently with
 /// `a` on the caller; otherwise both run inline, in that order. The
@@ -268,8 +208,8 @@ where
 /// events, and metrics (`a`'s first, then `b`'s) — are identical either
 /// way, so scheduling never perturbs output: this is the task-tree
 /// primitive recursive bisection uses to run the two halves of a split
-/// concurrently without breaking the `(seed, nthreads)` determinism
-/// contract.
+/// concurrently without breaking the partitioner's determinism contract
+/// (output a function of the seed and of `nthreads > 1`).
 ///
 /// Nested freely: every level of a task tree draws from the same budget
 /// (capped at `MCGP_THREADS` / `available_parallelism`, minus one for the
@@ -304,23 +244,6 @@ where
     // merging `b`'s afterwards gives the same order as the inline path.
     report.merge();
     (ra, rb)
-}
-
-/// Boundaries of `stripes` near-equal contiguous stripes over `0..n`:
-/// `bounds.len() == stripes + 1`, `bounds[0] == 0`, `bounds[stripes] == n`,
-/// stripe `s` is `bounds[s]..bounds[s + 1]`. The first `n % stripes`
-/// stripes are one element longer, so sizes differ by at most one.
-pub fn stripe_bounds(n: usize, stripes: usize) -> Vec<usize> {
-    let stripes = stripes.max(1);
-    let (base, extra) = (n / stripes, n % stripes);
-    let mut bounds = Vec::with_capacity(stripes + 1);
-    let mut at = 0usize;
-    bounds.push(at);
-    for s in 0..stripes {
-        at += base + usize::from(s < extra);
-        bounds.push(at);
-    }
-    bounds
 }
 
 #[cfg(test)]
@@ -380,30 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn zip_map_moves_disjoint_chunks_and_keeps_order() {
-        let mut data = vec![0u32; 10];
-        let (a, b) = data.split_at_mut(4);
-        let filled = zip_map(vec![(0u32, a), (100u32, b)], |i, (base, chunk)| {
-            for (j, slot) in chunk.iter_mut().enumerate() {
-                *slot = base + j as u32;
-            }
-            i
-        });
-        assert_eq!(filled, vec![0, 1]);
-        assert_eq!(data, vec![0, 1, 2, 3, 100, 101, 102, 103, 104, 105]);
-    }
-
-    #[test]
-    fn zip_map_merges_worker_counters() {
-        use crate::phase::{counter_add, take_local, Counter};
-        let _ = take_local();
-        zip_map((0..8).collect::<Vec<usize>>(), |_, v| {
-            counter_add(Counter::MovesAttempted, v as u64)
-        });
-        assert_eq!(take_local().counter(Counter::MovesAttempted), 28);
-    }
-
-    #[test]
     fn join_returns_both_results_in_order() {
         let (a, b) = join(|| 6 * 7, || "right".to_string());
         assert_eq!((a, b.as_str()), (42, "right"));
@@ -437,18 +336,5 @@ mod tests {
             l + r
         }
         assert_eq!(tree_sum(0, 1000, 4), 499_500);
-    }
-
-    #[test]
-    fn stripe_bounds_cover_range_evenly() {
-        assert_eq!(stripe_bounds(10, 3), vec![0, 4, 7, 10]);
-        assert_eq!(stripe_bounds(2, 4), vec![0, 1, 2, 2, 2]);
-        assert_eq!(stripe_bounds(0, 2), vec![0, 0, 0]);
-        let b = stripe_bounds(1001, 8);
-        assert_eq!(b.len(), 9);
-        assert_eq!(*b.last().unwrap(), 1001);
-        for w in b.windows(2) {
-            assert!(w[1] - w[0] <= 126 && w[1] >= w[0]);
-        }
     }
 }

@@ -2,8 +2,8 @@
 //! 8 worker threads must produce an identical merged [`PhaseReport`] (its
 //! counters, and non-zero time in every phase) and an identical trace-event
 //! multiset, modulo timing fields (`ts_ns`, `tid`). The workload opens
-//! phase-tagged spans inside `pool::map`, `pool::zip_map` and `pool::join`
-//! workers, so their time must reach the caller through the pool's merge.
+//! phase-tagged spans inside `pool::map` and `pool::join` workers, so their
+//! time must reach the caller through the pool's merge.
 //!
 //! A single `#[test]` owns the whole sweep: the thread count comes from the
 //! process-global `MCGP_THREADS` variable and tracing is a process-global
@@ -13,9 +13,6 @@ use mcgp_runtime::phase::{counter_add, Counter, Phase, PhaseReport};
 use mcgp_runtime::{event, pool, span, trace, Json, TraceEvent};
 
 const UNITS: usize = 32;
-/// `zip_map` runs one worker per item, or none when the budget is short:
-/// two items spawn at 2 and at 8 threads.
-const ZIP_ITEMS: usize = 2;
 
 fn run_workload() -> (PhaseReport, Vec<TraceEvent>) {
     let _ = trace::take_local();
@@ -32,12 +29,6 @@ fn run_workload() -> (PhaseReport, Vec<TraceEvent>) {
             sp.record("doubled", 2 * i as u64);
             2 * i as u64
         });
-        let zipped = pool::zip_map((0..ZIP_ITEMS).collect(), |i, item: usize| {
-            let _phase = span!(Phase::ALL[i % Phase::COUNT], item = item);
-            counter_add(Counter::VerticesMatched, item as u64 + 1);
-            item
-        });
-        assert_eq!(zipped, (0..ZIP_ITEMS).collect::<Vec<_>>());
         pool::join(
             || {
                 let _phase = span!(Phase::Initial, side = "a");
@@ -86,8 +77,8 @@ fn merged_report_and_events_identical_across_thread_counts() {
     assert_eq!(
         base_canon.len(),
         // One B + one E per span (two per map unit), one instant per map
-        // unit, then one span per zip_map item and per join side.
-        4 * UNITS + UNITS + 2 * ZIP_ITEMS + 2 * 2,
+        // unit, then one span per join side.
+        4 * UNITS + UNITS + 2 * 2,
         "unexpected event count under 1 thread"
     );
     assert_phase_times_nonzero(&base_report, "1");

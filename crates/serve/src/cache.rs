@@ -3,10 +3,11 @@
 //! The cache key is a 64-bit digest over everything coarsening
 //! consumes: the raw request body bytes (hashed *before* parsing, four
 //! 64-bit lanes at a time, so keying costs one memory-speed scan), the
-//! wire format tag, the seed, and the stripe count. Two requests with
-//! the same digest therefore share a coarsening hierarchy that is
-//! bit-identical to the one either would have built cold — `nparts` and the imbalance tolerance are
-//! deliberately *not* part of the key, which is the entire point.
+//! wire format tag and the seed, plus the thread count a snapshot is
+//! built for. Two requests with the same digest therefore share a
+//! coarsening hierarchy that is bit-identical to the one either would have
+//! built cold — `nparts` and the imbalance tolerance are deliberately
+//! *not* part of the key, which is the entire point.
 //!
 //! Concurrency: the first request for a key inserts a `Building`
 //! placeholder and coarsens outside the lock; concurrent requests for
@@ -122,7 +123,7 @@ pub(crate) fn lane_hash(bytes: &[u8], extra: &[u64]) -> u64 {
 }
 
 /// Content fingerprint of a partitioning request's coarsening inputs:
-/// raw body bytes, format tag, seed, stripe count. Everything initial
+/// raw body bytes, format tag, seed, thread count. Everything initial
 /// partitioning and refinement consume beyond these (`k`, `ε`,
 /// refinement knobs) is free to vary per request.
 pub fn fingerprint(format: GraphFormat, body: &[u8], seed: u64, nthreads: usize) -> u64 {

@@ -62,7 +62,7 @@ pub struct PartitionParams {
     pub tol: f64,
     /// Coarsening seed (`seed`, default 4242 — the library default).
     pub seed: u64,
-    /// Coarsening stripe count (`threads`; the daemon's configured
+    /// Thread count (`threads`; the daemon's configured
     /// default width when the request doesn't pin one).
     pub nthreads: usize,
 }

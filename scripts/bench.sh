@@ -57,12 +57,12 @@ if [ "$GATE" != "off" ]; then
         base="$BASE_DIR/$(basename "$f")"
         [ -f "$base" ] || continue
         # The coarsening file additionally carries the threads-win rule:
-        # its threaded hierarchy and end-to-end partition rows must hold
-        # serial speed within the fresh run itself. Unlike the baseline
+        # its threaded end-to-end partition rows must hold serial speed
+        # within the fresh run itself. Unlike the baseline
         # comparison this one is same-host same-run, so it is fatal.
         TW_ARGS=""
         if [ "$f" = "$COARSEN_OUT" ]; then
-            TW_ARGS="--threads-win coarsen/hierarchy/mrng200k,partition/full/mrng200k"
+            TW_ARGS="--threads-win partition/full/mrng200k"
         fi
         # The serve file carries the rps-win rule: small warm requests over
         # one keep-alive connection must at least double the throughput of

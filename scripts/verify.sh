@@ -56,14 +56,14 @@ cmp "$TRACE_DIR/prof.part" "$TRACE_DIR/noprof.part"
 ./target/release/mcgp partition gen:mrng:60000:3 8 --threads 4 \
     --outfile "$TRACE_DIR/noprof_t4.part" > /dev/null
 cmp "$TRACE_DIR/prof_t4.part" "$TRACE_DIR/noprof_t4.part"
-# The threaded pipeline runs the striped matching and refines with the
+# The threaded pipeline forks recursive bisection and refines with the
 # serial sweep's passes. A trace records every span, so this check is
 # deterministic where profile samples are not.
 ./target/release/mcgp partition gen:mrng:60000:3 8 --threads 2 \
     --trace "$TRACE_DIR/smoke_t2.trace.jsonl" \
     --outfile "$TRACE_DIR/trace_t2.part" > /dev/null
 ./target/release/mcgp trace-check "$TRACE_DIR/smoke_t2.trace.jsonl"
-grep -q '"name":"match_smp"' "$TRACE_DIR/smoke_t2.trace.jsonl"
+grep -q '"name":"rb"' "$TRACE_DIR/smoke_t2.trace.jsonl"
 grep -q '"name":"refine_pass"' "$TRACE_DIR/smoke_t2.trace.jsonl"
 
 # Bench-gate smoke: the gate must pass comparing a committed baseline to
@@ -72,7 +72,7 @@ grep -q '"name":"refine_pass"' "$TRACE_DIR/smoke_t2.trace.jsonl"
 # exit non-zero when an order-of-magnitude regression is injected into
 # every median.
 ./target/release/mcgp bench-gate BENCH_coarsen.json BENCH_coarsen.json \
-    --threads-win coarsen/hierarchy/mrng200k,partition/full/mrng200k > /dev/null
+    --threads-win partition/full/mrng200k > /dev/null
 # The committed serve baseline must hold the keep-alive throughput win:
 # one reused connection at least doubles per-connection request rate.
 ./target/release/mcgp bench-gate BENCH_serve.json BENCH_serve.json \
@@ -97,15 +97,17 @@ test -s "$TRACE_DIR/bench_coarsen_smoke.json"
 ./target/release/mcgp bench-check "$TRACE_DIR/bench_coarsen_smoke.json"
 
 # Threaded-pipeline smoke: the same (seed, threads) pair must reproduce
-# byte-identical partitions across repeated CLI runs, at every thread
-# count the parallel pipeline distinguishes.
+# byte-identical partitions across repeated CLI runs, and every thread
+# count above one must give the same partition as T = 2.
 for T in 1 2 4 8; do
     ./target/release/mcgp partition gen:mrng:4000:3 8 --threads "$T" \
-        --outfile "$TRACE_DIR/smp_a.part" > /dev/null
+        --outfile "$TRACE_DIR/smp_a_t$T.part" > /dev/null
     ./target/release/mcgp partition gen:mrng:4000:3 8 --threads "$T" \
         --outfile "$TRACE_DIR/smp_b.part" > /dev/null
-    cmp "$TRACE_DIR/smp_a.part" "$TRACE_DIR/smp_b.part"
+    cmp "$TRACE_DIR/smp_a_t$T.part" "$TRACE_DIR/smp_b.part"
 done
+cmp "$TRACE_DIR/smp_a_t2.part" "$TRACE_DIR/smp_a_t4.part"
+cmp "$TRACE_DIR/smp_a_t2.part" "$TRACE_DIR/smp_a_t8.part"
 
 # Correctness smoke tests (see DESIGN.md, "Validation & differential
 # testing"). The `checked` profile is release + debug-assertions, so the

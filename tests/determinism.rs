@@ -6,10 +6,12 @@
 //! single-thread execution path (`MCGP_THREADS=1`): the pool's ordered
 //! merge makes thread count invisible in the result.
 
-use mcgp::core::{partition_kway, partition_rb, PartitionConfig};
+use mcgp::core::coarsen::coarsen;
+use mcgp::core::{partition_kway, partition_rb, MatchingScheme, PartitionConfig};
 use mcgp::graph::generators::mrng_like;
 use mcgp::graph::synthetic;
 use mcgp::parallel::{parallel_partition_kway, ParallelConfig};
+use mcgp::runtime::rng::Rng;
 
 #[test]
 fn serial_kway_is_bit_identical_across_runs() {
@@ -53,11 +55,11 @@ fn parallel_kway_is_bit_identical_across_runs_and_thread_counts() {
 
 #[test]
 fn threaded_full_pipeline_is_bit_identical_per_seed_and_thread_count() {
-    // The end-to-end shared-memory pipeline — striped coarsening and
-    // threaded recursive-bisection initial partitioning around the serial
-    // k-way sweep — must be a pure function of `(graph, seed, nthreads)`.
-    // Big enough that every parallel stage actually engages,
-    // multi-constraint so the balance model is exercised.
+    // The end-to-end shared-memory pipeline — serial coarsening, threaded
+    // recursive-bisection initial partitioning and the serial k-way sweep
+    // — must be a pure function of `(graph, seed, nthreads > 1)`. Big
+    // enough that the task tree actually forks, multi-constraint so the
+    // balance model is exercised.
     let g = synthetic::type1(&mrng_like(6_000, 11), 3, 11);
     for t in [1usize, 2, 4, 8] {
         let cfg = PartitionConfig::default().with_seed(5).with_threads(t);
@@ -78,6 +80,43 @@ fn threaded_full_pipeline_is_bit_identical_per_seed_and_thread_count() {
             rb_b.partition.assignment(),
             "t={t} RB rerun differs"
         );
+    }
+
+    // Every thread count above one gives one partition, whatever the
+    // matching scheme: threads reach only the task tree, never the matcher.
+    for scheme in [
+        MatchingScheme::Random,
+        MatchingScheme::HeavyEdge,
+        MatchingScheme::BalancedHeavyEdge,
+    ] {
+        let run = |t: usize| {
+            let mut cfg = PartitionConfig::default().with_seed(5).with_threads(t);
+            cfg.matching = scheme;
+            partition_kway(&g, 8, &cfg)
+        };
+        let t2 = run(2);
+        for t in [4usize, 8] {
+            assert_eq!(
+                run(t).partition.assignment(),
+                t2.partition.assignment(),
+                "{scheme:?}: t={t} differs from t=2"
+            );
+        }
+    }
+
+    // Coarsening never reads the thread count: the same level graphs and
+    // cmaps at t=1 and t=8.
+    let target = PartitionConfig::default().coarsen_target(8);
+    let hierarchy = |t: usize| {
+        let cfg = PartitionConfig::default().with_seed(5).with_threads(t);
+        coarsen(&g, target, &cfg, &mut Rng::seed_from_u64(5))
+    };
+    let (serial, threaded) = (hierarchy(1), hierarchy(8));
+    assert!(!serial.is_empty());
+    assert_eq!(serial.len(), threaded.len(), "level counts differ");
+    for (i, (a, b)) in serial.iter().zip(&threaded).enumerate() {
+        assert_eq!(a.graph, b.graph, "level {i} graph differs");
+        assert_eq!(a.cmap, b.cmap, "level {i} cmap differs");
     }
 
     // The physical worker cap must be invisible: `--threads` shapes the

@@ -66,8 +66,8 @@ fn traced_kway_opens_every_layer_span() {
             "{name} is not a layer of BENCHMARK.json"
         );
     }
-    // The threaded pipeline (striped matching, forked recursive bisection)
-    // opens the same spans as the serial one, nested the same way.
+    // The threaded pipeline (forked recursive bisection) opens the same
+    // spans as the serial one, nested the same way.
     let g = synthetic::type1(&mrng_like(20_000, 1), 3, 1);
     for threads in [1, 2] {
         let config = PartitionConfig::default()

@@ -17,6 +17,7 @@
 //! drivers run it per pass under `debug_assertions`.
 
 use mcgp_graph::Graph;
+use mcgp_runtime::prefetch;
 
 /// Cached connectivity of one vertex to one adjacent part.
 ///
@@ -162,6 +163,25 @@ impl BoundaryEngine {
     pub fn conn_of(&self, v: usize) -> &[PartConn] {
         let m = &self.vtx[v];
         &self.conn[m.off..m.off + m.conn_len as usize]
+    }
+
+    /// Hints the CPU to fetch `v`'s cache record, the line that
+    /// [`BoundaryEngine::is_boundary`], [`BoundaryEngine::internal`] and
+    /// [`BoundaryEngine::conn_of`] read first. No-op when `v` is out of
+    /// range; changes no value.
+    #[inline]
+    pub fn prefetch_record(&self, v: usize) {
+        prefetch::read(&self.vtx, v);
+    }
+
+    /// Hints the CPU to fetch the start of `v`'s connectivity row. Reads
+    /// `v`'s record for the row offset, so call it a few visits after
+    /// [`BoundaryEngine::prefetch_record`]. Changes no value.
+    #[inline]
+    pub fn prefetch_conn(&self, v: usize) {
+        if let Some(m) = self.vtx.get(v) {
+            prefetch::read(&self.conn, m.off);
+        }
     }
 
     /// Number of vertices currently assigned to part `p`.

@@ -15,14 +15,28 @@
 //! rather than `O(n + m)`. Vertices that *become* boundary mid-pass are
 //! picked up on the next pass (the pass order is a snapshot); vertices that
 //! become interior mid-pass are skipped.
+//!
+//! The pass order is drawn before the first visit, so each pass prefetches
+//! the records of the vertices it visits next (see `mcgp_runtime::prefetch`).
+//! A prefetch changes no value and draws no random number, so the sweep
+//! moves exactly the vertices it would move without it.
 
 use crate::balance::{apply_move, BalanceModel};
 use crate::boundary::{BoundaryEngine, RefineWorkspace};
 use mcgp_graph::Graph;
 use mcgp_runtime::phase::{counter_add, Counter};
+use mcgp_runtime::prefetch;
 use mcgp_runtime::rng::Rng;
 use mcgp_runtime::rng::SliceRandom;
 use mcgp_runtime::{metrics, span};
+
+/// How many visits ahead a pass prefetches a vertex's engine record,
+/// assignment and weight row.
+const SWEEP_FAR: usize = 16;
+/// How many visits ahead a pass prefetches the start of a vertex's
+/// connectivity row (its engine record, fetched at [`SWEEP_FAR`], holds the
+/// row offset).
+const SWEEP_NEAR: usize = 8;
 
 /// Statistics of a k-way refinement call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -79,8 +93,17 @@ pub fn greedy_kway_refine_ws(
         let mut moved_this_iter = 0usize;
         let mut attempted_this_iter = 0usize;
         let mut boundary_this_iter = 0usize;
-        for &v in order.iter() {
-            let v = v as usize;
+        for i in 0..order.len() {
+            if let Some(&w) = order.get(i + SWEEP_FAR) {
+                let w = w as usize;
+                engine.prefetch_record(w);
+                prefetch::read(assignment, w);
+                prefetch::read(graph.vwgt_flat(), w * ncon);
+            }
+            if let Some(&w) = order.get(i + SWEEP_NEAR) {
+                engine.prefetch_conn(w as usize);
+            }
+            let v = order[i] as usize;
             // A move earlier in the pass may have pulled v off the boundary.
             if !engine.is_boundary(v) {
                 continue;
@@ -91,18 +114,18 @@ pub fn greedy_kway_refine_ws(
             if engine.part_count(a) == 1 {
                 continue;
             }
-            counter_add(Counter::MovesAttempted, 1);
             attempted_this_iter += 1;
             if let Some((gain, _, b)) = best_move(graph, engine, pw, model, &inv_avg, v, a) {
                 apply_move(pw, ncon, graph.vwgt(v), a, b);
                 engine.commit_move(graph, assignment, v, b);
                 moved_this_iter += 1;
                 stats.gain += gain;
-                counter_add(Counter::MovesCommitted, 1);
                 metrics::histogram_record("kway_gain", gain);
             }
         }
         stats.moves += moved_this_iter;
+        counter_add(Counter::MovesAttempted, attempted_this_iter as u64);
+        counter_add(Counter::MovesCommitted, moved_this_iter as u64);
         sp.record("boundary", boundary_this_iter);
         sp.record("moves_attempted", attempted_this_iter);
         sp.record("moves_committed", moved_this_iter);

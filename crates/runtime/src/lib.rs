@@ -7,7 +7,7 @@
 //! crates.io, and the partitioner must own the runtime behaviours its
 //! results depend on.
 //!
-//! Six modules:
+//! Its modules:
 //!
 //! * [`rng`] — a seedable deterministic PRNG (SplitMix64-seeded
 //!   xoshiro256++). Same seed ⇒ bit-identical stream on every platform,
@@ -31,6 +31,8 @@
 //!   lock-free per-thread slots, a sampler thread tallies collapsed
 //!   stacks (Brendan Gregg `a;b;c 42` format). Off by default; one
 //!   relaxed load when off.
+//! * [`prefetch`] — a bounds-checked software prefetch hint, the crate's
+//!   one `unsafe` block, for loops that know their next visits.
 //! * [`net`] — hand-rolled HTTP/1.1 request/response primitives over
 //!   `std::net`, the transport under `mcgp serve` (hermetic policy: no
 //!   hyper/tokio).
@@ -40,6 +42,7 @@ pub mod metrics;
 pub mod net;
 pub mod phase;
 pub mod pool;
+pub mod prefetch;
 pub mod profile;
 pub mod rng;
 pub mod trace;

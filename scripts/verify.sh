@@ -9,6 +9,16 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Unsafe surface: outside the test directories, `unsafe` code lives only in
+# the prefetch hint (mcgp-runtime) and the SIGTERM latch (mcgp-serve).
+UNSAFE_HITS="$(grep -rnw --include='*.rs' unsafe crates/*/src crates/*/benches src examples \
+    | grep -v '^[^:]*:[0-9]*: *//' \
+    | grep -v '^crates/runtime/src/prefetch\.rs:\|^crates/serve/src/signal\.rs:' || true)"
+if [ -n "$UNSAFE_HITS" ]; then
+    echo "verify: unsafe code outside the two allowed files:" >&2
+    echo "$UNSAFE_HITS" >&2
+    exit 1
+fi
 # The benchmark is its own workspace and calls core internals directly:
 # build and test it here so a signature change fails verify, not the first
 # benchmark run. It shares the workspace's target directory.

@@ -1,7 +1,8 @@
 //! Phase totals are span durations. For every driver, `PhaseReport`'s time
 //! for a phase equals the summed `End − Begin` of the spans tagged with that
 //! phase, to the nanosecond; with tracing off the same spans still time
-//! every phase.
+//! every phase. The refiner's move counters, added once per pass, equal
+//! the moves its `refine_pass` spans report.
 //!
 //! A single `#[test]` owns both halves, because tracing is a process-global
 //! toggle.
@@ -10,8 +11,8 @@ use mcgp::core::{partition_kway, HierarchySnapshot, PartitionConfig};
 use mcgp::graph::generators::mrng_like;
 use mcgp::graph::synthetic;
 use mcgp::parallel::{parallel_partition_kway, ParallelConfig};
-use mcgp::runtime::trace::{self, EventKind, TraceEvent};
-use mcgp::runtime::{Phase, PhaseReport};
+use mcgp::runtime::trace::{self, EventKind, FieldValue, TraceEvent};
+use mcgp::runtime::{Counter, Phase, PhaseReport};
 use std::collections::BTreeMap;
 
 /// Sums `End − Begin` per phase over the spans named after a phase (the
@@ -33,6 +34,19 @@ fn tagged_span_ns(events: &[TraceEvent]) -> [u64; Phase::COUNT] {
         }
     }
     sums
+}
+
+/// Sums the `key` field over the End events of the `refine_pass` spans.
+fn refine_pass_total(events: &[TraceEvent], key: &str) -> u64 {
+    events
+        .iter()
+        .filter(|ev| ev.kind == EventKind::End && ev.name == "refine_pass")
+        .flat_map(|ev| &ev.fields)
+        .map(|(k, v)| match v {
+            FieldValue::U64(n) if *k == key => *n,
+            _ => 0,
+        })
+        .sum()
 }
 
 #[test]
@@ -61,10 +75,21 @@ fn phase_totals_are_tagged_span_durations() {
         trace::set_enabled(true);
         let ((), report) = PhaseReport::capture(run);
         trace::set_enabled(false);
-        let sums = tagged_span_ns(&trace::take_local());
+        let events = trace::take_local();
+        let sums = tagged_span_ns(&events);
         for &p in Phase::ALL {
             assert!(sums[p.index()] > 0, "{name}: no {} span", p.name());
             assert_eq!(report.nanos(p), sums[p.index()], "{name}: {}", p.name());
+        }
+        for (counter, key) in [
+            (Counter::MovesCommitted, "moves_committed"),
+            (Counter::MovesAttempted, "moves_attempted"),
+        ] {
+            let passes = refine_pass_total(&events, key);
+            assert_eq!(report.counter(counter), passes, "{name}: {key}");
+            if name == "partition_kway" {
+                assert!(passes > 0, "{name}: the refiner reported no {key}");
+            }
         }
     }
 

@@ -14,13 +14,13 @@
 //! * `partition/full` — end-to-end `partition_kway` (coarsen + threaded
 //!   recursive-bisection initial partitioning + k-way refinement) at
 //!   1/2/8 threads; the `mcgp bench-gate --threads-win` rule enforces
-//!   `t2 ≤ t1` on the mrng200k rows.
+//!   `t2 ≤ t1` on every graph's rows.
 //! * `coarsen/smoke` — a small fast workload for the `verify.sh` bench
 //!   smoke (`--samples 3 smoke`).
 //!
 //! Thread counts above `MCGP_THREADS`/`available_parallelism` still run
-//! (every count above one gives the same partition), so the t = 2 and
-//! t = 8 records are honest on any machine — on a single-core host they
+//! (every count gives the t = 1 partition), so the t = 2 and t = 8
+//! records time the same work on any machine — on a single-core host they
 //! measure the task tree's overhead, not a speedup. The thread counts of
 //! one graph sample interleaved (`Bench::run_variants`) so the threads-win
 //! medians are paired per sample round.
@@ -62,8 +62,8 @@ fn bench_graph(b: &Bench, g: &Graph, tag: &str) {
     // The end-to-end pipeline — coarsen, threaded recursive-bisection
     // initial partitioning, k-way refinement — at 1/2/8 threads, sampled
     // interleaved so a machine-wide slow window hits all three rows. The
-    // threads-win gate enforces these rows on mrng200k: `_t2` must hold
-    // `_t1`'s speed on whatever host ran the bench.
+    // threads-win gate enforces these rows: `_t2` must hold `_t1`'s speed
+    // on whatever host ran the bench.
     b.run_variants(
         "partition/full",
         THREADS

@@ -75,9 +75,8 @@ pub struct DiffRecord {
     pub ncon: usize,
     pub nparts: usize,
     pub nprocs: usize,
-    /// Stripe count of the serial driver's shared-memory coarsener for
-    /// this cell (same value as `nprocs`, recorded explicitly so the JSONL
-    /// is self-describing).
+    /// Thread count the serial driver runs at in this cell (same value as
+    /// `nprocs`, recorded explicitly so the JSONL is self-describing).
     pub serial_threads: usize,
     pub seed: u64,
     pub serial_cut: i64,
@@ -85,9 +84,9 @@ pub struct DiffRecord {
     pub cut_ratio: f64,
     pub serial_imbalance: f64,
     pub parallel_imbalance: f64,
-    /// Whether rerunning the (possibly threaded) serial driver reproduced
-    /// its partition bit-for-bit — the parallel pipeline's determinism
-    /// contract, asserted in every cell.
+    /// Whether rerunning the serial driver at one thread reproduced its
+    /// `nprocs`-thread partition bit-for-bit — determinism and thread
+    /// independence in one check, asserted in every cell.
     pub rerun_identical: bool,
     /// Envelope/validity violations; empty means the cell passed.
     pub failures: Vec<String>,
@@ -187,10 +186,10 @@ pub fn differential_case(
     };
     let serial = partition_kway(graph, nparts, &serial_cfg);
 
-    // Determinism row: threaded initial partitioning must keep the serial
-    // driver a pure function of `(graph, seed, threads > 1)` — a rerun
-    // reproduces the assignment bit-for-bit in every cell, threaded or not.
-    let rerun = partition_kway(graph, nparts, &serial_cfg);
+    // Determinism row: the serial driver is a function of `(graph, seed)`
+    // alone, so a rerun at one thread reproduces the `nprocs`-thread
+    // assignment bit-for-bit in every cell.
+    let rerun = partition_kway(graph, nparts, &serial_cfg.with_threads(1));
     let rerun_identical = rerun.partition.assignment() == serial.partition.assignment();
 
     let par_cfg = {
@@ -203,7 +202,7 @@ pub fn differential_case(
     let mut failures = Vec::new();
     if !rerun_identical {
         failures.push(format!(
-            "serial driver at {nprocs} thread(s) is not deterministic: rerun diverged"
+            "serial driver at {nprocs} thread(s) differs from its rerun at 1 thread"
         ));
     }
     let tol = serial_cfg.imbalance_tol;

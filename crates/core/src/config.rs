@@ -34,12 +34,11 @@ pub struct PartitionConfig {
     /// Matching scheme used during coarsening.
     pub matching: MatchingScheme,
     /// Worker threads for the shared-memory pipeline. Threads reach one
-    /// stage, the recursive-bisection task tree of the initial partition;
-    /// matching, contraction and k-way refinement are the serial kernels
-    /// at every count. `1` (the default) runs the serial path unchanged.
-    /// Output is a function of `seed` and of whether `nthreads > 1`: every
-    /// count above one gives the same partition, and the physical thread
-    /// count never shows.
+    /// stage, the recursive-bisection task tree of the initial partition,
+    /// whose two halves of a split run as pool tasks when `nthreads > 1`
+    /// and inline otherwise; matching, contraction and k-way refinement
+    /// are the serial kernels at every count. This decides speed only: a
+    /// partition is a function of the seed alone.
     pub nthreads: usize,
     /// Maximum refinement iterations per uncoarsening level (the paper
     /// upper-bounds these; early exit on a local minimum).
@@ -88,8 +87,8 @@ impl PartitionConfig {
         }
     }
 
-    /// Copy of this config with a different shared-memory coarsening thread
-    /// count (`0` is clamped to `1`).
+    /// Copy of this config with a different shared-memory thread count
+    /// (`0` is clamped to `1`).
     pub fn with_threads(&self, nthreads: usize) -> Self {
         PartitionConfig {
             nthreads: nthreads.max(1),

@@ -43,7 +43,6 @@ pub struct HierarchySnapshot {
     rng_final: Rng,
     finest_nvtxs: usize,
     seed: u64,
-    nthreads: usize,
 }
 
 impl HierarchySnapshot {
@@ -52,11 +51,7 @@ impl HierarchySnapshot {
     /// Runs the post-coarsen invariant seam at `config.check`, so a cached
     /// snapshot is validated once, not per request.
     pub fn build(graph: &Graph, config: &PartitionConfig) -> Self {
-        let mut _root = span!(
-            "hierarchy_build",
-            nvtxs = graph.nvtxs(),
-            nthreads = config.nthreads,
-        );
+        let mut _root = span!("hierarchy_build", nvtxs = graph.nvtxs());
         let mut rng = Rng::seed_from_u64(config.seed);
         let mut rng_at = vec![rng.clone()];
         let mut coarsener = Coarsener::new(config, &mut rng, config.check, true);
@@ -69,7 +64,6 @@ impl HierarchySnapshot {
             rng_final: rng,
             finest_nvtxs: graph.nvtxs(),
             seed: config.seed,
-            nthreads: config.nthreads,
         }
     }
 
@@ -78,13 +72,17 @@ impl HierarchySnapshot {
     /// could violate — RNG boundary count and the cmap chain linking each
     /// level to its finer input; anything off is a typed error, never a
     /// panic.
+    ///
+    /// `_nthreads` is ignored: a snapshot serves every thread count. The
+    /// parameter stays until the benchmark's layer replay, which calls this
+    /// with six arguments, stops copying the driver (ROADMAP item 8).
     pub fn from_parts(
         levels: Vec<CoarseLevel>,
         rng_at: Vec<Rng>,
         rng_final: Rng,
         finest_nvtxs: usize,
         seed: u64,
-        nthreads: usize,
+        _nthreads: usize,
     ) -> Result<Self, String> {
         if rng_at.len() != levels.len() + 1 {
             return Err(format!(
@@ -115,7 +113,6 @@ impl HierarchySnapshot {
             rng_final,
             finest_nvtxs,
             seed,
-            nthreads,
         })
     }
 
@@ -147,11 +144,6 @@ impl HierarchySnapshot {
     /// Seed this snapshot was coarsened with.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Stripe count this snapshot was coarsened with.
-    pub fn nthreads(&self) -> usize {
-        self.nthreads
     }
 
     /// Approximate resident size in bytes — CSR arrays, weight vectors,
@@ -205,10 +197,10 @@ impl HierarchySnapshot {
     ///
     /// `graph` must be the graph this snapshot was built from, and
     /// `config` must agree on everything the snapshot is keyed on (seed,
-    /// thread count, matching scheme, coarsening floors) — the serve
-    /// cache's fingerprint keying guarantees this; violating it here is a
-    /// caller bug and panics. `nparts`, `imbalance_tol`, and refinement
-    /// knobs are free: that is the point of the cache.
+    /// matching scheme, coarsening floors) — the serve cache's fingerprint
+    /// keying guarantees this; violating it here is a caller bug and
+    /// panics. `nparts`, `imbalance_tol`, refinement knobs and the thread
+    /// count are free: the partition is a function of the seed alone.
     pub fn partition(
         &self,
         graph: &Graph,
@@ -221,10 +213,6 @@ impl HierarchySnapshot {
             "snapshot used with a different graph"
         );
         assert_eq!(config.seed, self.seed, "snapshot used with a different seed");
-        assert_eq!(
-            config.nthreads, self.nthreads,
-            "snapshot used with a different thread count"
-        );
         assert!(nparts >= 1, "nparts must be >= 1");
         assert!(graph.nvtxs() >= nparts, "more parts than vertices");
         if nparts == 1 {
@@ -342,14 +330,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_matches_cold_run_with_threaded_coarsening() {
+    fn one_snapshot_serves_every_thread_count() {
         let g = mrng_like(5000, 13);
-        let cfg = PartitionConfig::default().with_threads(2);
+        let cfg = PartitionConfig::default();
         let snap = HierarchySnapshot::build(&g, &cfg);
         for nparts in [2usize, 8] {
             let cold = partition_kway(&g, nparts, &cfg);
-            let warm = snap.partition(&g, nparts, &cfg);
-            assert_eq!(cold.partition.assignment(), warm.partition.assignment());
+            for t in [1usize, 2] {
+                let warm = snap.partition(&g, nparts, &cfg.with_threads(t));
+                let (c, w) = (cold.partition.assignment(), warm.partition.assignment());
+                assert_eq!(c, w, "t={t}");
+            }
         }
     }
 
@@ -379,7 +370,7 @@ mod tests {
             snap.rng_final().clone(),
             snap.finest_nvtxs(),
             snap.seed(),
-            snap.nthreads(),
+            1,
         )
         .unwrap();
         for nparts in [2usize, 8] {
@@ -402,7 +393,7 @@ mod tests {
             snap.rng_final().clone(),
             snap.finest_nvtxs(),
             snap.seed(),
-            snap.nthreads(),
+            1,
         )
         .is_err());
         // Broken cmap chain (wrong finest vertex count).
@@ -412,7 +403,7 @@ mod tests {
             snap.rng_final().clone(),
             snap.finest_nvtxs() + 1,
             snap.seed(),
-            snap.nthreads(),
+            1,
         )
         .is_err());
         // Out-of-range cmap entry.
@@ -424,7 +415,7 @@ mod tests {
             snap.rng_final().clone(),
             snap.finest_nvtxs(),
             snap.seed(),
-            snap.nthreads(),
+            1,
         )
         .is_err());
     }

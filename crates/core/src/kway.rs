@@ -207,8 +207,8 @@ mod tests {
 
     #[test]
     fn threaded_pipeline_recovers_balance_multiconstraint() {
-        // Regression: the threaded recursive bisection starts uncoarsening
-        // more imbalanced than the serial one, which used to wedge the
+        // Regression: on this mesh the reseeded recursive bisection starts
+        // uncoarsening badly imbalanced, which used to wedge the
         // multi-constraint pipeline — every part over the cap on one
         // constraint, `fits` blocking every move, final imbalance ~1.12
         // with zero refinement moves. The swap tier in `rebalance` breaks

@@ -5,11 +5,11 @@
 //! halves, recursing with part counts `⌈k/2⌉ / ⌊k/2⌋` (uneven target
 //! fractions handle non-power-of-two k). Recursive bisection is both a
 //! standalone partitioner and the initial-partitioning engine of the k-way
-//! driver, exactly as in METIS. At `nthreads > 1` the two halves of every
-//! split recurse as independent [`pool::join`] tasks with split
-//! deterministic RNG streams. This task tree is the only place threads
-//! reach the shared-memory pipeline, so a partition is a function of the
-//! seed and of `nthreads > 1`, never of the count itself.
+//! driver, exactly as in METIS. Each half of a split recurses on its own
+//! RNG stream, seeded from two draws off the parent stream; at
+//! `nthreads > 1` the halves run as [`pool::join`] tasks. This task tree is
+//! the only place threads reach the shared-memory pipeline, and it does
+//! not change a draw, so a partition is a function of the seed alone.
 
 use crate::coarsen::coarsen;
 use crate::config::PartitionConfig;
@@ -124,44 +124,25 @@ fn recurse(
         return Some(levels);
     }
     let (left, right) = split_bisection(graph, &side);
-    let mut left_out = vec![0u32; left.graph.nvtxs()];
-    let mut right_out = vec![0u32; right.graph.nvtxs()];
-    if config.nthreads > 1 {
-        // Task-tree parallelism: the two halves are independent, so they
-        // run as pool tasks. Each subtree reseeds from a value drawn off
-        // the parent stream, making the RNG streams (and so the output) a
-        // function of the seed alone — whether `pool::join` actually
-        // spawned a worker or degraded inline never shows.
-        let lseed = rng.next_u64();
-        let rseed = rng.next_u64();
-        pool::join(
-            || {
-                let mut lrng = Rng::seed_from_u64(lseed);
-                recurse(&left.graph, left_parts, base, config, &mut lrng, &mut left_out);
-            },
-            || {
-                let mut rrng = Rng::seed_from_u64(rseed);
-                recurse(
-                    &right.graph,
-                    right_parts,
-                    base + left_parts as u32,
-                    config,
-                    &mut rrng,
-                    &mut right_out,
-                );
-            },
-        );
+    // Each subtree reseeds from a value drawn off the parent stream, so
+    // the output is a function of the seed alone. Threads only choose
+    // whether the halves run as pool tasks or inline, one after the other.
+    let (lseed, rseed) = (rng.next_u64(), rng.next_u64());
+    let subtree = |half: &Graph, parts: usize, base: u32, seed: u64| {
+        let mut sub_rng = Rng::seed_from_u64(seed);
+        let mut sub_out = vec![0u32; half.nvtxs()];
+        recurse(half, parts, base, config, &mut sub_rng, &mut sub_out);
+        sub_out
+    };
+    let left_task = || subtree(&left.graph, left_parts, base, lseed);
+    let right_task = || subtree(&right.graph, right_parts, base + left_parts as u32, rseed);
+    // The pool's worker cap comes from `MCGP_THREADS` or the machine, not
+    // from the config, so `nthreads == 1` must not reach `pool::join`.
+    let (left_out, right_out) = if config.nthreads > 1 {
+        pool::join(left_task, right_task)
     } else {
-        recurse(&left.graph, left_parts, base, config, rng, &mut left_out);
-        recurse(
-            &right.graph,
-            right_parts,
-            base + left_parts as u32,
-            config,
-            rng,
-            &mut right_out,
-        );
-    }
+        (left_task(), right_task())
+    };
     for (local, &parent) in left.to_parent.iter().enumerate() {
         out[parent as usize] = left_out[local];
     }

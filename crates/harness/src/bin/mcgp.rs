@@ -450,8 +450,8 @@ fn run_partition(opts: &Opts) {
         graph.nedges(),
         graph.ncon()
     );
-    // Threads fork the recursive-bisection task tree; the output depends on
-    // the seed and on whether threads > 1.
+    // Threads run the recursive-bisection task tree's halves as pool tasks;
+    // the output depends on the seed alone.
     let mut cfg = mcgp_core::PartitionConfig::default()
         .with_seed(seed)
         .with_threads(threads);

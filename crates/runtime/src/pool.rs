@@ -209,7 +209,7 @@ where
 /// way, so scheduling never perturbs output: this is the task-tree
 /// primitive recursive bisection uses to run the two halves of a split
 /// concurrently without breaking the partitioner's determinism contract
-/// (output a function of the seed and of `nthreads > 1`).
+/// (output a function of the seed alone).
 ///
 /// Nested freely: every level of a task tree draws from the same budget
 /// (capped at `MCGP_THREADS` / `available_parallelism`, minus one for the

@@ -3,11 +3,11 @@
 //! The cache key is a 64-bit digest over everything coarsening
 //! consumes: the raw request body bytes (hashed *before* parsing, four
 //! 64-bit lanes at a time, so keying costs one memory-speed scan), the
-//! wire format tag and the seed, plus the thread count a snapshot is
-//! built for. Two requests with the same digest therefore share a
-//! coarsening hierarchy that is bit-identical to the one either would have
-//! built cold — `nparts` and the imbalance tolerance are deliberately
-//! *not* part of the key, which is the entire point.
+//! wire format tag and the seed. Two requests with the same digest
+//! therefore share a coarsening hierarchy that is bit-identical to the one
+//! either would have built cold — `nparts`, the imbalance tolerance and
+//! the thread count are deliberately *not* part of the key, which is the
+//! entire point.
 //!
 //! Concurrency: the first request for a key inserts a `Building`
 //! placeholder and coarsens outside the lock; concurrent requests for
@@ -123,11 +123,14 @@ pub(crate) fn lane_hash(bytes: &[u8], extra: &[u64]) -> u64 {
 }
 
 /// Content fingerprint of a partitioning request's coarsening inputs:
-/// raw body bytes, format tag, seed, thread count. Everything initial
-/// partitioning and refinement consume beyond these (`k`, `ε`,
-/// refinement knobs) is free to vary per request.
-pub fn fingerprint(format: GraphFormat, body: &[u8], seed: u64, nthreads: usize) -> u64 {
-    lane_hash(body, &[u64::from(format.tag()), seed, nthreads as u64])
+/// raw body bytes, format tag, seed. Everything initial partitioning and
+/// refinement consume beyond these (`k`, `ε`, refinement knobs, the
+/// thread count) is free to vary per request, because a partition is a
+/// function of the seed alone. `_nthreads` is ignored; the parameter stays
+/// until the benchmark's layer replay stops calling this with four
+/// arguments (ROADMAP item 8).
+pub fn fingerprint(format: GraphFormat, body: &[u8], seed: u64, _nthreads: usize) -> u64 {
+    lane_hash(body, &[u64::from(format.tag()), seed])
 }
 
 /// A cached graph plus its deep coarsening hierarchy.
@@ -679,7 +682,7 @@ mod tests {
         assert_eq!(a, fingerprint(GraphFormat::Metis, b"graph-a", 1, 1));
         assert_ne!(a, fingerprint(GraphFormat::Metis, b"graph-b", 1, 1));
         assert_ne!(a, fingerprint(GraphFormat::Metis, b"graph-a", 2, 1));
-        assert_ne!(a, fingerprint(GraphFormat::Metis, b"graph-a", 1, 2));
+        assert_eq!(a, fingerprint(GraphFormat::Metis, b"graph-a", 1, 2));
         assert_ne!(a, fingerprint(GraphFormat::Json, b"graph-a", 1, 1));
     }
 
@@ -721,7 +724,7 @@ mod tests {
         let body = b"% fingerprint pin\n4 4\n2 4\n1 3\n2 4\n1 3\n";
         assert_eq!(
             fingerprint(GraphFormat::Metis, body, 4242, 1),
-            0xf9c7_4060_7bd5_a20d
+            0xbaf3_72a3_104c_6aa0
         );
     }
 

@@ -2,12 +2,13 @@
 //!
 //! A long-running daemon that answers k-way multi-constraint partitioning
 //! requests over HTTP, amortising the multilevel pipeline's dominant cost
-//! across requests: coarsening depends only on `(graph, seed, nthreads,
-//! matching scheme)` — never on `nparts` or the imbalance tolerance — so
-//! the daemon fingerprints each ingested graph, caches its deep
+//! across requests: coarsening depends only on `(graph, seed, matching
+//! scheme)` — never on `nparts`, the imbalance tolerance or the thread
+//! count — so the daemon fingerprints each ingested graph, caches its deep
 //! [`mcgp_core::HierarchySnapshot`] in a bounded cost-aware cache
-//! ([`cache::HierarchyCache`]), and serves any `(k, ε)` combination on a
-//! warm graph by replaying only initial partitioning + refinement.
+//! ([`cache::HierarchyCache`]), and serves any `(k, ε, threads)`
+//! combination on a warm graph by replaying only initial partitioning +
+//! refinement.
 //!
 //! The transport is the hand-rolled HTTP/1.1 subset in
 //! [`mcgp_runtime::net`] (hermetic policy: no hyper/tokio) with
@@ -16,8 +17,8 @@
 //! connections are reaped on a deadline. Responses stream as JSONL;
 //! everything that varies between a cold, warm, or disk-reloaded run
 //! (cache verdict, timings, trace id) rides in `X-Mcgp-*` headers so
-//! response *bodies* are a pure function of
-//! `(graph bytes, k, ε, seed, nthreads)` — the determinism contract
+//! the partition in a response body is a function of
+//! `(graph bytes, k, ε, seed)` alone — the determinism contract
 //! [`server`] documents and `tests/serve_http.rs` enforces bit-for-bit.
 //!
 //! Modules:

@@ -11,10 +11,11 @@
 //! [`mcgp_graph::McgpError`] taxonomy — a client can switch on it, and
 //! the protocol-robustness tests do.
 //!
-//! Determinism contract: every body line is a pure function of
-//! `(graph bytes, k, ε, seed, nthreads)`. Anything that varies between a
-//! cold and warm run of the same request — cache verdict, phase timings,
-//! trace id — is carried in `X-Mcgp-*` response headers, never the body.
+//! Determinism contract: the `part` and `done` lines are a function of
+//! `(graph bytes, k, ε, seed)` alone, and the `meta` line adds the echoed
+//! `threads=` parameter. Anything that varies between a cold and warm run
+//! of the same request — cache verdict, phase timings, trace id — is
+//! carried in `X-Mcgp-*` response headers, never the body.
 
 use mcgp_graph::{McgpError, PartitionQuality};
 use mcgp_runtime::net::Request;

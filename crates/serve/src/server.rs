@@ -624,11 +624,7 @@ fn compute(
             // regardless of build profile: the daemon trusts no client.
             check_graph(&graph, CheckLevel::Cheap)?;
             drop(ingest);
-            let cfg = PartitionConfig {
-                seed: p.seed,
-                nthreads: p.nthreads,
-                ..PartitionConfig::default()
-            };
+            let cfg = PartitionConfig::default().with_seed(p.seed);
             let snapshot = HierarchySnapshot::build(&graph, &cfg);
             let cost_s = build_t0.elapsed().as_secs_f64();
             Ok(CachedEntry::new(graph, snapshot, cost_s))
@@ -658,7 +654,7 @@ fn handle_partition(state: &State, conn: &mut Conn, req: Request, t0: Instant, k
         Err(msg) => return finish_error(state, conn, &RequestError::Param(msg)),
     };
     let format = GraphFormat::from_request(&req);
-    let fp = fingerprint(format, &req.body, params.seed, params.nthreads);
+    let fp = fingerprint(format, &req.body, params.seed, 1);
     let trace_id = format!("{fp:016x}-{seq:06}");
     let mut span = mcgp_runtime::span!(
         "serve_request",

@@ -8,13 +8,12 @@
 //!
 //! ```text
 //! magic    8 bytes  "MCGPSNAP"
-//! version  u32      bumped on any layout change; mismatch = clean miss
+//! version  u32      3; bumped on any layout change; mismatch = clean miss
 //! fp       u64      cache fingerprint (must match the filename's key)
 //! cost_us  u64      measured build cost, microseconds (feeds admission)
 //! len      u64      payload byte count
-//! checksum u64      the body hash kernel over the payload (version 2;
-//!                   version 1 used FNV-1a and now loads as a miss)
-//! payload           seed, nthreads, finest graph, levels, RNG states
+//! checksum u64      the body hash kernel over the payload
+//! payload           seed, finest graph, levels, RNG states
 //! ```
 //!
 //! Loading is strictly validating: magic/version/fingerprint/length/
@@ -38,7 +37,7 @@ use std::sync::Arc;
 use crate::cache::{lane_hash, CachedEntry};
 
 const MAGIC: &[u8; 8] = b"MCGPSNAP";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
 
 /// Spill file path for a fingerprint.
@@ -160,7 +159,6 @@ fn encode_payload(entry: &CachedEntry) -> Vec<u8> {
     let snap = &entry.snapshot;
     let mut out = Vec::with_capacity(entry.bytes() + 1024);
     put_u64(&mut out, snap.seed());
-    put_u64(&mut out, snap.nthreads() as u64);
     put_u64(&mut out, snap.finest_nvtxs() as u64);
     encode_graph(&mut out, &entry.graph);
     put_u64(&mut out, snap.levels().len() as u64);
@@ -185,7 +183,6 @@ fn decode_payload(payload: &[u8], cost_s: f64) -> Result<CachedEntry, String> {
         pos: 0,
     };
     let seed = r.u64()?;
-    let nthreads = r.len("nthreads")?;
     let finest_nvtxs = r.len("finest_nvtxs")?;
     let graph = decode_graph(&mut r)?;
     if graph.nvtxs() != finest_nvtxs {
@@ -208,8 +205,7 @@ fn decode_payload(payload: &[u8], cost_s: f64) -> Result<CachedEntry, String> {
     if r.pos != payload.len() {
         return Err("trailing bytes after snapshot payload".into());
     }
-    let snapshot =
-        HierarchySnapshot::from_parts(levels, rng_at, rng_final, finest_nvtxs, seed, nthreads)?;
+    let snapshot = HierarchySnapshot::from_parts(levels, rng_at, rng_final, finest_nvtxs, seed, 1)?;
     Ok(CachedEntry::new(graph, snapshot, cost_s))
 }
 
@@ -381,14 +377,15 @@ mod tests {
         assert!(!path.exists());
 
         // Wrong version, including a version-1 file from before the
-        // checksum moved to the lane kernel: both are clean misses.
-        for version in [0xfeu32, 1] {
+        // checksum moved to the lane kernel and a version-2 file that
+        // still carries the thread count: all are clean misses.
+        for version in [0xfeu32, 1, 2] {
             let mut wrong_ver = good.clone();
             wrong_ver[8..12].copy_from_slice(&version.to_le_bytes());
             fs::write(&path, &wrong_ver).unwrap();
             let err = load(&dir, 9).unwrap_err();
             assert!(
-                err.contains(&format!("version {version}, expected 2")),
+                err.contains(&format!("version {version}, expected 3")),
                 "{err}"
             );
             assert!(!path.exists());

@@ -528,41 +528,58 @@ fn threaded_requests_are_deterministic_and_surfaced_in_metrics() {
     let body = metis_bytes(&graph);
     let (addr, handle, thread) = start_default();
 
-    // threads=2 over the wire: the fingerprint includes the thread count,
-    // so this is its own cache entry, and reruns are byte-identical.
-    let first = post(&addr, "/partition?k=4&threads=2", &body);
-    assert_eq!(first.status, 200, "{}", first.text());
-    assert_eq!(first.header("x-mcgp-cache"), Some("miss"));
-    let rerun = post(&addr, "/partition?k=4&threads=2", &body);
-    assert_eq!(rerun.header("x-mcgp-cache"), Some("hit"));
-    assert_eq!(first.body, rerun.body, "threaded rerun must be bit-identical");
-
-    // And the served result matches the library at the same (seed, threads).
-    let (_, parts, done) = parse_body(&first.text());
-    let lib_cfg = PartitionConfig {
-        nthreads: 2,
-        ..PartitionConfig::default()
+    // The fingerprint leaves the thread count out, so threads=4 hits the
+    // hierarchy threads=1 built, and both serve one partition.
+    let t1 = post(&addr, "/partition?k=4&threads=1", &body);
+    assert_eq!(t1.status, 200, "{}", t1.text());
+    assert_eq!(t1.header("x-mcgp-cache"), Some("miss"));
+    let t4 = post(&addr, "/partition?k=4&threads=4", &body);
+    assert_eq!(t4.status, 200, "{}", t4.text());
+    assert_eq!(t4.header("x-mcgp-cache"), Some("hit"));
+    let part_lines = |r: &ClientResponse| -> Vec<String> {
+        r.text()
+            .lines()
+            .filter(|l| l.contains(r#""type":"part""#))
+            .map(str::to_string)
+            .collect()
     };
-    let lib = partition_kway(&graph, 4, &lib_cfg);
-    assert_eq!(parts, lib.partition.assignment(), "served != library at t2");
+    assert!(!part_lines(&t1).is_empty());
     assert_eq!(
-        done.get("edge_cut").unwrap().as_i64(),
-        Some(lib.quality.edge_cut)
+        part_lines(&t1),
+        part_lines(&t4),
+        "t4 part lines differ from t1"
     );
 
-    // One serial request rides along so both buckets show up.
-    assert_eq!(post(&addr, "/partition?k=4", &body).status, 200);
+    // And both match the library at t=1.
+    let lib = partition_kway(&graph, 4, &PartitionConfig::default());
+    for (t, resp) in [(1, &t1), (4, &t4)] {
+        let (_, parts, done) = parse_body(&resp.text());
+        assert_eq!(
+            parts,
+            lib.partition.assignment(),
+            "served t{t} != library t1"
+        );
+        assert_eq!(
+            done.get("edge_cut").unwrap().as_i64(),
+            Some(lib.quality.edge_cut)
+        );
+    }
 
+    // One hierarchy build (the miss) serves both thread counts.
     let json = Json::parse(get(&addr, "/metrics").text().trim()).unwrap();
+    let cache = json.get("cache").unwrap();
+    assert_eq!(cache.get("misses").unwrap().as_i64(), Some(1));
+    assert_eq!(cache.get("hits").unwrap().as_i64(), Some(1));
+    assert_eq!(cache.get("entries").unwrap().as_i64(), Some(1));
     let by_threads = json.get("partition_threads").unwrap();
-    assert_eq!(by_threads.get("t2").unwrap().as_i64(), Some(2));
+    assert_eq!(by_threads.get("t4").unwrap().as_i64(), Some(1));
     assert_eq!(by_threads.get("t1").unwrap().as_i64(), Some(1));
 
     let prom = get(&addr, "/metrics?format=prom");
     let text = prom.text();
     mcgp_runtime::metrics::validate_prometheus(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
     for needle in [
-        "mcgp_partition_threads_total{threads=\"2\"} 2",
+        "mcgp_partition_threads_total{threads=\"4\"} 1",
         "mcgp_partition_threads_total{threads=\"1\"} 1",
     ] {
         assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
@@ -898,8 +915,8 @@ fn daemon_default_threads_apply_when_the_request_does_not_pin() {
         ..ServeConfig::default()
     });
 
-    // No threads= parameter: the daemon's default width (2) applies, so
-    // the response must match the library at nthreads=2 ...
+    // No threads= parameter: the daemon's default width (2) applies, and
+    // the response matches the library at nthreads=2 ...
     let served = post(&addr, "/partition?k=4", &body);
     assert_eq!(served.status, 200, "{}", served.text());
     let (meta, parts, _) = parse_body(&served.text());

@@ -62,7 +62,7 @@ if [ "$GATE" != "off" ]; then
         # comparison this one is same-host same-run, so it is fatal.
         TW_ARGS=""
         if [ "$f" = "$COARSEN_OUT" ]; then
-            TW_ARGS="--threads-win partition/full/mrng200k"
+            TW_ARGS="--threads-win partition/full/"
         fi
         # The serve file carries the rps-win rule: small warm requests over
         # one keep-alive connection must at least double the throughput of

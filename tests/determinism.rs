@@ -4,10 +4,13 @@
 //! section makes. This covers both the serial driver and the parallel
 //! driver, and for the parallel driver both the pooled and the forced
 //! single-thread execution path (`MCGP_THREADS=1`): the pool's ordered
-//! merge makes thread count invisible in the result.
+//! merge makes thread count invisible in the result. The serial driver's
+//! `nthreads` is invisible as well: every count gives the t=1 partition.
 
 use mcgp::core::coarsen::coarsen;
-use mcgp::core::{partition_kway, partition_rb, MatchingScheme, PartitionConfig};
+use mcgp::core::{
+    partition_kway, partition_rb, HierarchySnapshot, MatchingScheme, PartitionConfig,
+};
 use mcgp::graph::generators::mrng_like;
 use mcgp::graph::synthetic;
 use mcgp::parallel::{parallel_partition_kway, ParallelConfig};
@@ -57,52 +60,61 @@ fn parallel_kway_is_bit_identical_across_runs_and_thread_counts() {
 fn threaded_full_pipeline_is_bit_identical_per_seed_and_thread_count() {
     // The end-to-end shared-memory pipeline — serial coarsening, threaded
     // recursive-bisection initial partitioning and the serial k-way sweep
-    // — must be a pure function of `(graph, seed, nthreads > 1)`. Big
-    // enough that the task tree actually forks, multi-constraint so the
-    // balance model is exercised.
+    // — must be a function of `(graph, seed)` alone: reruns and every
+    // thread count give one assignment. Big enough that the task tree
+    // actually forks, multi-constraint so the balance model is exercised.
     let g = synthetic::type1(&mrng_like(6_000, 11), 3, 11);
+    let base = PartitionConfig::default().with_seed(5);
+    let kway_t1 = partition_kway(&g, 8, &base);
+    let rb_t1 = partition_rb(&g, 6, &base);
+    assert!(kway_t1.partition.all_parts_nonempty());
     for t in [1usize, 2, 4, 8] {
-        let cfg = PartitionConfig::default().with_seed(5).with_threads(t);
+        let cfg = base.with_threads(t);
         let a = partition_kway(&g, 8, &cfg);
-        let b = partition_kway(&g, 8, &cfg);
         assert_eq!(
             a.partition.assignment(),
-            b.partition.assignment(),
-            "t={t} rerun differs"
+            kway_t1.partition.assignment(),
+            "t={t} k-way differs from t=1"
         );
-        assert_eq!(a.quality.edge_cut, b.quality.edge_cut);
-        assert!(a.partition.all_parts_nonempty(), "t={t}");
-
-        let rb_a = partition_rb(&g, 6, &cfg);
-        let rb_b = partition_rb(&g, 6, &cfg);
+        assert_eq!(a.quality.edge_cut, kway_t1.quality.edge_cut);
         assert_eq!(
-            rb_a.partition.assignment(),
-            rb_b.partition.assignment(),
-            "t={t} RB rerun differs"
+            partition_rb(&g, 6, &cfg).partition.assignment(),
+            rb_t1.partition.assignment(),
+            "t={t} RB differs from t=1"
         );
     }
 
-    // Every thread count above one gives one partition, whatever the
-    // matching scheme: threads reach only the task tree, never the matcher.
+    // Threads reach only the task tree, never the matcher: one partition
+    // at every thread count whatever the matching scheme.
     for scheme in [
         MatchingScheme::Random,
         MatchingScheme::HeavyEdge,
         MatchingScheme::BalancedHeavyEdge,
     ] {
         let run = |t: usize| {
-            let mut cfg = PartitionConfig::default().with_seed(5).with_threads(t);
+            let mut cfg = base.with_threads(t);
             cfg.matching = scheme;
             partition_kway(&g, 8, &cfg)
         };
-        let t2 = run(2);
-        for t in [4usize, 8] {
+        let t1 = run(1);
+        for t in [2usize, 4, 8] {
             assert_eq!(
                 run(t).partition.assignment(),
-                t2.partition.assignment(),
-                "{scheme:?}: t={t} differs from t=2"
+                t1.partition.assignment(),
+                "{scheme:?}: t={t} differs from t=1"
             );
         }
     }
+
+    // One cached hierarchy serves every thread count: a snapshot built at
+    // t=1 and replayed at t=4 gives the cold t=1 partition.
+    let snap = HierarchySnapshot::build(&g, &base);
+    let warm = snap.partition(&g, 8, &base.with_threads(4));
+    assert_eq!(
+        warm.partition.assignment(),
+        kway_t1.partition.assignment(),
+        "t=4 replay of a t=1 snapshot differs from t=1"
+    );
 
     // Coarsening never reads the thread count: the same level graphs and
     // cmaps at t=1 and t=8.
@@ -119,17 +131,14 @@ fn threaded_full_pipeline_is_bit_identical_per_seed_and_thread_count() {
         assert_eq!(a.cmap, b.cmap, "level {i} cmap differs");
     }
 
-    // The physical worker cap must be invisible: `--threads` shapes the
-    // output, the machine's core count never does. (Same env-var pattern
+    // The physical worker cap must be invisible too. (Same env-var pattern
     // as the parallel-driver test above: set and removed within one test.)
-    let cfg = PartitionConfig::default().with_seed(5).with_threads(4);
-    let pooled = partition_kway(&g, 8, &cfg);
     std::env::set_var("MCGP_THREADS", "1");
-    let inline = partition_kway(&g, 8, &cfg);
+    let inline = partition_kway(&g, 8, &base.with_threads(4));
     std::env::remove_var("MCGP_THREADS");
     assert_eq!(
-        pooled.partition.assignment(),
         inline.partition.assignment(),
+        kway_t1.partition.assignment(),
         "physical thread availability leaked into the t=4 result"
     );
 }

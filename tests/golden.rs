@@ -51,6 +51,14 @@ fn kway_serial_and_threaded_outputs_are_pinned() {
 }
 
 #[test]
+fn kway_eight_thread_output_is_pinned() {
+    let g = mesh();
+    let cfg = PartitionConfig::default().with_seed(7).with_threads(8);
+    let t8 = partition_kway(&g, 16, &cfg);
+    check("partition_kway t=8 k=16", t8.partition.assignment(), 0x93d5_f569_8eb3_3a96);
+}
+
+#[test]
 fn rb_output_is_pinned() {
     let g = mesh();
     for t in THREADS {
@@ -78,6 +86,18 @@ fn hierarchy_replay_outputs_are_pinned() {
             let what = format!("HierarchySnapshot::partition t={t} k={k}");
             check(&what, warm.partition.assignment(), expect);
         }
+    }
+}
+
+#[test]
+fn threaded_hierarchy_replay_outputs_are_pinned() {
+    // A snapshot built at t = 2 replays to the same digests as one built at t = 1.
+    let g = mesh();
+    let cfg = PartitionConfig::default().with_seed(7).with_threads(2);
+    let snap = HierarchySnapshot::build(&g, &cfg);
+    for (k, expect) in [(8usize, 0xd3d2_36ee_b07c_8ab4u64), (37, 0x1169_372e_c783_0328)] {
+        let warm = snap.partition(&g, k, &cfg);
+        check(&format!("HierarchySnapshot::partition t=2 k={k}"), warm.partition.assignment(), expect);
     }
 }
 

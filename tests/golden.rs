@@ -173,3 +173,68 @@ fn parallel_kway_cost_counters_are_pinned() {
         .collect();
     check("parallel_partition_kway p=4 k=16 RunStats", &words, 0x6834_962a_c3f5_132f);
 }
+
+/// The order-independent BSP cost totals of a run, as digest words.
+fn cost_words(supersteps: usize, comm_bytes: u64, comp_ops: u64) -> Vec<u32> {
+    [supersteps as u64, comm_bytes, comp_ops]
+        .iter()
+        .flat_map(|&x| [x as u32, (x >> 32) as u32])
+        .collect()
+}
+
+#[test]
+fn parallel_kway_variant_cost_counters_are_pinned() {
+    let g = mesh();
+    let mut slice = ParallelConfig::new(4).with_seed(7);
+    slice.refiner = RefinerKind::Slice;
+    let s = parallel_partition_kway(&g, 16, &slice).stats;
+    let words = cost_words(s.supersteps, s.comm_bytes, s.comp_ops);
+    check("parallel_partition_kway slice p=4 k=16 RunStats", &words, 0x1c0b_d7b8_cde4_31c5);
+    let mut unfolded = ParallelConfig::new(4).with_seed(7);
+    unfolded.fold_threshold = 0;
+    let s = parallel_partition_kway(&g, 16, &unfolded).stats;
+    let words = cost_words(s.supersteps, s.comm_bytes, s.comp_ops);
+    check("parallel_partition_kway unfolded p=4 k=16 RunStats", &words, 0x505d_5383_a0a0_1ec6);
+}
+
+#[test]
+fn imbalance_recovery_path_is_pinned() {
+    // Ablation A2's recovery loop, called directly as the harness does:
+    // balancing without teleports (its only caller), then reservation
+    // refinement, from a partition with part 0 overloaded by 40 %.
+    use mcgp::core::balance::{part_weights, BalanceModel};
+    use mcgp::parallel::refine_par::{parallel_balance, reservation_refine};
+    use mcgp::parallel::{CostTracker, DistGraph};
+    use mcgp::runtime::rng::Rng;
+
+    let g = mesh();
+    let (k, p, seed) = (16usize, 8usize, 7u64);
+    let base = partition_kway(&g, k, &PartitionConfig::default().with_seed(seed));
+    let mut part = base.partition.assignment().to_vec();
+    let mut pw = part_weights(&g, &part, k);
+    let ncon = g.ncon();
+    let target = 1.4 * g.total_vwgt()[0] as f64 / k as f64;
+    let mut rng = Rng::seed_from_u64(seed);
+    while (pw[0] as f64) < target {
+        let v = rng.gen_range(0..g.nvtxs());
+        let from = part[v] as usize;
+        if from != 0 {
+            for i in 0..ncon {
+                pw[from * ncon + i] -= g.vwgt(v)[i];
+                pw[i] += g.vwgt(v)[i];
+            }
+            part[v] = 0;
+        }
+    }
+    let dist = DistGraph::distribute(&g, p);
+    let model = BalanceModel::new(&g, k, 0.05);
+    let mut tracker = CostTracker::new();
+    for it in 0..4 {
+        parallel_balance(&dist, &mut part, &mut pw, &model, 2 * k, false, seed ^ it, &mut tracker);
+        reservation_refine(&dist, &mut part, &mut pw, &model, 4, seed ^ it, &mut tracker);
+    }
+    assert_eq!(pw, part_weights(&g, &part, k));
+    check("A2 recovery p=8 k=16", &part, 0x08ba_7c78_0b17_3d1d);
+    let words = cost_words(tracker.supersteps(), tracker.total_bytes(), tracker.total_comp());
+    check("A2 recovery p=8 k=16 CostTracker", &words, 0x8dc0_af9b_bc85_3f14);
+}

@@ -15,16 +15,19 @@
 
 use crate::dist::LocalGraph;
 
-/// One committed move of a reservation/slice commit round.
+/// One vertex move of a BSP move round (reservation, slice or balancing),
+/// from proposal through commit.
 #[derive(Clone, Copy, Debug)]
-pub struct CommittedMove {
+pub struct Move {
     /// Global id of the moved vertex.
     pub v: u32,
-    /// Subdomain the vertex left (its part in the previously published
+    /// Subdomain the vertex leaves (its part in the previously published
     /// partition).
     pub from: u32,
-    /// Subdomain the vertex joined.
+    /// Subdomain the vertex joins.
     pub to: u32,
+    /// The processor that owns the vertex and proposed the move.
+    pub proc: u32,
 }
 
 const NOT_IN_BOUNDARY: u32 = u32::MAX;
@@ -101,7 +104,7 @@ impl ProcBoundary {
     /// committed moves (every processor's — remote moves can pull local
     /// vertices on or off the boundary). Cost:
     /// `O(Σ deg(moved local) + moved-edge endpoints in this block)`.
-    pub fn apply_commits(&mut self, lg: &LocalGraph, part: &[u32], moves: &[CommittedMove]) {
+    pub fn apply_commits(&mut self, lg: &LocalGraph, part: &[u32], moves: &[Move]) {
         let lo = self.first;
         let hi = lo + lg.nlocal();
         // Sorted moved gids: stage 2 must skip endpoints that moved
@@ -260,7 +263,7 @@ mod tests {
         for _round in 0..30 {
             // A commit round: several distinct vertices change parts at
             // once, including pairs that may be adjacent.
-            let mut moves: Vec<CommittedMove> = Vec::new();
+            let mut moves: Vec<Move> = Vec::new();
             let mut taken = vec![false; n];
             for _ in 0..12 {
                 let v = rng.gen_range(0..n as u32) as usize;
@@ -270,11 +273,8 @@ mod tests {
                 taken[v] = true;
                 let from = part[v];
                 let to = (from + 1 + rng.gen_range(0..k - 1)) % k;
-                moves.push(CommittedMove {
-                    v: v as u32,
-                    from,
-                    to,
-                });
+                let proc = d.owner(v) as u32;
+                moves.push(Move { v: v as u32, from, to, proc });
             }
             for m in &moves {
                 part[m.v as usize] = m.to;
@@ -296,8 +296,8 @@ mod tests {
         let mut pbs: Vec<ProcBoundary> =
             (0..2).map(|q| ProcBoundary::build(d.local(q), &part)).collect();
         let moves = vec![
-            CommittedMove { v: 3, from: 0, to: 1 },
-            CommittedMove { v: 4, from: 1, to: 0 },
+            Move { v: 3, from: 0, to: 1, proc: 0 },
+            Move { v: 4, from: 1, to: 0, proc: 1 },
         ];
         for m in &moves {
             part[m.v as usize] = m.to;

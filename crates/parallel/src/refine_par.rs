@@ -30,16 +30,23 @@
 //!
 //! [`parallel_balance`] implements the paper's remark that "a few edge-cut
 //! increasing moves can be made to move vertices out of the overweight
-//! subdomains": rounds target the globally worst-violated (subdomain,
-//! constraint); every processor proposes its `1/p` share of the excess out
-//! of that subdomain, and a portion rule caps the committed inflow of every
-//! destination at its remaining room, so balancing can never create a new
-//! violation.
+//! subdomains": every round sheds every violated (subdomain, constraint)
+//! pair at once, each processor proposing up to its `1/p` share of each
+//! pair's excess, and the same disallow step caps the expected inflow of
+//! every destination at its remaining room on the constraints it does not
+//! already violate.
+//!
+//! The three BSP refiners — [`reservation_refine`], the rejected slice
+//! scheme ([`crate::slice_refine::slice_refine`]) and [`parallel_balance`] —
+//! differ only in their propose rules. Each round runs on one kernel: the
+//! `propose` superstep on the pool, the `withhold` step (steps 2–3, skipped
+//! by the slice scheme, whose proposals fit by construction), the `commit`
+//! superstep, and the per-level boundary sets of `LevelBoundaries`.
 
-use crate::boundary_par::{CommittedMove, ProcBoundary};
+use crate::boundary_par::{Move, ProcBoundary};
 use crate::cost::CostTracker;
-use crate::dist::DistGraph;
-use mcgp_core::balance::BalanceModel;
+use crate::dist::{DistGraph, LocalGraph};
+use mcgp_core::balance::{apply_move, BalanceModel};
 use mcgp_runtime::rng::Rng;
 
 /// Statistics of one refinement call (one level).
@@ -49,19 +56,239 @@ pub struct ParRefineStats {
     pub iterations: usize,
     /// Moves committed.
     pub committed: usize,
-    /// Moves disallowed by the reservation scheme.
+    /// Moves disallowed: withheld by the reservation scheme, or refused by
+    /// the slice scheme's per-processor slices.
     pub disallowed: usize,
     /// Moves committed by the balancing phase.
     pub balance_moves: usize,
 }
 
-/// One proposed vertex move.
-#[derive(Clone, Debug)]
-struct Move {
-    v: u32,
-    from: u32,
-    to: u32,
-    proc: u32,
+/// One processor's output of a propose sweep.
+#[derive(Default)]
+pub(crate) struct Sweep {
+    /// Ops the sweep cost.
+    pub(crate) comp: u64,
+    /// Proposed moves, in sweep order.
+    pub(crate) moves: Vec<Move>,
+    /// Candidate moves the propose rule itself turned down.
+    pub(crate) rejected: usize,
+}
+
+/// The propose superstep. Every processor runs `sweep` on the pool — each
+/// reads only state published at the previous superstep — and the
+/// proposals are merged in processor order, so the result does not depend
+/// on scheduling. Processor `q` is charged its sweep plus `extra[q]` ops
+/// (none past the end of `extra`) and the read of its halo's parts.
+/// Returns the merged proposals and the total rejected count.
+pub(crate) fn propose<F>(
+    dist: &DistGraph,
+    extra: &[u64],
+    tracker: &mut CostTracker,
+    sweep: F,
+) -> (Vec<Move>, usize)
+where
+    F: Fn(usize) -> Sweep + Sync,
+{
+    let p = dist.nprocs();
+    let mut comp = vec![0u64; p];
+    let bytes: Vec<u64> = (0..p).map(|q| (dist.halo_size(q) * 4) as u64).collect();
+    let mut moves = Vec::new();
+    let mut rejected = 0;
+    for (q, s) in mcgp_runtime::pool::map(p, sweep).into_iter().enumerate() {
+        comp[q] = s.comp + extra.get(q).copied().unwrap_or(0);
+        moves.extend(s.moves);
+        rejected += s.rejected;
+    }
+    tracker.superstep(&comp, &bytes);
+    (moves, rejected)
+}
+
+/// The reduce superstep and the disallow step. One reduction sums the
+/// proposed inflow per (subdomain, constraint); a destination whose inflow
+/// would push a constraint past its cap gets the portion
+/// `1 − room / inflow` (the largest over its constraints), and every
+/// processor withholds each of its own proposals into `b` with probability
+/// `portion[b]`, drawing from its own stream seeded `round_seed ^ q`.
+/// Constraints the destination already violates count only when
+/// `protect_violated` is set (their room is zero, so the portion is 1).
+/// Returns the surviving moves in proposal order and the number withheld.
+pub(crate) fn withhold(
+    dist: &DistGraph,
+    model: &BalanceModel,
+    pw: &[i64],
+    moves: Vec<Move>,
+    round_seed: u64,
+    protect_violated: bool,
+    tracker: &mut CostTracker,
+) -> (Vec<Move>, usize) {
+    let (p, ncon) = (dist.nprocs(), dist.ncon());
+    tracker.superstep(&vec![pw.len() as u64; p], &vec![(2 * pw.len() * 8) as u64; p]);
+    let mut inflow = vec![0i64; pw.len()];
+    for m in &moves {
+        for (i, &w) in weight(dist, m).iter().enumerate() {
+            inflow[m.to as usize * ncon + i] += w;
+        }
+    }
+    let mut portion = vec![0f64; model.nparts()];
+    for (idx, (&w, &infl)) in pw.iter().zip(&inflow).enumerate() {
+        let cap = model.limits()[idx % ncon];
+        if infl == 0 || w + infl <= cap || (w > cap && !protect_violated) {
+            continue;
+        }
+        let room = (cap - w).max(0) as f64;
+        let b = idx / ncon;
+        portion[b] = portion[b].max((1.0 - room / infl as f64).clamp(0.0, 1.0));
+    }
+    let mut rngs: Vec<Rng> = (0..p)
+        .map(|q| Rng::seed_from_u64(round_seed ^ q as u64))
+        .collect();
+    let proposed = moves.len();
+    let kept: Vec<Move> = moves
+        .into_iter()
+        .filter(|m| {
+            let r = portion[m.to as usize];
+            !(r > 0.0 && rngs[m.proc as usize].gen_bool(r))
+        })
+        .collect();
+    let withheld = proposed - kept.len();
+    (kept, withheld)
+}
+
+/// The commit superstep: `moves` update the published partition and the
+/// subdomain weights (one op each, on the proposer), then an exact `pw`
+/// allreduce and a halo refresh of the partition close the round.
+pub(crate) fn commit(
+    dist: &DistGraph,
+    part: &mut [u32],
+    pw: &mut [i64],
+    moves: &[Move],
+    tracker: &mut CostTracker,
+) {
+    let p = dist.nprocs();
+    let mut comp = vec![0u64; p];
+    for m in moves {
+        part[m.v as usize] = m.to;
+        apply_move(pw, dist.ncon(), weight(dist, m), m.from as usize, m.to as usize);
+        comp[m.proc as usize] += 1;
+    }
+    let bytes: Vec<u64> = (0..p)
+        .map(|q| (2 * pw.len() * 8 + dist.halo_size(q) * 4) as u64)
+        .collect();
+    tracker.superstep(&comp, &bytes);
+}
+
+/// Weight vector of a move's vertex, read from its proposer's block.
+fn weight<'a>(dist: &'a DistGraph, m: &Move) -> &'a [i64] {
+    let lg = dist.local(m.proc as usize);
+    lg.vwgt(m.v as usize - lg.first)
+}
+
+/// The per-processor boundary sets of one level: built once from the
+/// published partition, then kept exact after every commit
+/// ([`ProcBoundary::apply_commits`]), so each propose sweep visits only
+/// boundary vertices.
+pub(crate) struct LevelBoundaries {
+    sets: Vec<ProcBoundary>,
+    /// Per-processor cost of the build, charged to the first propose
+    /// superstep (the build replaces its full block scan); empty once taken.
+    build_comp: Vec<u64>,
+}
+
+impl LevelBoundaries {
+    pub(crate) fn build(dist: &DistGraph, part: &[u32]) -> LevelBoundaries {
+        let (sets, build_comp) = mcgp_runtime::pool::map(dist.nprocs(), |q| {
+            let lg = dist.local(q);
+            (ProcBoundary::build(lg, part), (lg.nlocal() + lg.nedges_local()) as u64)
+        })
+        .into_iter()
+        .unzip();
+        LevelBoundaries { sets, build_comp }
+    }
+
+    /// The build's cost the first time it is asked for, nothing afterwards.
+    pub(crate) fn take_build_comp(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.build_comp)
+    }
+
+    /// Processor `q`'s boundary, as local vertex ids.
+    pub(crate) fn of(&self, q: usize) -> &[u32] {
+        self.sets[q].boundary()
+    }
+
+    /// Boundary vertices over all processors.
+    pub(crate) fn total(&self) -> usize {
+        self.sets.iter().map(|pb| pb.boundary().len()).sum()
+    }
+
+    /// Brings every set up to date with a committed round; under
+    /// `debug_assertions` each is then checked against a fresh build.
+    pub(crate) fn refresh(&mut self, dist: &DistGraph, part: &[u32], moves: &[Move]) {
+        for (q, pb) in self.sets.iter_mut().enumerate() {
+            pb.apply_commits(dist.local(q), part, moves);
+            #[cfg(debug_assertions)]
+            if let Err(e) = pb.validate(dist.local(q), part) {
+                panic!("boundary set of proc {q} drifted after a commit: {e}");
+            }
+        }
+    }
+}
+
+/// A vertex's connectivity to the parts around it, from one scan of its
+/// edges: `internal` is its edge weight into its own part, `conn[b]` its
+/// weight into each foreign part `b` listed in `touched` (empty exactly
+/// when the vertex has no foreign neighbour).
+pub(crate) struct Conn {
+    conn: Vec<i64>,
+    pub(crate) touched: Vec<usize>,
+    pub(crate) internal: i64,
+}
+
+impl Conn {
+    pub(crate) fn new(nparts: usize) -> Conn {
+        Conn {
+            conn: vec![0; nparts],
+            touched: Vec::new(),
+            internal: 0,
+        }
+    }
+
+    /// Scans local vertex `lv` of part `a`, reading each neighbour's part
+    /// through `part_of`.
+    pub(crate) fn scan(
+        &mut self,
+        lg: &LocalGraph,
+        lv: usize,
+        a: usize,
+        part_of: impl Fn(usize) -> usize,
+    ) {
+        for &b in &self.touched {
+            self.conn[b] = 0;
+        }
+        self.touched.clear();
+        self.internal = 0;
+        for (u, w) in lg.edges(lv) {
+            let pu = part_of(u as usize);
+            if pu == a {
+                self.internal += w;
+            } else {
+                if self.conn[pu] == 0 {
+                    self.touched.push(pu);
+                }
+                self.conn[pu] += w;
+            }
+        }
+    }
+
+    /// Cut gain of moving the scanned vertex to part `b`.
+    pub(crate) fn gain(&self, b: usize) -> i64 {
+        self.conn[b] - self.internal
+    }
+}
+
+/// Modeled cost of a refinement sweep's visit to `lv`: its weight vector,
+/// then per edge a part lookup and half a weight update.
+pub(crate) fn visit_ops(lg: &LocalGraph, lv: usize, ncon: usize) -> u64 {
+    (ncon + lg.neighbors(lv).len() * ((2 + ncon) / 2)) as u64
 }
 
 /// Runs reservation-scheme refinement on one level of the distributed
@@ -76,34 +303,16 @@ pub fn reservation_refine(
     seed: u64,
     tracker: &mut CostTracker,
 ) -> ParRefineStats {
-    let p = dist.nprocs();
     let ncon = dist.ncon();
     let nparts = model.nparts();
     let mut stats = ParRefineStats::default();
-
-    // Per-processor boundary sets: built once per level from the published
-    // partition, then kept exact across commit rounds (apply_commits), so
-    // every propose sweep visits only boundary vertices. The build replaces
-    // the first iteration's full block scan; its computation is charged to
-    // that iteration's propose superstep (no extra superstep).
-    let built: Vec<(ProcBoundary, u64)> = mcgp_runtime::pool::map(p, |q| {
-        let lg = dist.local(q);
-        let comp = (lg.nlocal() + lg.nedges_local()) as u64;
-        (ProcBoundary::build(lg, part), comp)
-    });
-    let mut boundaries: Vec<ProcBoundary> = Vec::with_capacity(p);
-    let mut build_comp = vec![0u64; p];
-    for (q, (pb, c)) in built.into_iter().enumerate() {
-        build_comp[q] = c;
-        boundaries.push(pb);
-    }
+    let mut boundaries = LevelBoundaries::build(dist, part);
 
     for iter in 0..iters {
         stats.iterations += 1;
         let upward = iter % 2 == 0;
-        let boundary_total: usize = boundaries.iter().map(|b| b.boundary().len()).sum();
+        let boundary_total = boundaries.total();
 
-        // --- 1. Propose (concurrent, reads published state only) ----------
         // Each processor performs a *local KL-like sweep with immediate
         // local updates* (the coarse-grain formulation of ref [4]): its own
         // tentative moves are visible to later vertices of the same sweep
@@ -112,200 +321,70 @@ pub fn reservation_refine(
         // as they do in a serial sweep. Remote vertices are still read from
         // the published (previous-superstep) state — that is the
         // concurrency relaxation the reservation scheme exists to police.
-        // The per-processor sweeps are independent by construction (each
-        // reads only shared snapshots), so they run on the shared-memory
-        // pool and their outputs are merged in processor order
-        // (deterministic regardless of scheduling).
-        let per_proc: Vec<(u64, u64, Vec<Move>, Vec<i64>)> =
-            mcgp_runtime::pool::map(p, |q| {
-                let lg = dist.local(q);
-                let mut comp_q = 0u64;
-                let bytes_q = (dist.halo_size(q) * 4) as u64; // published halo parts
-                let mut proposals_q: Vec<Move> = Vec::new();
-                let mut inflow_q = vec![0i64; nparts * ncon];
-                let lo = lg.first;
-                let hi = lg.first + lg.nlocal();
-                // Private overlay of this processor's block + weight view.
-                let mut local_part: Vec<u32> = part[lo..hi].to_vec();
-                let mut pw_local = pw.to_vec();
-                let part_of = |g: usize, local_part: &[u32]| -> usize {
-                    if g >= lo && g < hi {
-                        local_part[g - lo] as usize
+        let extra = boundaries.take_build_comp();
+        let (proposals, _) = propose(dist, &extra, tracker, |q| {
+            let lg = dist.local(q);
+            let (lo, hi) = (lg.first, lg.first + lg.nlocal());
+            let mut local_part: Vec<u32> = part[lo..hi].to_vec();
+            let mut pw_local = pw.to_vec();
+            let mut conn = Conn::new(nparts);
+            let mut sweep = Sweep::default();
+            // Vertices pulled onto the boundary by this sweep's own
+            // tentative moves are picked up next iteration, after the
+            // commit refreshes the sets.
+            for &lv in boundaries.of(q) {
+                let lv = lv as usize;
+                let a = local_part[lv] as usize;
+                sweep.comp += visit_ops(lg, lv, ncon);
+                conn.scan(lg, lv, a, |u| {
+                    if (lo..hi).contains(&u) {
+                        local_part[u - lo] as usize
                     } else {
-                        part[g] as usize
+                        part[u] as usize
                     }
-                };
-                let mut conn: Vec<i64> = vec![0; nparts];
-                let mut touched: Vec<usize> = Vec::new();
-                // Only boundary vertices (under the published partition) can
-                // have a foreign-part neighbor; vertices pulled onto the
-                // boundary by this sweep's own tentative moves are picked up
-                // next iteration, after the commit refreshes the sets.
-                for &lv in boundaries[q].boundary() {
-                    let lv = lv as usize;
-                    let v = lg.global(lv);
-                    let a = local_part[lv] as usize;
-                    comp_q += ncon as u64;
-                    touched.clear();
-                    let mut internal = 0i64;
-                    let mut boundary = false;
-                    for (u, w) in lg.edges(lv) {
-                        comp_q += (2 + ncon as u64) / 2;
-                        let pu = part_of(u as usize, &local_part);
-                        if pu == a {
-                            internal += w;
-                        } else {
-                            boundary = true;
-                            if conn[pu] == 0 {
-                                touched.push(pu);
-                            }
-                            conn[pu] += w;
-                        }
-                    }
-                    if !boundary {
+                });
+                let vw = lg.vwgt(lv);
+                let mut best: Option<(i64, usize)> = None;
+                for &b in &conn.touched {
+                    if upward != (b > a) || !model.fits(&pw_local[b * ncon..(b + 1) * ncon], vw) {
                         continue;
                     }
-                    let vw = lg.vwgt(lv);
-                    let mut best: Option<(i64, usize)> = None;
-                    for &b in &touched {
-                        if upward != (b > a) {
-                            continue;
-                        }
-                        if !model.fits(&pw_local[b * ncon..(b + 1) * ncon], vw) {
-                            continue;
-                        }
-                        let gain = conn[b] - internal;
-                        let acceptable =
-                            gain > 0 || (gain == 0 && lighter(model, &pw_local, ncon, b, a));
-                        if acceptable && best.is_none_or(|(g, _)| gain > g) {
-                            best = Some((gain, b));
-                        }
-                    }
-                    for &b in &touched {
-                        conn[b] = 0;
-                    }
-                    if let Some((_, b)) = best {
-                        local_part[lv] = b as u32;
-                        for i in 0..ncon {
-                            pw_local[a * ncon + i] -= vw[i];
-                            pw_local[b * ncon + i] += vw[i];
-                            inflow_q[b * ncon + i] += vw[i];
-                        }
-                        proposals_q.push(Move {
-                            v: v as u32,
-                            from: a as u32,
-                            to: b as u32,
-                            proc: q as u32,
-                        });
+                    let gain = conn.gain(b);
+                    let acceptable = gain > 0
+                        || (gain == 0 && load(model, &pw_local, b) < load(model, &pw_local, a));
+                    if acceptable && best.is_none_or(|(g, _)| gain > g) {
+                        best = Some((gain, b));
                     }
                 }
-                (comp_q, bytes_q, proposals_q, inflow_q)
-            });
-        let mut comp = vec![0u64; p];
-        let mut bytes = vec![0u64; p];
-        let mut proposals: Vec<Move> = Vec::new();
-        let mut inflow = vec![0i64; nparts * ncon];
-        for (q, (comp_q, bytes_q, proposals_q, inflow_q)) in per_proc.into_iter().enumerate() {
-            comp[q] = comp_q + if iter == 0 { build_comp[q] } else { 0 };
-            bytes[q] = bytes_q;
-            proposals.extend(proposals_q);
-            for (idx, w) in inflow_q.into_iter().enumerate() {
-                inflow[idx] += w;
-            }
-        }
-        tracker.superstep(&comp, &bytes);
-
-        // --- 2. Reduce proposed inflow -------------------------------------
-        {
-            let comp = vec![(nparts * ncon) as u64; p];
-            let bytes = vec![(2 * nparts * ncon * 8) as u64; p];
-            tracker.superstep(&comp, &bytes);
-        }
-
-        // --- 3. Disallow the overflow portion ------------------------------
-        // Portion per destination: 1 - extra/inflow over the most violated
-        // constraint (the paper's footnote), clamped to [0, 1].
-        let mut portion = vec![0f64; nparts];
-        for b in 0..nparts {
-            for i in 0..ncon {
-                let infl = inflow[b * ncon + i];
-                if infl == 0 {
-                    continue;
-                }
-                let cap = model.limits()[i];
-                if pw[b * ncon + i] + infl > cap {
-                    let extra = (cap - pw[b * ncon + i]).max(0) as f64;
-                    let r = 1.0 - extra / infl as f64;
-                    portion[b] = portion[b].max(r.clamp(0.0, 1.0));
+                if let Some((_, b)) = best {
+                    local_part[lv] = b as u32;
+                    apply_move(&mut pw_local, ncon, vw, a, b);
+                    let (v, from, to, proc) = (lg.global(lv) as u32, a as u32, b as u32, q as u32);
+                    sweep.moves.push(Move { v, from, to, proc });
                 }
             }
-        }
-        let mut rngs: Vec<Rng> = (0..p)
-            .map(|q| Rng::seed_from_u64(seed ^ ((iter as u64) << 24) ^ (q as u64)))
-            .collect();
+            sweep
+        });
         let proposed = proposals.len();
-        let mut committed: Vec<Move> = Vec::with_capacity(proposals.len());
-        for m in proposals {
-            let r = portion[m.to as usize];
-            if r > 0.0 && rngs[m.proc as usize].gen_bool(r) {
-                stats.disallowed += 1;
-            } else {
-                committed.push(m);
-            }
-        }
+        let round_seed = seed ^ ((iter as u64) << 24);
+        let (moves, withheld) = withhold(dist, model, pw, proposals, round_seed, true, tracker);
+        commit(dist, part, pw, &moves, tracker);
+        boundaries.refresh(dist, part, &moves);
 
-        // --- 4. Commit, refresh weights and published partition -----------
-        let mut comp = vec![0u64; p];
-        for m in &committed {
-            part[m.v as usize] = m.to;
-            let lg = dist.local(m.proc as usize);
-            let vw = lg.vwgt(m.v as usize - lg.first);
-            for i in 0..ncon {
-                pw[m.from as usize * ncon + i] -= vw[i];
-                pw[m.to as usize * ncon + i] += vw[i];
-            }
-            comp[m.proc as usize] += 1;
-        }
-        {
-            // Exact pw allreduce plus halo partition refresh.
-            let bytes: Vec<u64> = (0..p)
-                .map(|q| (2 * nparts * ncon * 8 + dist.halo_size(q) * 4) as u64)
-                .collect();
-            tracker.superstep(&comp, &bytes);
-        }
-
-        // Bring the boundary sets up to date with the committed round.
-        let commits: Vec<CommittedMove> = committed
-            .iter()
-            .map(|m| CommittedMove {
-                v: m.v,
-                from: m.from,
-                to: m.to,
-            })
-            .collect();
-        for (q, pb) in boundaries.iter_mut().enumerate() {
-            pb.apply_commits(dist.local(q), part, &commits);
-        }
-        #[cfg(debug_assertions)]
-        for (q, pb) in boundaries.iter().enumerate() {
-            if let Err(e) = pb.validate(dist.local(q), part) {
-                panic!("boundary set of proc {q} drifted after iter {iter}: {e}");
-            }
-        }
-
-        stats.committed += committed.len();
+        stats.disallowed += withheld;
+        stats.committed += moves.len();
         mcgp_runtime::event!(
             "reservation_iter",
             iter = iter,
             upward = u64::from(upward),
             boundary = boundary_total,
             proposed = proposed,
-            granted = committed.len(),
-            withheld = proposed - committed.len(),
+            granted = moves.len(),
+            withheld = withheld,
         );
-        mcgp_runtime::metrics::counter_add("reservation_grants", committed.len() as u64);
-        mcgp_runtime::metrics::counter_add("reservation_withholds", (proposed - committed.len()) as u64);
-        if committed.is_empty() {
+        mcgp_runtime::metrics::counter_add("reservation_grants", moves.len() as u64);
+        mcgp_runtime::metrics::counter_add("reservation_withholds", withheld as u64);
+        if moves.is_empty() {
             break;
         }
     }
@@ -315,18 +394,22 @@ pub fn reservation_refine(
 /// Parallel balancing phase: restores the balance caps with as little cut
 /// damage as possible before (or between) refinement passes.
 ///
-/// Each round targets the single worst-violated `(subdomain, constraint)`;
-/// every processor proposes up to its `1/p` share of the excess out of that
-/// subdomain (best-gain destinations that fit; if none fit, the destination
-/// whose total normalised excess decreases most). A portion rule then caps
-/// the committed inflow of every destination at its remaining room, so a
-/// round can never create a new violation, and the targeted excess strictly
-/// decreases while any destination has room. Returns the number of moves.
-/// `allow_teleport` additionally permits interior vertices to move to any
-/// part with room (the serial balancer's any-part fallback). Teleported
-/// vertices become islands the refinement rarely recovers, so it should be
-/// enabled only for the final pass at the finest level, where the residual
-/// excess — and hence the damage — is small.
+/// Each round sheds every violated `(subdomain, constraint)` pair at once:
+/// every processor proposes up to its `1/p` share of each pair's excess out
+/// of the overloaded subdomain, moving each vertex to its best-gain
+/// neighbouring destination that fits or, if none fits, to the neighbouring
+/// destination whose total normalised excess decreases most. The disallow
+/// step then caps the expected committed inflow of every destination at
+/// its remaining room on the constraints it does not already violate.
+/// Returns the number of moves committed.
+///
+/// `allow_teleport` additionally lets a vertex with no such neighbouring
+/// destination (typically an interior vertex) move to any part with room,
+/// the least loaded first — the serial balancer's any-part fallback — or,
+/// when no part has room, to any part the move takes excess off. Teleported
+/// vertices become islands the refinement rarely recovers. The BSP driver
+/// enables it in the balancing pass of every level, not only the finest;
+/// ablation A2's recovery loop disables it.
 #[allow(clippy::too_many_arguments)]
 pub fn parallel_balance(
     dist: &DistGraph,
@@ -347,30 +430,20 @@ pub fn parallel_balance(
         if model.worst_violation(pw).is_none() {
             break;
         }
-        // All violated (subdomain, constraint) pairs are processed in one
-        // round; each processor gets a 1/p share of every violated pair's
-        // excess as its shed quota.
-        let mut quota = vec![0i64; nparts * ncon];
-        for b in 0..nparts {
-            for i in 0..ncon {
-                let excess = pw[b * ncon + i] - model.limits()[i];
-                if excess > 0 {
-                    quota[b * ncon + i] = excess / p as i64 + 1;
-                }
-            }
-        }
+        // Each processor's shed quota: a 1/p share of every violated
+        // pair's excess.
+        let quota: Vec<i64> = (0..nparts * ncon)
+            .map(|idx| {
+                let excess = pw[idx] - model.limits()[idx % ncon];
+                if excess > 0 { excess / p as i64 + 1 } else { 0 }
+            })
+            .collect();
 
-        // Propose shed-moves out of every violated subdomain.
-        let mut comp = vec![0u64; p];
-        let mut bytes = vec![0u64; p];
-        let mut proposals: Vec<Move> = Vec::new();
-        let mut inflow = vec![0i64; nparts * ncon];
-        for q in 0..p {
+        let (proposals, _) = propose(dist, &[], tracker, |q| {
             let lg = dist.local(q);
-            bytes[q] += (dist.halo_size(q) * 4) as u64;
             let mut used = vec![0i64; nparts * ncon];
-            let mut conn: Vec<i64> = vec![0; nparts];
-            let mut touched: Vec<usize> = Vec::new();
+            let mut conn = Conn::new(nparts);
+            let mut sweep = Sweep::default();
             for lv in 0..lg.nlocal() {
                 let v = lg.global(lv);
                 let va = part[v] as usize;
@@ -383,171 +456,84 @@ pub fn parallel_balance(
                         && used[va * ncon + i] < quota[va * ncon + i]
                 });
                 let Some(vi) = vi else { continue };
-                comp[q] += (lg.neighbors(lv).len() + ncon) as u64;
-                touched.clear();
-                let mut internal = 0i64;
-                for (u, w) in lg.edges(lv) {
-                    let pu = part[u as usize] as usize;
-                    if pu == va {
-                        internal += w;
-                    } else {
-                        if conn[pu] == 0 {
-                            touched.push(pu);
-                        }
-                        conn[pu] += w;
-                    }
-                }
+                sweep.comp += (lg.neighbors(lv).len() + ncon) as u64;
+                conn.scan(lg, lv, va, |u| part[u] as usize);
+                let fits = |b: usize| model.fits(&pw[b * ncon..(b + 1) * ncon], vw);
+                let sheds = |b: usize| excess_delta(model, pw, ncon, vw, va, b);
                 // Best-gain fitting destination; excess-reducing fallback.
                 let mut best: Option<(i64, usize)> = None;
-                for &b in &touched {
-                    if model.fits(&pw[b * ncon..(b + 1) * ncon], vw) {
-                        let gain = conn[b] - internal;
-                        if best.is_none_or(|(g, _)| gain > g) {
-                            best = Some((gain, b));
-                        }
+                for &b in conn.touched.iter().filter(|&&b| fits(b)) {
+                    if best.is_none_or(|(g, _)| conn.gain(b) > g) {
+                        best = Some((conn.gain(b), b));
                     }
                 }
-                if best.is_none() {
-                    let mut best_delta = -1e-12;
-                    for &b in &touched {
-                        let delta = excess_delta(model, pw, ncon, vw, va, b);
-                        if delta < best_delta {
-                            best_delta = delta;
-                            best = Some((conn[b] - internal, b));
-                        }
-                    }
+                let mut dest = best.map(|(_, b)| b);
+                if dest.is_none() {
+                    dest = most_shedding(conn.touched.iter().copied(), sheds);
                 }
                 // Last resort (typically interior vertices, whose violated
                 // weight has no adjacent foreign subdomain): any part with
-                // room, preferring the least loaded — the parallel analogue
-                // of the serial balancer's any-part fallback. When no part
-                // fits at all (every subdomain violates *some* constraint),
-                // fall through to any excess-reducing destination.
-                if best.is_none() && allow_teleport {
+                // room, preferring the least loaded. When no part fits at
+                // all (every subdomain violates *some* constraint), fall
+                // through to any excess-reducing destination.
+                if dest.is_none() && allow_teleport {
+                    let others = (0..nparts).filter(|&b| b != va);
                     let mut best_load = f64::INFINITY;
-                    for b in 0..nparts {
-                        if b == va || !model.fits(&pw[b * ncon..(b + 1) * ncon], vw) {
-                            continue;
-                        }
-                        let mut load: f64 = 0.0;
-                        for i in 0..ncon {
-                            let t = model.totals()[i];
-                            if t > 0 {
-                                load = load.max(pw[b * ncon + i] as f64 * nparts as f64 / t as f64);
-                            }
-                        }
-                        if load < best_load {
-                            best_load = load;
-                            best = Some((-internal, b));
+                    for b in others.clone().filter(|&b| fits(b)) {
+                        let l = load(model, pw, b);
+                        if l < best_load {
+                            best_load = l;
+                            dest = Some(b);
                         }
                     }
-                    if best.is_none() {
-                        let mut best_delta = -1e-12;
-                        for b in 0..nparts {
-                            if b == va {
-                                continue;
-                            }
-                            let delta = excess_delta(model, pw, ncon, vw, va, b);
-                            if delta < best_delta {
-                                best_delta = delta;
-                                best = Some((-internal, b));
-                            }
-                        }
+                    if dest.is_none() {
+                        dest = most_shedding(others, sheds);
                     }
-                    comp[q] += nparts as u64;
+                    sweep.comp += nparts as u64;
                 }
-                for &b in &touched {
-                    conn[b] = 0;
-                }
-                if let Some((_, b)) = best {
+                if let Some(b) = dest {
                     used[va * ncon + vi] += vw[vi];
-                    for i in 0..ncon {
-                        inflow[b * ncon + i] += vw[i];
-                    }
-                    proposals.push(Move {
-                        v: v as u32,
-                        from: va as u32,
-                        to: b as u32,
-                        proc: q as u32,
-                    });
+                    let (v, from, to, proc) = (v as u32, va as u32, b as u32, q as u32);
+                    sweep.moves.push(Move { v, from, to, proc });
                 }
             }
-        }
-        tracker.superstep(&comp, &bytes);
-
-        // Reduce + portion-cap every destination at its remaining room.
-        {
-            let comp = vec![(nparts * ncon) as u64; p];
-            let bytes = vec![(2 * nparts * ncon * 8) as u64; p];
-            tracker.superstep(&comp, &bytes);
-        }
-        let mut portion = vec![0f64; nparts];
-        for b in 0..nparts {
-            for i in 0..ncon {
-                let infl = inflow[b * ncon + i];
-                if infl == 0 {
-                    continue;
-                }
-                let cap = model.limits()[i];
-                // The portion rule protects constraints that still have
-                // room. Constraints the destination *already* violates are
-                // not protected here: moves into such destinations were
-                // accepted only under the excess-delta criterion, which
-                // bounds their growth by the source's reduction — a portion
-                // of 1.0 would re-create the all-parts-violated gridlock.
-                if pw[b * ncon + i] > cap {
-                    continue;
-                }
-                if pw[b * ncon + i] + infl > cap {
-                    let extra = (cap - pw[b * ncon + i]).max(0) as f64;
-                    portion[b] = portion[b].max((1.0 - extra / infl as f64).clamp(0.0, 1.0));
-                }
-            }
-        }
-        let mut rngs: Vec<Rng> = (0..p)
-            .map(|q| Rng::seed_from_u64(seed ^ ((round as u64) << 20) ^ (q as u64) ^ 0xBA1))
-            .collect();
-        let mut committed = 0usize;
-        let mut comp = vec![0u64; p];
-        for m in proposals {
-            // Destinations that were already violated get portion 1.0 from
-            // the loop above only if the proposal inflow pushes past the
-            // cap; allow the excess-reducing fallback moves through with
-            // the complementary probability like everything else.
-            let r = portion[m.to as usize];
-            if r > 0.0 && rngs[m.proc as usize].gen_bool(r) {
-                continue;
-            }
-            part[m.v as usize] = m.to;
-            let lg = dist.local(m.proc as usize);
-            let vw = lg.vwgt(m.v as usize - lg.first);
-            for i in 0..ncon {
-                pw[m.from as usize * ncon + i] -= vw[i];
-                pw[m.to as usize * ncon + i] += vw[i];
-            }
-            comp[m.proc as usize] += 1;
-            committed += 1;
-        }
-        {
-            let bytes: Vec<u64> = (0..p)
-                .map(|q| (2 * nparts * ncon * 8 + dist.halo_size(q) * 4) as u64)
-                .collect();
-            tracker.superstep(&comp, &bytes);
-        }
-        total_moves += committed;
+            sweep
+        });
+        let round_seed = seed ^ ((round as u64) << 20) ^ 0xBA1;
+        let (moves, _) = withhold(dist, model, pw, proposals, round_seed, false, tracker);
+        commit(dist, part, pw, &moves, tracker);
+        total_moves += moves.len();
         mcgp_runtime::event!(
             "balance_round",
             round = round,
-            committed = committed,
+            committed = moves.len(),
             violated = (0..nparts * ncon)
                 .filter(|&idx| pw[idx] > model.limits()[idx % ncon])
                 .count(),
         );
-        if committed == 0 {
+        if moves.is_empty() {
             break;
         }
     }
     total_moves
+}
+
+/// The candidate whose move takes the most total normalised excess off
+/// (`sheds` < 0); the first such on ties.
+fn most_shedding(
+    candidates: impl Iterator<Item = usize>,
+    sheds: impl Fn(usize) -> f64,
+) -> Option<usize> {
+    let mut best_delta = -1e-12;
+    let mut best = None;
+    for b in candidates {
+        let delta = sheds(b);
+        if delta < best_delta {
+            best_delta = delta;
+            best = Some(b);
+        }
+    }
+    best
 }
 
 /// Change in total normalised cap excess of parts `a` and `b` if a vertex
@@ -575,20 +561,18 @@ fn excess_delta(
     delta
 }
 
-/// True when part `b`'s worst relative load is lower than part `a`'s —
-/// the zero-gain balance-improvement test.
-fn lighter(model: &BalanceModel, pw: &[i64], ncon: usize, b: usize, a: usize) -> bool {
-    let load = |pt: usize| -> f64 {
-        let mut worst: f64 = 0.0;
-        for i in 0..ncon {
-            let t = model.totals()[i];
-            if t > 0 {
-                worst = worst.max(pw[pt * ncon + i] as f64 * model.nparts() as f64 / t as f64);
-            }
+/// Part `b`'s worst relative load over its constraints (`nparts ·
+/// weight / total`; 1.0 = an even share).
+fn load(model: &BalanceModel, pw: &[i64], b: usize) -> f64 {
+    let ncon = model.ncon();
+    let mut worst: f64 = 0.0;
+    for i in 0..ncon {
+        let t = model.totals()[i];
+        if t > 0 {
+            worst = worst.max(pw[b * ncon + i] as f64 * model.nparts() as f64 / t as f64);
         }
-        worst
-    };
-    load(b) < load(a)
+    }
+    worst
 }
 
 #[cfg(test)]

@@ -11,14 +11,15 @@
 //! to 50 % worse than serial. Kept here as the ablation baseline
 //! (experiment A1 in DESIGN.md).
 
-use crate::boundary_par::{CommittedMove, ProcBoundary};
+use crate::boundary_par::Move;
 use crate::cost::CostTracker;
 use crate::dist::DistGraph;
-use crate::refine_par::ParRefineStats;
+use crate::refine_par::{commit, propose, visit_ops, Conn, LevelBoundaries, ParRefineStats, Sweep};
 use mcgp_core::balance::BalanceModel;
 
 /// Runs slice-allocation refinement on one level (same interface as
-/// [`crate::refine_par::reservation_refine`]).
+/// [`crate::refine_par::reservation_refine`]). Its proposals fit the caps
+/// by construction, so a round has no disallow step.
 pub fn slice_refine(
     dist: &DistGraph,
     part: &mut [u32],
@@ -32,16 +33,7 @@ pub fn slice_refine(
     let ncon = dist.ncon();
     let nparts = model.nparts();
     let mut stats = ParRefineStats::default();
-
-    // Per-processor boundary sets, built once per level and updated after
-    // every commit (see `boundary_par`); the build replaces the first
-    // iteration's full block scan and is charged to its propose superstep.
-    let mut boundaries: Vec<ProcBoundary> = (0..p)
-        .map(|q| ProcBoundary::build(dist.local(q), part))
-        .collect();
-    let build_comp: Vec<u64> = (0..p)
-        .map(|q| (dist.local(q).nlocal() + dist.local(q).nedges_local()) as u64)
-        .collect();
+    let mut boundaries = LevelBoundaries::build(dist, part);
 
     for iter in 0..iters {
         stats.iterations += 1;
@@ -56,111 +48,51 @@ pub fn slice_refine(
             })
             .collect();
 
-        let mut comp = vec![0u64; p];
-        let mut bytes = vec![0u64; p];
-        let mut all_moves: Vec<(u32, u32, u32, u32)> = Vec::new(); // (v, from, to, proc)
-        for q in 0..p {
+        let extra = boundaries.take_build_comp();
+        let (moves, rejected) = propose(dist, &extra, tracker, |q| {
             let lg = dist.local(q);
-            if iter == 0 {
-                comp[q] += build_comp[q];
-            }
-            bytes[q] += (dist.halo_size(q) * 4) as u64;
             let mut used = vec![0i64; nparts * ncon];
-            let mut conn: Vec<i64> = vec![0; nparts];
-            let mut touched: Vec<usize> = Vec::new();
+            let mut conn = Conn::new(nparts);
+            let mut sweep = Sweep::default();
             // The slice sweep reads the published partition directly, so
             // the published boundary set is exactly the candidate set.
-            for &lv in boundaries[q].boundary() {
+            for &lv in boundaries.of(q) {
                 let lv = lv as usize;
                 let v = lg.global(lv);
                 let a = part[v] as usize;
-                comp[q] += ncon as u64;
-                touched.clear();
-                let mut internal = 0i64;
-                let mut boundary = false;
-                for (u, w) in lg.edges(lv) {
-                    comp[q] += (2 + ncon as u64) / 2;
-                    let pu = part[u as usize] as usize;
-                    if pu == a {
-                        internal += w;
-                    } else {
-                        boundary = true;
-                        if conn[pu] == 0 {
-                            touched.push(pu);
-                        }
-                        conn[pu] += w;
-                    }
-                }
-                if !boundary {
-                    continue;
-                }
+                sweep.comp += visit_ops(lg, lv, ncon);
+                conn.scan(lg, lv, a, |u| part[u] as usize);
                 let vw = lg.vwgt(lv);
                 let mut best: Option<(i64, usize)> = None;
-                for &b in &touched {
-                    if upward != (b > a) {
-                        continue;
-                    }
-                    let gain = conn[b] - internal;
-                    if gain <= 0 {
+                for &b in &conn.touched {
+                    let gain = conn.gain(b);
+                    if upward != (b > a) || gain <= 0 {
                         continue;
                     }
                     // Every constraint must fit the processor's slice.
-                    let fits = (0..ncon).all(|i| used[b * ncon + i] + vw[i] <= slice[b * ncon + i]);
-                    if !fits {
-                        stats.disallowed += 1;
+                    if (0..ncon).any(|i| used[b * ncon + i] + vw[i] > slice[b * ncon + i]) {
+                        sweep.rejected += 1;
                         continue;
                     }
                     if best.is_none_or(|(g, _)| gain > g) {
                         best = Some((gain, b));
                     }
                 }
-                for &b in &touched {
-                    conn[b] = 0;
-                }
                 if let Some((_, b)) = best {
                     for i in 0..ncon {
                         used[b * ncon + i] += vw[i];
                     }
-                    all_moves.push((v as u32, a as u32, b as u32, q as u32));
+                    let (v, from, to, proc) = (v as u32, a as u32, b as u32, q as u32);
+                    sweep.moves.push(Move { v, from, to, proc });
                 }
             }
-        }
-        tracker.superstep(&comp, &bytes);
-
-        // Commit (guaranteed within caps by construction) and refresh.
-        let mut comp = vec![0u64; p];
-        for &(v, from, to, q) in &all_moves {
-            part[v as usize] = to;
-            let lg = dist.local(q as usize);
-            let vw = lg.vwgt(v as usize - lg.first);
-            for i in 0..ncon {
-                pw[from as usize * ncon + i] -= vw[i];
-                pw[to as usize * ncon + i] += vw[i];
-            }
-            comp[q as usize] += 1;
-        }
-        {
-            let bytes: Vec<u64> = (0..p)
-                .map(|q| (2 * nparts * ncon * 8 + dist.halo_size(q) * 4) as u64)
-                .collect();
-            tracker.superstep(&comp, &bytes);
-        }
-        // Bring the boundary sets up to date with the committed round.
-        let commits: Vec<CommittedMove> = all_moves
-            .iter()
-            .map(|&(v, from, to, _)| CommittedMove { v, from, to })
-            .collect();
-        for (q, pb) in boundaries.iter_mut().enumerate() {
-            pb.apply_commits(dist.local(q), part, &commits);
-        }
-        #[cfg(debug_assertions)]
-        for (q, pb) in boundaries.iter().enumerate() {
-            if let Err(e) = pb.validate(dist.local(q), part) {
-                panic!("boundary set of proc {q} drifted after iter {iter}: {e}");
-            }
-        }
-        stats.committed += all_moves.len();
-        if all_moves.is_empty() {
+            sweep
+        });
+        stats.disallowed += rejected;
+        commit(dist, part, pw, &moves, tracker);
+        boundaries.refresh(dist, part, &moves);
+        stats.committed += moves.len();
+        if moves.is_empty() {
             break;
         }
     }

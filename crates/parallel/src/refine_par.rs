@@ -408,8 +408,9 @@ pub fn reservation_refine(
 /// the least loaded first — the serial balancer's any-part fallback — or,
 /// when no part has room, to any part the move takes excess off. Teleported
 /// vertices become islands the refinement rarely recovers. The BSP driver
-/// enables it in the balancing pass of every level, not only the finest;
-/// ablation A2's recovery loop disables it.
+/// enables it in every balancing pass — before each level's refinement,
+/// not only in its final finest-level pass; ablation A2's recovery loop
+/// disables it.
 #[allow(clippy::too_many_arguments)]
 pub fn parallel_balance(
     dist: &DistGraph,

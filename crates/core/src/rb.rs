@@ -24,17 +24,7 @@ use mcgp_runtime::pool;
 use mcgp_runtime::rng::Rng;
 
 /// One complete multilevel bisection of `graph` with side-0 target
-/// `fraction`. Returns the side assignment.
-pub fn multilevel_bisection(
-    graph: &Graph,
-    fraction: f64,
-    config: &PartitionConfig,
-    rng: &mut Rng,
-) -> Vec<u32> {
-    bisect(graph, fraction, config, rng).0
-}
-
-/// [`multilevel_bisection`], also returning the number of coarsening
+/// `fraction`. Returns the side assignment and the number of coarsening
 /// levels its hierarchy had. One FM workspace serves every level.
 fn bisect(
     graph: &Graph,

@@ -23,7 +23,6 @@ pub mod csr;
 pub mod generators;
 pub mod geometry;
 pub mod io;
-pub mod mesh;
 pub mod metrics;
 pub mod partition;
 pub mod permute;

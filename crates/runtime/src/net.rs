@@ -887,11 +887,6 @@ impl NetClient {
         self.connects
     }
 
-    /// Drops the persistent connection (the next request reconnects).
-    pub fn disconnect(&mut self) {
-        self.conn = None;
-    }
-
     fn connect(&mut self) -> io::Result<TcpStream> {
         let sock_addr = resolve(&self.addr)?;
         let stream = match self.timeout {

@@ -99,12 +99,6 @@ impl Rng {
         result
     }
 
-    /// Next 32 random bits (upper half of [`Rng::next_u64`]).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn gen_f64(&mut self) -> f64 {

@@ -36,7 +36,7 @@
 //! hierarchy cache.
 
 use crate::cache::{
-    fingerprint, CacheConfig, CacheStats, CacheVerdict, CachedEntry, HierarchyCache,
+    fingerprint, CacheConfig, CacheVerdict, CachedEntry, HierarchyCache,
 };
 use crate::protocol::{
     done_line, meta_line, part_line, GraphFormat, PartitionParams, RequestError, PART_CHUNK,
@@ -250,11 +250,6 @@ impl ServerHandle {
     /// work finishes.
     pub fn shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Hierarchy-cache counters and occupancy.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.state.cache.stats()
     }
 
     /// The same JSON document `GET /metrics` serves.

@@ -419,10 +419,13 @@ pub fn rps_win(
     Ok(RpsWinReport { checks })
 }
 
-/// Parses a bench JSONL report into `name → row`, enforcing the same
-/// schema `mcgp bench-check` validates (so the gate never compares
-/// garbage). Duplicate bench names are an error: the gate would silently
-/// compare only the last.
+/// Parses a bench JSONL report into `name → row`. This is the one bench
+/// schema: `mcgp bench-check` validates a file by calling it, and the gate
+/// never compares garbage. Every non-blank line is a JSON object with a
+/// non-empty string `bench`, a finite `samples` of at least 1, and finite
+/// timings with `0 <= min_s <= median_s <= max_s`; a positive `rps` is
+/// kept when present. Bench names are unique (the gate would silently
+/// compare only the last), and a file holds at least one record.
 pub fn parse_bench_file(text: &str, label: &str) -> Result<BTreeMap<String, BenchRow>, String> {
     let mut rows = BTreeMap::new();
     for (i, line) in text.lines().enumerate() {
@@ -436,19 +439,26 @@ pub fn parse_bench_file(text: &str, label: &str) -> Result<BTreeMap<String, Benc
             .and_then(|v| v.as_str())
             .ok_or_else(|| format!("{label}:{lineno}: missing string field `bench`"))?
             .to_string();
+        if name.is_empty() {
+            return Err(format!("{label}:{lineno}: empty `bench` name"));
+        }
         let num = |key: &str| -> Result<f64, String> {
             json.get(key)
                 .and_then(|v| v.as_f64())
                 .filter(|v| v.is_finite())
                 .ok_or_else(|| format!("{label}:{lineno}: missing finite field `{key}`"))
         };
-        let median_s = num("median_s")?;
-        let samples = num("samples")? as u64;
-        if median_s < 0.0 || samples == 0 {
+        let samples = num("samples")?;
+        if samples < 1.0 {
+            return Err(format!("{label}:{lineno}: `samples` {samples} is below 1"));
+        }
+        let (median_s, min_s, max_s) = (num("median_s")?, num("min_s")?, num("max_s")?);
+        if min_s < 0.0 || min_s > median_s || median_s > max_s {
             return Err(format!(
-                "{label}:{lineno}: degenerate row (median {median_s}, samples {samples})"
+                "{label}:{lineno}: timings out of order: min {min_s} median {median_s} max {max_s}"
             ));
         }
+        let samples = samples as u64;
         let rps = json.get("rps").and_then(|v| v.as_f64()).filter(|v| *v > 0.0);
         if rows
             .insert(
@@ -617,6 +627,50 @@ mod tests {
         // Blank lines are fine.
         let ok = format!("\n{}\n\n", file(&[("a", 0.1, None)]));
         assert_eq!(parse_bench_file(&ok, "t").unwrap().len(), 1);
+    }
+
+    /// One record with `fields` spliced after a valid `bench` name.
+    fn record(fields: &str) -> String {
+        format!("{{\"bench\":\"a\",{fields}}}")
+    }
+
+    #[test]
+    fn parser_rejects_empty_bench_names() {
+        let row = "{\"bench\":\"\",\"samples\":3,\"median_s\":0.2,\"min_s\":0.1,\"max_s\":0.3}";
+        assert!(parse_bench_file(row, "t").unwrap_err().contains("empty `bench`"));
+    }
+
+    #[test]
+    fn parser_rejects_too_few_or_non_finite_samples() {
+        let timings = "\"median_s\":0.2,\"min_s\":0.1,\"max_s\":0.3";
+        for samples in ["0", "0.5", "-3"] {
+            let row = record(&format!("\"samples\":{samples},{timings}"));
+            assert!(parse_bench_file(&row, "t").unwrap_err().contains("below 1"), "{row}");
+        }
+        let row = record(&format!("\"samples\":1e999,{timings}"));
+        assert!(parse_bench_file(&row, "t").unwrap_err().contains("finite field `samples`"));
+    }
+
+    #[test]
+    fn parser_requires_min_and_max_timings() {
+        for missing in ["min_s", "max_s"] {
+            let timings: Vec<String> = [("median_s", 0.2), ("min_s", 0.1), ("max_s", 0.3)]
+                .iter()
+                .filter(|(k, _)| *k != missing)
+                .map(|(k, v)| format!("\"{k}\":{v}"))
+                .collect();
+            let row = record(&format!("\"samples\":3,{}", timings.join(",")));
+            assert!(parse_bench_file(&row, "t").unwrap_err().contains(missing), "{row}");
+        }
+    }
+
+    #[test]
+    fn parser_rejects_misordered_timings() {
+        for (min, median, max) in [(0.3, 0.2, 0.4), (0.1, 0.5, 0.4), (-0.1, 0.2, 0.3)] {
+            let timings = format!("\"median_s\":{median},\"min_s\":{min},\"max_s\":{max}");
+            let row = record(&format!("\"samples\":3,{timings}"));
+            assert!(parse_bench_file(&row, "t").unwrap_err().contains("out of order"), "{row}");
+        }
     }
 
     fn tw_config(prefixes: &[&str]) -> ThreadsWinConfig {

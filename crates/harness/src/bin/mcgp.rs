@@ -594,9 +594,8 @@ fn run_trace_check(opts: &Opts) {
     }
 }
 
-/// Validates a `mcgp-bench` JSONL result file (e.g. `BENCH_refine.json`):
-/// one object per line with a `bench` name, a positive `samples` count, and
-/// `median_s`/`min_s`/`max_s` timings with `min_s <= median_s <= max_s`.
+/// Validates a `mcgp-bench` JSONL result file (e.g. `BENCH_refine.json`)
+/// against the bench schema of [`mcgp_harness::bench_gate::parse_bench_file`].
 /// Exits non-zero on any drift so CI catches harness format regressions.
 fn run_bench_check(opts: &Opts) {
     let usage = "usage: mcgp bench-check <bench-jsonl-file>";
@@ -608,54 +607,13 @@ fn run_bench_check(opts: &Opts) {
         eprintln!("failed to read {file}: {e}");
         std::process::exit(1);
     });
-    let fail = |line: usize, why: String| -> ! {
-        eprintln!("{file}:{line}: invalid bench record: {why}");
-        std::process::exit(1);
-    };
-    let mut records = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        if line.trim().is_empty() {
-            continue;
+    match mcgp_harness::bench_gate::parse_bench_file(&text, file) {
+        Ok(rows) => println!("{file}: ok, {} bench records", rows.len()),
+        Err(e) => {
+            eprintln!("invalid bench file: {e}");
+            std::process::exit(1);
         }
-        let json = mcgp_runtime::json::Json::parse(line)
-            .unwrap_or_else(|e| fail(lineno, format!("not JSON: {e:?}")));
-        let name = json
-            .get("bench")
-            .and_then(|v| v.as_str())
-            .unwrap_or_else(|| fail(lineno, "missing string field `bench`".to_string()));
-        if name.is_empty() {
-            fail(lineno, "empty `bench` name".to_string());
-        }
-        let samples = json
-            .get("samples")
-            .and_then(|v| v.as_f64())
-            .unwrap_or_else(|| fail(lineno, "missing numeric field `samples`".to_string()));
-        if samples < 1.0 {
-            fail(lineno, format!("non-positive `samples` {samples}"));
-        }
-        let num = |key: &str| -> f64 {
-            json.get(key)
-                .and_then(|v| v.as_f64())
-                .unwrap_or_else(|| fail(lineno, format!("missing numeric field `{key}`")))
-        };
-        let (median, min, max) = (num("median_s"), num("min_s"), num("max_s"));
-        if !(min.is_finite() && median.is_finite() && max.is_finite()) {
-            fail(lineno, "non-finite timing".to_string());
-        }
-        if min < 0.0 || min > median || median > max {
-            fail(
-                lineno,
-                format!("timings out of order: min {min} median {median} max {max}"),
-            );
-        }
-        records += 1;
     }
-    if records == 0 {
-        eprintln!("{file}: no bench records");
-        std::process::exit(1);
-    }
-    println!("{file}: ok, {records} bench records");
 }
 
 /// `mcgp bench-gate <baseline> <fresh>`: the regression gate. Prints a

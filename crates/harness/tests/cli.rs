@@ -497,6 +497,40 @@ fn bench_check_accepts_good_and_rejects_drifted_records() {
 }
 
 #[test]
+fn bench_check_rejects_duplicate_names_and_non_finite_samples() {
+    // The rules bench-check gained from the gate's parser.
+    let dir = std::env::temp_dir().join("mcgp_cli_bench_strict");
+    std::fs::create_dir_all(&dir).unwrap();
+    let timings = "\"median_s\":0.2,\"min_s\":0.1,\"max_s\":0.3";
+    let cases = [
+        (
+            "dup.json",
+            format!(
+                "{{\"bench\":\"x\",\"samples\":3,{timings}}}\n\
+                 {{\"bench\":\"x\",\"samples\":3,{timings}}}\n"
+            ),
+            "duplicate bench `x`",
+        ),
+        (
+            "inf.json",
+            format!("{{\"bench\":\"x\",\"samples\":1e999,{timings}}}\n"),
+            "finite field `samples`",
+        ),
+    ];
+    for (name, body, why) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, body).unwrap();
+        let out = mcgp()
+            .args(["bench-check", path.to_str().unwrap()])
+            .output()
+            .expect("run mcgp bench-check");
+        assert!(!out.status.success(), "{name} passed");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(why), "{name}: {stderr}");
+    }
+}
+
+#[test]
 fn check_accepts_known_good_graph_and_partition_pair() {
     let dir = std::env::temp_dir().join("mcgp_cli_check_good");
     std::fs::create_dir_all(&dir).unwrap();

@@ -88,10 +88,15 @@ grep -q '"name":"refine_pass"' "$TRACE_DIR/smoke_t2.trace.jsonl"
 # one reused connection at least doubles per-connection request rate.
 ./target/release/mcgp bench-gate BENCH_serve.json BENCH_serve.json \
     --rps-win serve_warm_keepalive_rmat9/serve_warm_perconn_rmat9:2.0 > /dev/null
-sed 's/"median_s":/"median_s":9/' BENCH_coarsen.json > "$TRACE_DIR/regressed.json"
-if ./target/release/mcgp bench-gate BENCH_coarsen.json "$TRACE_DIR/regressed.json" \
-    > /dev/null 2>&1; then
-    echo "verify: bench-gate accepted an injected 10x regression" >&2
+# Every timing gets the same prefix, so `min_s <= median_s <= max_s` still
+# holds and the gate must answer with its regression exit (1), not a schema
+# error (2).
+sed 's/"\(median\|min\|max\)_s":/"\1_s":9/g' BENCH_coarsen.json > "$TRACE_DIR/regressed.json"
+gate_status=0
+./target/release/mcgp bench-gate BENCH_coarsen.json "$TRACE_DIR/regressed.json" \
+    > /dev/null 2>&1 || gate_status=$?
+if [ "$gate_status" -ne 1 ]; then
+    echo "verify: bench-gate exited $gate_status on an injected 10x regression (want 1)" >&2
     exit 1
 fi
 

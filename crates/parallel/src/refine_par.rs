@@ -211,7 +211,7 @@ impl LevelBoundaries {
     }
 
     /// Processor `q`'s boundary, as local vertex ids.
-    pub(crate) fn of(&self, q: usize) -> &[u32] {
+    pub(crate) fn boundary(&self, q: usize) -> &[u32] {
         self.sets[q].boundary()
     }
 
@@ -285,8 +285,9 @@ impl Conn {
     }
 }
 
-/// Modeled cost of a refinement sweep's visit to `lv`: its weight vector,
-/// then per edge a part lookup and half a weight update.
+/// Modeled cost of a refinement sweep's visit to `lv`: `ncon` ops for the
+/// move decision plus `(2 + ncon) / 2` per edge (DESIGN.md, "Cost model op
+/// weights").
 pub(crate) fn visit_ops(lg: &LocalGraph, lv: usize, ncon: usize) -> u64 {
     (ncon + lg.neighbors(lv).len() * ((2 + ncon) / 2)) as u64
 }
@@ -332,7 +333,7 @@ pub fn reservation_refine(
             // Vertices pulled onto the boundary by this sweep's own
             // tentative moves are picked up next iteration, after the
             // commit refreshes the sets.
-            for &lv in boundaries.of(q) {
+            for &lv in boundaries.boundary(q) {
                 let lv = lv as usize;
                 let a = local_part[lv] as usize;
                 sweep.comp += visit_ops(lg, lv, ncon);

@@ -56,7 +56,7 @@ pub fn slice_refine(
             let mut sweep = Sweep::default();
             // The slice sweep reads the published partition directly, so
             // the published boundary set is exactly the candidate set.
-            for &lv in boundaries.of(q) {
+            for &lv in boundaries.boundary(q) {
                 let lv = lv as usize;
                 let v = lg.global(lv);
                 let a = part[v] as usize;

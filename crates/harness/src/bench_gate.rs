@@ -634,42 +634,43 @@ mod tests {
         format!("{{\"bench\":\"a\",{fields}}}")
     }
 
+    /// Asserts that `text` fails to parse with an error naming `why`.
+    fn rejected(text: &str, why: &str) {
+        let err = parse_bench_file(text, "t").expect_err(text);
+        assert!(err.contains(why), "{text}: {err}");
+    }
+
+    const TIMINGS: &str = "\"median_s\":0.2,\"min_s\":0.1,\"max_s\":0.3";
+
     #[test]
     fn parser_rejects_empty_bench_names() {
-        let row = "{\"bench\":\"\",\"samples\":3,\"median_s\":0.2,\"min_s\":0.1,\"max_s\":0.3}";
-        assert!(parse_bench_file(row, "t").unwrap_err().contains("empty `bench`"));
+        let row = format!("{{\"bench\":\"\",\"samples\":3,{TIMINGS}}}");
+        rejected(&row, "empty `bench`");
     }
 
     #[test]
     fn parser_rejects_too_few_or_non_finite_samples() {
-        let timings = "\"median_s\":0.2,\"min_s\":0.1,\"max_s\":0.3";
         for samples in ["0", "0.5", "-3"] {
-            let row = record(&format!("\"samples\":{samples},{timings}"));
-            assert!(parse_bench_file(&row, "t").unwrap_err().contains("below 1"), "{row}");
+            let row = record(&format!("\"samples\":{samples},{TIMINGS}"));
+            rejected(&row, "below 1");
         }
-        let row = record(&format!("\"samples\":1e999,{timings}"));
-        assert!(parse_bench_file(&row, "t").unwrap_err().contains("finite field `samples`"));
+        let row = record(&format!("\"samples\":1e999,{TIMINGS}"));
+        rejected(&row, "finite field `samples`");
     }
 
     #[test]
     fn parser_requires_min_and_max_timings() {
-        for missing in ["min_s", "max_s"] {
-            let timings: Vec<String> = [("median_s", 0.2), ("min_s", 0.1), ("max_s", 0.3)]
-                .iter()
-                .filter(|(k, _)| *k != missing)
-                .map(|(k, v)| format!("\"{k}\":{v}"))
-                .collect();
-            let row = record(&format!("\"samples\":3,{}", timings.join(",")));
-            assert!(parse_bench_file(&row, "t").unwrap_err().contains(missing), "{row}");
-        }
+        let no_min = record("\"samples\":3,\"median_s\":0.2,\"max_s\":0.3");
+        rejected(&no_min, "min_s");
+        let no_max = record("\"samples\":3,\"median_s\":0.2,\"min_s\":0.1");
+        rejected(&no_max, "max_s");
     }
 
     #[test]
     fn parser_rejects_misordered_timings() {
         for (min, median, max) in [(0.3, 0.2, 0.4), (0.1, 0.5, 0.4), (-0.1, 0.2, 0.3)] {
             let timings = format!("\"median_s\":{median},\"min_s\":{min},\"max_s\":{max}");
-            let row = record(&format!("\"samples\":3,{timings}"));
-            assert!(parse_bench_file(&row, "t").unwrap_err().contains("out of order"), "{row}");
+            rejected(&record(&format!("\"samples\":3,{timings}")), "out of order");
         }
     }
 

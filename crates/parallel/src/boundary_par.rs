@@ -273,8 +273,12 @@ mod tests {
                 taken[v] = true;
                 let from = part[v];
                 let to = (from + 1 + rng.gen_range(0..k - 1)) % k;
-                let proc = d.owner(v) as u32;
-                moves.push(Move { v: v as u32, from, to, proc });
+                moves.push(Move {
+                    v: v as u32,
+                    from,
+                    to,
+                    proc: d.owner(v) as u32,
+                });
             }
             for m in &moves {
                 part[m.v as usize] = m.to;
@@ -296,8 +300,18 @@ mod tests {
         let mut pbs: Vec<ProcBoundary> =
             (0..2).map(|q| ProcBoundary::build(d.local(q), &part)).collect();
         let moves = vec![
-            Move { v: 3, from: 0, to: 1, proc: 0 },
-            Move { v: 4, from: 1, to: 0, proc: 1 },
+            Move {
+                v: 3,
+                from: 0,
+                to: 1,
+                proc: 0,
+            },
+            Move {
+                v: 4,
+                from: 1,
+                to: 0,
+                proc: 1,
+            },
         ];
         for m in &moves {
             part[m.v as usize] = m.to;

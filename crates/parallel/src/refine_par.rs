@@ -122,7 +122,10 @@ pub(crate) fn withhold(
     tracker: &mut CostTracker,
 ) -> (Vec<Move>, usize) {
     let (p, ncon) = (dist.nprocs(), dist.ncon());
-    tracker.superstep(&vec![pw.len() as u64; p], &vec![(2 * pw.len() * 8) as u64; p]);
+    tracker.superstep(
+        &vec![pw.len() as u64; p],
+        &vec![(2 * pw.len() * 8) as u64; p],
+    );
     let mut inflow = vec![0i64; pw.len()];
     for m in &moves {
         for (i, &w) in weight(dist, m).iter().enumerate() {
@@ -164,11 +167,12 @@ pub(crate) fn commit(
     moves: &[Move],
     tracker: &mut CostTracker,
 ) {
-    let p = dist.nprocs();
+    let (p, ncon) = (dist.nprocs(), dist.ncon());
     let mut comp = vec![0u64; p];
     for m in moves {
         part[m.v as usize] = m.to;
-        apply_move(pw, dist.ncon(), weight(dist, m), m.from as usize, m.to as usize);
+        let (from, to) = (m.from as usize, m.to as usize);
+        apply_move(pw, ncon, weight(dist, m), from, to);
         comp[m.proc as usize] += 1;
     }
     let bytes: Vec<u64> = (0..p)
@@ -198,7 +202,10 @@ impl LevelBoundaries {
     pub(crate) fn build(dist: &DistGraph, part: &[u32]) -> LevelBoundaries {
         let (sets, build_comp) = mcgp_runtime::pool::map(dist.nprocs(), |q| {
             let lg = dist.local(q);
-            (ProcBoundary::build(lg, part), (lg.nlocal() + lg.nedges_local()) as u64)
+            (
+                ProcBoundary::build(lg, part),
+                (lg.nlocal() + lg.nedges_local()) as u64,
+            )
         })
         .into_iter()
         .unzip();
@@ -437,7 +444,11 @@ pub fn parallel_balance(
         let quota: Vec<i64> = (0..nparts * ncon)
             .map(|idx| {
                 let excess = pw[idx] - model.limits()[idx % ncon];
-                if excess > 0 { excess / p as i64 + 1 } else { 0 }
+                if excess > 0 {
+                    excess / p as i64 + 1
+                } else {
+                    0
+                }
             })
             .collect();
 

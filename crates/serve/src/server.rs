@@ -35,9 +35,7 @@
 //! answered with a 500, and never takes down the daemon or poisons the
 //! hierarchy cache.
 
-use crate::cache::{
-    fingerprint, CacheConfig, CacheVerdict, CachedEntry, HierarchyCache,
-};
+use crate::cache::{fingerprint, CacheConfig, CacheVerdict, CachedEntry, HierarchyCache};
 use crate::protocol::{
     done_line, meta_line, part_line, GraphFormat, PartitionParams, RequestError, PART_CHUNK,
 };

@@ -20,11 +20,19 @@
 //! 38,439-vertex graph its coarsening stalls at with seed 1, where 2-way FM
 //! does most of the work.
 //!
+//! `refine/rebuild` times one `BoundaryEngine::rebuild` into a fresh
+//! engine, so the arena's first touch counts as it does at the finest
+//! level of a partition call. The assignment is the refined k = 16
+//! partition `partition_kway` returns: of the mesh above, and of
+//! `rmat_default(16, 8, 1)`, whose hubs have rows far shorter than their
+//! degree and whose isolated vertices have none.
+//!
 //! `refine/smoke` is a small fast workload for the `verify.sh` bench smoke
 //! (`--samples 3 smoke`).
 
 use mcgp_bench::Bench;
 use mcgp_core::balance::{part_weights, rebalance, BalanceModel};
+use mcgp_core::boundary::BoundaryEngine;
 use mcgp_core::coarsen::coarsen;
 use mcgp_core::kway_refine::greedy_kway_refine;
 use mcgp_core::rb::recursive_bisection_assignment;
@@ -100,8 +108,19 @@ fn main() {
         rebalance(bg, &mut a, &mut pw, &bmodel, &mut rng.clone())
     });
 
-    // Recursive bisection at k = 16 where R-MAT coarsening stalls.
+    // One rebuild from a fresh engine on each graph's refined partition.
     let rg = rmat_default(16, 8, 1);
+    for (name, graph) in [("mrng200k_ncon3_k16", &g), ("rmat16_k16", &rg)] {
+        let refined = partition_kway(graph, k, &PartitionConfig::default());
+        let refined = refined.partition.assignment();
+        b.run("refine/rebuild", name, || {
+            let mut engine = BoundaryEngine::new();
+            engine.rebuild(graph, refined, k);
+            engine
+        });
+    }
+
+    // Recursive bisection at k = 16 where R-MAT coarsening stalls.
     let mut rrng = Rng::seed_from_u64(cfg.seed);
     let rh = coarsen(&rg, cfg.coarsen_target(k), &cfg, &mut rrng);
     let rcoarsest = rh.last().map_or(&rg, |l| &l.graph);

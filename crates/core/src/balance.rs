@@ -41,23 +41,16 @@ pub fn part_weights(graph: &Graph, assignment: &[u32], nparts: usize) -> Vec<i64
     pw
 }
 
-/// Per-constraint imbalance (max part load over average) from a flattened
-/// part-weight matrix — cheap enough to emit per uncoarsening level when
-/// tracing. Empty constraints report 1.0.
-pub fn imbalances_from_pw(pw: &[i64], ncon: usize, model: &BalanceModel) -> Vec<f64> {
-    let nparts = model.nparts();
-    (0..ncon)
-        .map(|i| {
-            let t = model.totals()[i];
-            if t == 0 {
-                return 1.0;
-            }
-            let avg = t as f64 / nparts as f64;
-            (0..nparts)
-                .map(|p| pw[p * ncon + i] as f64 / avg)
-                .fold(0.0, f64::max)
-        })
-        .collect()
+/// The largest vertex weight of each constraint, in one pass over the
+/// weights.
+pub(crate) fn max_vertex_weights(graph: &Graph) -> Vec<i64> {
+    let mut maxvw = vec![0i64; graph.ncon()];
+    for v in 0..graph.nvtxs() {
+        for (m, &w) in maxvw.iter_mut().zip(graph.vwgt(v)) {
+            *m = (*m).max(w);
+        }
+    }
+    maxvw
 }
 
 /// Per-part, per-constraint balance limits for a k-way partition.
@@ -75,15 +68,8 @@ pub struct BalanceModel {
 impl BalanceModel {
     /// Builds the model for `graph` split `nparts` ways at tolerance `tol`.
     pub fn new(graph: &Graph, nparts: usize, tol: f64) -> Self {
-        let ncon = graph.ncon();
-        let tot = graph.total_vwgt();
-        let mut maxvw = vec![0i64; ncon];
-        for v in 0..graph.nvtxs() {
-            for (i, &w) in graph.vwgt(v).iter().enumerate() {
-                maxvw[i] = maxvw[i].max(w);
-            }
-        }
-        Self::from_parts(ncon, nparts, tot, &maxvw, tol)
+        let maxvw = max_vertex_weights(graph);
+        Self::from_parts(graph.ncon(), nparts, graph.total_vwgt(), &maxvw, tol)
     }
 
     /// Builds the model from precomputed totals and per-constraint maximum

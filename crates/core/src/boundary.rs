@@ -12,6 +12,17 @@
 //! vertex and its neighborhood, so a refinement pass costs
 //! `O(boundary + Σ deg(moved))` instead of `O(n + m)`.
 //!
+//! Only vertices that have been on the boundary own a connectivity row.
+//! [`BoundaryEngine::rebuild`] appends one row per boundary vertex to an
+//! arena it resets, and a vertex that first reaches the boundary in
+//! [`BoundaryEngine::commit_move`] gets its row appended then. A row holds
+//! at most `min(deg(v), nparts - 1)` entries (one per adjacent foreign
+//! part), so the arena grows with the boundary, not with the edge count.
+//!
+//! The rows also carry the partition's quality: the cut is half the summed
+//! row weights and the communication volume is the summed row lengths
+//! ([`BoundaryEngine::cut_and_volume`]).
+//!
 //! The cache is an exact mirror of the assignment: [`BoundaryEngine::validate`]
 //! recomputes everything from scratch and diffs it, and the refinement
 //! drivers run it per pass under `debug_assertions`.
@@ -34,7 +45,17 @@ pub struct PartConn {
     pub edges: u32,
 }
 
+/// An unused arena slot.
+const SPARE: PartConn = PartConn {
+    part: 0,
+    weight: 0,
+    edges: 0,
+};
+
 const NOT_IN_BOUNDARY: u32 = u32::MAX;
+
+/// A free entry of the rebuild's part → row-position table.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Per-vertex cache record, packed so one cache line serves a whole
 /// neighbor update (commit_move touches these at random vertex indices —
@@ -44,29 +65,23 @@ const NOT_IN_BOUNDARY: u32 = u32::MAX;
 struct VtxCache {
     /// Edge weight from the vertex to its own part.
     internal: i64,
-    /// Start of the vertex's arena row (its `xadj` offset).
+    /// Start of the vertex's arena row (0 while it has none).
     off: usize,
     /// Number of edges from the vertex to its own part.
     int_edges: u32,
     /// Live entries in the vertex's arena row.
     conn_len: u32,
+    /// Capacity of the vertex's arena row; 0 while it has none.
+    cap: u32,
     /// Index in `blist`, or `NOT_IN_BOUNDARY`.
     bpos: u32,
 }
-
-const EMPTY_VTX: VtxCache = VtxCache {
-    internal: 0,
-    off: 0,
-    int_edges: 0,
-    conn_len: 0,
-    bpos: NOT_IN_BOUNDARY,
-};
 
 /// Boundary set + per-vertex connectivity caches + per-part vertex counts
 /// for one (graph, assignment) pair. Build with [`BoundaryEngine::rebuild`],
 /// then keep it exact across moves with [`BoundaryEngine::commit_move`].
 ///
-/// The buffers are grow-only and reused across [`BoundaryEngine::rebuild`]
+/// The buffers keep their capacity across [`BoundaryEngine::rebuild`]
 /// calls, so one engine can be carried through all uncoarsening levels of a
 /// partition call (see [`RefineWorkspace`]).
 #[derive(Clone, Debug, Default)]
@@ -74,16 +89,22 @@ pub struct BoundaryEngine {
     nparts: usize,
     /// Dense list of boundary vertices, in no particular order.
     blist: Vec<u32>,
-    /// Per-vertex packed cache (internal weight, arena offset, boundary
+    /// Per-vertex packed cache (internal weight, row location, boundary
     /// position).
     vtx: Vec<VtxCache>,
-    /// Flat arena of per-vertex adjacent-part entries: `v`'s live entries
-    /// are `conn[vtx[v].off .. vtx[v].off + vtx[v].conn_len]`, with capacity
-    /// `deg(v)` (a vertex can never touch more foreign parts than it has
-    /// edges). One contiguous allocation — no per-vertex `Vec`s to chase.
+    /// Arena of connectivity rows: `v`'s live entries are
+    /// `conn[vtx[v].off .. vtx[v].off + vtx[v].conn_len]`, out of
+    /// `vtx[v].cap = min(deg(v), nparts - 1)` slots (a vertex can touch
+    /// neither more foreign parts than it has edges nor more than there
+    /// are). Rows are appended in the order vertices reach the boundary;
+    /// one contiguous allocation, no per-vertex `Vec`s to chase.
     conn: Vec<PartConn>,
     /// Number of vertices assigned to each part.
     part_count: Vec<u32>,
+    /// `slot[p]`: position of part `p` in the row being built by
+    /// [`BoundaryEngine::rebuild`], or `NO_SLOT`. Every entry is `NO_SLOT`
+    /// between vertices.
+    slot: Vec<u32>,
 }
 
 impl BoundaryEngine {
@@ -93,50 +114,72 @@ impl BoundaryEngine {
     }
 
     /// Recomputes every cache from scratch in `O(n + m)`, reusing the
-    /// existing buffers.
+    /// existing buffers. Each vertex record is written once; a row's
+    /// entries are in the order their parts first appear in the vertex's
+    /// adjacency list.
     pub fn rebuild(&mut self, graph: &Graph, assignment: &[u32], nparts: usize) {
         let n = graph.nvtxs();
         debug_assert_eq!(assignment.len(), n);
         self.nparts = nparts;
         self.blist.clear();
         self.vtx.clear();
-        self.vtx.resize(n, EMPTY_VTX);
-        let xadj = graph.xadj();
-        let arena = graph.adjacency_len();
-        if self.conn.len() < arena {
-            self.conn.resize(
-                arena,
-                PartConn {
-                    part: 0,
-                    weight: 0,
-                    edges: 0,
-                },
-            );
-        }
+        self.vtx.reserve(n);
+        self.conn.clear();
         self.part_count.clear();
         self.part_count.resize(nparts, 0);
+        self.slot.clear();
+        self.slot.resize(nparts, NO_SLOT);
+        let max_cap = nparts.saturating_sub(1);
+        let (xadj, adjncy, adjwgt) = (graph.xadj(), graph.adjncy(), graph.adjwgt());
 
-        for v in 0..n {
-            let a = assignment[v];
+        for (v, &a) in assignment.iter().enumerate() {
             self.part_count[a as usize] += 1;
-            self.vtx[v].off = xadj[v];
+            let off = self.conn.len();
+            let (lo, hi) = (xadj[v], xadj[v + 1]);
             let mut internal = 0i64;
             let mut int_edges = 0u32;
-            for (u, w) in graph.edges(v) {
+            for (&u, &w) in adjncy[lo..hi].iter().zip(&adjwgt[lo..hi]) {
                 let pu = assignment[u as usize];
                 if pu == a {
                     internal += w;
                     int_edges += 1;
+                    continue;
+                }
+                let s = &mut self.slot[pu as usize];
+                if *s == NO_SLOT {
+                    *s = (self.conn.len() - off) as u32;
+                    self.conn.push(PartConn {
+                        part: pu,
+                        weight: w,
+                        edges: 1,
+                    });
                 } else {
-                    self.conn_add(v, pu, w);
+                    let pc = &mut self.conn[off + *s as usize];
+                    pc.weight += w;
+                    pc.edges += 1;
                 }
             }
-            self.vtx[v].internal = internal;
-            self.vtx[v].int_edges = int_edges;
-            if self.vtx[v].conn_len > 0 {
-                self.vtx[v].bpos = self.blist.len() as u32;
+            let len = self.conn.len() - off;
+            let mut rec = VtxCache {
+                internal,
+                off: 0,
+                int_edges,
+                conn_len: len as u32,
+                cap: 0,
+                bpos: NOT_IN_BOUNDARY,
+            };
+            if len > 0 {
+                for pc in &self.conn[off..] {
+                    self.slot[pc.part as usize] = NO_SLOT;
+                }
+                let cap = (hi - lo).min(max_cap);
+                self.conn.resize(off + cap, SPARE);
+                rec.off = off;
+                rec.cap = cap as u32;
+                rec.bpos = self.blist.len() as u32;
                 self.blist.push(v as u32);
             }
+            self.vtx.push(rec);
         }
     }
 
@@ -163,6 +206,21 @@ impl BoundaryEngine {
     pub fn conn_of(&self, v: usize) -> &[PartConn] {
         let m = &self.vtx[v];
         &self.conn[m.off..m.off + m.conn_len as usize]
+    }
+
+    /// The cut (each crossing edge counted once) and the communication
+    /// volume (adjacent foreign parts summed over the vertices) of the
+    /// current assignment, read off the boundary rows in `O(boundary)`.
+    /// They equal [`mcgp_graph::metrics::edge_cut_raw`] and
+    /// [`mcgp_graph::metrics::comm_volume`].
+    pub fn cut_and_volume(&self) -> (i64, usize) {
+        let (mut crossing, mut volume) = (0i64, 0usize);
+        for &v in &self.blist {
+            let row = self.conn_of(v as usize);
+            crossing += row.iter().map(|pc| pc.weight).sum::<i64>();
+            volume += row.len();
+        }
+        (crossing / 2, volume)
     }
 
     /// Hints the CPU to fetch `v`'s cache record, the line that
@@ -204,9 +262,9 @@ impl BoundaryEngine {
 
         // v itself: the `to` entry becomes its internal connectivity, and
         // its old internal connectivity becomes a `from` entry.
-        let off = self.vtx[v].off;
-        let len = self.vtx[v].conn_len as usize;
-        let row = &mut self.conn[off..off + len];
+        let m = self.vtx[v];
+        let len = m.conn_len as usize;
+        let row = &mut self.conn[m.off..m.off + len];
         let (to_w, to_e) = match row.iter().position(|pc| pc.part as usize == to) {
             Some(i) => {
                 let pc = row[i];
@@ -216,14 +274,16 @@ impl BoundaryEngine {
             }
             None => (0, 0), // teleport: v has no edge into `to`
         };
-        if self.vtx[v].int_edges > 0 {
-            let end = off + self.vtx[v].conn_len as usize;
-            self.conn[end] = PartConn {
-                part: from as u32,
-                weight: self.vtx[v].internal,
-                edges: self.vtx[v].int_edges,
-            };
-            self.vtx[v].conn_len += 1;
+        if m.int_edges > 0 {
+            self.push_entry(
+                graph,
+                v,
+                PartConn {
+                    part: from as u32,
+                    weight: m.internal,
+                    edges: m.int_edges,
+                },
+            );
         }
         self.vtx[v].internal = to_w;
         self.vtx[v].int_edges = to_e;
@@ -241,7 +301,7 @@ impl BoundaryEngine {
             if pu == from {
                 self.vtx[u].internal -= w;
                 self.vtx[u].int_edges -= 1;
-                self.conn_add(u, to as u32, w);
+                self.conn_add(graph, u, to as u32, w);
                 self.bl_insert(u);
             } else if pu == to {
                 self.vtx[u].internal += w;
@@ -252,7 +312,7 @@ impl BoundaryEngine {
                 }
             } else {
                 // Still boundary afterwards: the `to` entry is alive.
-                self.conn_shift(u, from as u32, to as u32, w);
+                self.conn_shift(graph, u, from as u32, to as u32, w);
             }
         }
     }
@@ -270,16 +330,26 @@ impl BoundaryEngine {
                 self.part_count, fresh.part_count
             ));
         }
+        let max_cap = self.nparts.saturating_sub(1);
+        let mut rows: Vec<(usize, usize)> = Vec::new();
         for v in 0..n {
-            if self.vtx[v].internal != fresh.vtx[v].internal
-                || self.vtx[v].int_edges != fresh.vtx[v].int_edges
-            {
+            let m = &self.vtx[v];
+            if m.internal != fresh.vtx[v].internal || m.int_edges != fresh.vtx[v].int_edges {
                 return Err(format!(
                     "internal({v}) drifted: cached ({}, {} edges) vs fresh ({}, {} edges)",
-                    self.vtx[v].internal,
-                    self.vtx[v].int_edges,
-                    fresh.vtx[v].internal,
-                    fresh.vtx[v].int_edges
+                    m.internal, m.int_edges, fresh.vtx[v].internal, fresh.vtx[v].int_edges
+                ));
+            }
+            if m.cap != 0 {
+                if m.cap as usize != graph.degree(v).min(max_cap) {
+                    return Err(format!("row({v}) has capacity {}", m.cap));
+                }
+                rows.push((m.off, m.off + m.cap as usize));
+            }
+            if m.conn_len > m.cap {
+                return Err(format!(
+                    "row({v}) holds {} entries in {} slots",
+                    m.conn_len, m.cap
                 ));
             }
             let mut cached: Vec<PartConn> = self.conn_of(v).to_vec();
@@ -299,6 +369,11 @@ impl BoundaryEngine {
                 ));
             }
         }
+        rows.sort_unstable();
+        let overlap = rows.windows(2).any(|w| w[0].1 > w[1].0);
+        if overlap || rows.last().is_some_and(|r| r.1 > self.conn.len()) {
+            return Err("connectivity rows overlap or leave the arena".to_string());
+        }
         let mut cached_b: Vec<u32> = self.blist.clone();
         cached_b.sort_unstable();
         if cached_b.windows(2).any(|w| w[0] == w[1]) {
@@ -312,13 +387,26 @@ impl BoundaryEngine {
         Ok(())
     }
 
-    /// Adds one edge of weight `w` from `v` into `part` to the cache. The
-    /// arena slot is guaranteed free: a vertex's live entries never exceed
-    /// its edge count, and `deg(v)` slots are reserved per vertex.
-    fn conn_add(&mut self, v: usize, part: u32, w: i64) {
-        let off = self.vtx[v].off;
-        let len = self.vtx[v].conn_len as usize;
-        match self.conn[off..off + len]
+    /// Appends `pc` to `v`'s row, first giving `v` a row at the end of the
+    /// arena if it has none. The slot is guaranteed free: a row holds one
+    /// entry per distinct adjacent foreign part, which its capacity bounds.
+    fn push_entry(&mut self, graph: &Graph, v: usize, pc: PartConn) {
+        let m = &mut self.vtx[v];
+        if m.cap == 0 {
+            let cap = graph.degree(v).min(self.nparts.saturating_sub(1));
+            m.off = self.conn.len();
+            m.cap = cap as u32;
+            self.conn.resize(m.off + cap, SPARE);
+        }
+        debug_assert!(m.conn_len < m.cap, "row({v}) is full");
+        self.conn[m.off + m.conn_len as usize] = pc;
+        m.conn_len += 1;
+    }
+
+    /// Adds one edge of weight `w` from `v` into `part` to the cache.
+    fn conn_add(&mut self, graph: &Graph, v: usize, part: u32, w: i64) {
+        let m = &self.vtx[v];
+        match self.conn[m.off..m.off + m.conn_len as usize]
             .iter_mut()
             .find(|pc| pc.part == part)
         {
@@ -326,14 +414,15 @@ impl BoundaryEngine {
                 pc.weight += w;
                 pc.edges += 1;
             }
-            None => {
-                self.conn[off + len] = PartConn {
+            None => self.push_entry(
+                graph,
+                v,
+                PartConn {
                     part,
                     weight: w,
                     edges: 1,
-                };
-                self.vtx[v].conn_len += 1;
-            }
+                },
+            ),
         }
     }
 
@@ -360,7 +449,7 @@ impl BoundaryEngine {
     /// Moves one edge of weight `w` in `v`'s cache from `from` to `to` —
     /// the common "neighbor of a moved vertex, in a third part" case — with
     /// a single scan of the row instead of a `conn_sub` + `conn_add` pair.
-    fn conn_shift(&mut self, v: usize, from: u32, to: u32, w: i64) {
+    fn conn_shift(&mut self, graph: &Graph, v: usize, from: u32, to: u32, w: i64) {
         let off = self.vtx[v].off;
         let len = self.vtx[v].conn_len as usize;
         let row = &mut self.conn[off..off + len];
@@ -403,12 +492,15 @@ impl BoundaryEngine {
                 edges: 1,
             };
         } else {
-            self.conn[off + len] = PartConn {
-                part: to,
-                weight: w,
-                edges: 1,
-            };
-            self.vtx[v].conn_len += 1;
+            self.push_entry(
+                graph,
+                v,
+                PartConn {
+                    part: to,
+                    weight: w,
+                    edges: 1,
+                },
+            );
         }
     }
 
@@ -454,12 +546,65 @@ impl RefineWorkspace {
 mod tests {
     use super::*;
     use mcgp_graph::csr::GraphBuilder;
-    use mcgp_graph::generators::{grid_2d, mrng_like};
-    use mcgp_graph::synthetic;
+    use mcgp_graph::generators::{grid_2d, mrng_like, rmat_default};
+    use mcgp_graph::metrics::{comm_volume, edge_cut_raw};
+    use mcgp_graph::{synthetic, Partition};
     use mcgp_runtime::rng::Rng;
 
     fn striped(n: usize, k: usize) -> Vec<u32> {
         (0..n).map(|v| ((v * k) / n) as u32).collect()
+    }
+
+    /// Each vertex's foreign parts in the order they first appear in its
+    /// adjacency list, with their edge weights and counts.
+    fn naive_rows(g: &Graph, assignment: &[u32]) -> Vec<Vec<PartConn>> {
+        (0..g.nvtxs())
+            .map(|v| {
+                let mut row: Vec<PartConn> = Vec::new();
+                for (u, w) in g.edges(v) {
+                    let pu = assignment[u as usize];
+                    if pu == assignment[v] {
+                        continue;
+                    }
+                    match row.iter_mut().find(|pc| pc.part == pu) {
+                        Some(pc) => {
+                            pc.weight += w;
+                            pc.edges += 1;
+                        }
+                        None => row.push(PartConn {
+                            part: pu,
+                            weight: w,
+                            edges: 1,
+                        }),
+                    }
+                }
+                row
+            })
+            .collect()
+    }
+
+    /// Random moves, mostly of boundary vertices and every seventh a
+    /// teleport of an arbitrary vertex to an arbitrary part.
+    fn random_moves(
+        g: &Graph,
+        e: &mut BoundaryEngine,
+        a: &mut [u32],
+        k: usize,
+        steps: usize,
+        seed: u64,
+    ) {
+        let n = g.nvtxs();
+        let mut rng = Rng::seed_from_u64(seed);
+        for step in 0..steps {
+            let v = if step % 7 == 0 || e.boundary().is_empty() {
+                rng.gen_range(0..n as u32) as usize
+            } else {
+                let i = rng.gen_range(0..e.boundary().len() as u32) as usize;
+                e.boundary()[i] as usize
+            };
+            let to = rng.gen_range(0..k as u32) as usize;
+            e.commit_move(g, a, v, to);
+        }
     }
 
     #[test]
@@ -479,6 +624,38 @@ mod tests {
             (0..64).filter(|&v| e.is_boundary(v)).count()
         );
         e.validate(&g, &assignment).unwrap();
+    }
+
+    #[test]
+    fn rebuilt_rows_list_parts_in_first_appearance_order() {
+        for (g, k) in [(grid_2d(12, 12), 5usize), (rmat_default(10, 8, 4), 16)] {
+            let assignment: Vec<u32> = (0..g.nvtxs()).map(|v| ((v * 7) % k) as u32).collect();
+            let mut e = BoundaryEngine::new();
+            e.rebuild(&g, &assignment, k);
+            for (v, row) in naive_rows(&g, &assignment).iter().enumerate() {
+                assert_eq!(e.conn_of(v), &row[..], "vertex {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn only_boundary_vertices_own_rows() {
+        let g = grid_2d(16, 16);
+        let assignment = striped(256, 4);
+        let mut e = BoundaryEngine::new();
+        e.rebuild(&g, &assignment, 4);
+        let slots: usize = e
+            .boundary()
+            .iter()
+            .map(|&v| e.vtx[v as usize].cap as usize)
+            .sum();
+        assert_eq!(e.conn.len(), slots);
+        assert!(
+            e.conn.len() < g.adjacency_len() / 3,
+            "arena {}",
+            e.conn.len()
+        );
+        assert!((0..256).all(|v| e.is_boundary(v) == (e.vtx[v].cap > 0)));
     }
 
     #[test]
@@ -507,21 +684,135 @@ mod tests {
             let mut assignment = striped(n, k);
             let mut e = BoundaryEngine::new();
             e.rebuild(&g, &assignment, k);
-            let mut rng = Rng::seed_from_u64(seed);
-            for step in 0..400 {
-                // Mostly boundary moves, occasionally a teleport of an
-                // arbitrary vertex to an arbitrary part.
-                let v = if step % 7 == 0 || e.boundary().is_empty() {
-                    rng.gen_range(0..n as u32) as usize
-                } else {
-                    let i = rng.gen_range(0..e.boundary().len() as u32) as usize;
-                    e.boundary()[i] as usize
-                };
-                let to = rng.gen_range(0..k as u32) as usize;
-                e.commit_move(&g, &mut assignment, v, to);
-            }
+            random_moves(&g, &mut e, &mut assignment, k, 400, seed);
             e.validate(&g, &assignment).unwrap();
         }
+    }
+
+    #[test]
+    fn random_moves_on_a_skewed_degree_graph_stay_exact() {
+        // R-MAT hubs have rows far shorter than their degree, and the
+        // graph has isolated vertices.
+        let g = rmat_default(12, 8, 5);
+        let n = g.nvtxs();
+        for k in [2usize, 16, 64] {
+            let mut assignment: Vec<u32> = (0..n).map(|v| (v % k) as u32).collect();
+            let mut e = BoundaryEngine::new();
+            e.rebuild(&g, &assignment, k);
+            random_moves(&g, &mut e, &mut assignment, k, 3000, k as u64);
+            e.validate(&g, &assignment).unwrap();
+            let (cut, volume) = e.cut_and_volume();
+            assert_eq!(cut, edge_cut_raw(&g, &assignment));
+            let partition = Partition::new(k, assignment).unwrap();
+            assert_eq!(volume, comm_volume(&g, &partition));
+        }
+    }
+
+    #[test]
+    fn teleport_gives_a_rowless_interior_vertex_its_row() {
+        // Path 0-1-2-3 split {0,1,2} | {3}: 0 and 1 are interior and own no
+        // row. Teleporting 0 to the empty part 2 gives 0 a row for part 0
+        // and its interior neighbor 1 a row for part 2.
+        let mut b = GraphBuilder::new(4);
+        b.weighted_edge(0, 1, 3)
+            .weighted_edge(1, 2, 2)
+            .weighted_edge(2, 3, 1);
+        let g = b.build().unwrap();
+        let mut assignment = vec![0u32, 0, 0, 1];
+        let mut e = BoundaryEngine::new();
+        e.rebuild(&g, &assignment, 3);
+        assert_eq!((e.vtx[0].cap, e.vtx[1].cap), (0, 0));
+        e.commit_move(&g, &mut assignment, 0, 2);
+        assert_eq!(e.conn_of(0), &[PartConn { part: 0, weight: 3, edges: 1 }]);
+        assert_eq!(e.conn_of(1), &[PartConn { part: 2, weight: 3, edges: 1 }]);
+        assert_eq!((e.internal(0), e.internal(1)), (0, 2));
+        assert!(e.is_boundary(0) && e.is_boundary(1));
+        e.validate(&g, &assignment).unwrap();
+        // Back home: both rows empty out but stay allocated for reuse.
+        let arena = e.conn.len();
+        e.commit_move(&g, &mut assignment, 0, 0);
+        assert!(!e.is_boundary(0) && !e.is_boundary(1));
+        e.commit_move(&g, &mut assignment, 0, 2);
+        assert_eq!(e.conn.len(), arena);
+        e.validate(&g, &assignment).unwrap();
+    }
+
+    #[test]
+    fn an_isolated_vertex_never_needs_a_row() {
+        let mut b = GraphBuilder::new(4);
+        b.edge(0, 1).edge(1, 2);
+        let g = b.build().unwrap();
+        let mut assignment = vec![0u32, 0, 1, 1];
+        let mut e = BoundaryEngine::new();
+        e.rebuild(&g, &assignment, 3);
+        assert!(!e.is_boundary(3));
+        for to in [0usize, 2, 1] {
+            e.commit_move(&g, &mut assignment, 3, to);
+            assert!(!e.is_boundary(3));
+            assert_eq!(e.vtx[3].cap, 0);
+            e.validate(&g, &assignment).unwrap();
+        }
+        assert_eq!(e.part_count(1), 2);
+        assert_eq!(e.cut_and_volume(), (1, 2));
+    }
+
+    #[test]
+    fn a_hub_row_holds_at_most_one_entry_per_foreign_part() {
+        // A star: hub 0 with 12 leaves spread over 3 parts, hub in part 0.
+        let mut b = GraphBuilder::new(13);
+        for leaf in 1..13 {
+            b.weighted_edge(0, leaf, leaf as i64);
+        }
+        let g = b.build().unwrap();
+        let mut assignment: Vec<u32> = (0..13).map(|v| (v % 3) as u32).collect();
+        assignment[0] = 0;
+        let mut e = BoundaryEngine::new();
+        e.rebuild(&g, &assignment, 3);
+        assert_eq!(e.vtx[0].cap, 2);
+        assert_eq!(e.conn_of(0).len(), 2);
+        assert_eq!(e.vtx[1].cap, 1);
+        // Move the hub through every part, then a leaf into each part.
+        for to in [1usize, 2, 0] {
+            e.commit_move(&g, &mut assignment, 0, to);
+            assert_eq!(e.conn_of(0).len(), 2);
+            e.validate(&g, &assignment).unwrap();
+        }
+        for (leaf, to) in [(3usize, 1usize), (4, 2), (5, 0)] {
+            e.commit_move(&g, &mut assignment, leaf, to);
+            e.validate(&g, &assignment).unwrap();
+        }
+        assert_eq!(e.cut_and_volume().0, edge_cut_raw(&g, &assignment));
+    }
+
+    #[test]
+    fn a_workspace_reused_on_a_smaller_graph_matches_a_fresh_one() {
+        use crate::balance::{part_weights, BalanceModel};
+        use crate::kway_refine::greedy_kway_refine_ws;
+        let big = synthetic::type1(&mrng_like(6000, 3), 2, 3);
+        let small = synthetic::type1(&grid_2d(20, 20), 2, 4);
+        let k = 6;
+        let refine = |g: &Graph, ws: &mut RefineWorkspace| {
+            let mut a: Vec<u32> = (0..g.nvtxs()).map(|v| ((v * 5) % k) as u32).collect();
+            let model = BalanceModel::new(g, k, 0.05);
+            let mut pw = part_weights(g, &a, k);
+            let mut rng = Rng::seed_from_u64(8);
+            greedy_kway_refine_ws(g, &mut a, &mut pw, &model, 4, &mut rng, ws);
+            (a, pw)
+        };
+        let mut reused = RefineWorkspace::new();
+        refine(&big, &mut reused);
+        let mut fresh = RefineWorkspace::new();
+        let (a, pw) = refine(&small, &mut reused);
+        assert_eq!((a.clone(), pw), refine(&small, &mut fresh));
+        assert_eq!(reused.engine.boundary(), fresh.engine.boundary());
+        for v in 0..small.nvtxs() {
+            assert_eq!(
+                reused.engine.conn_of(v),
+                fresh.engine.conn_of(v),
+                "vertex {v}"
+            );
+        }
+        reused.engine.validate(&small, &a).unwrap();
     }
 
     #[test]

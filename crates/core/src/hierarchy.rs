@@ -239,7 +239,7 @@ impl HierarchySnapshot {
         let used = &self.levels[..cut];
         let mut policy = Serial::new(config, nparts, &mut rng);
         let assignment = multilevel::uncoarsen(&mut policy, graph, used);
-        PartitionResult::measure(graph, assignment, nparts, used.len())
+        policy.into_result(graph, assignment, used.len())
     }
 }
 

@@ -3,7 +3,7 @@
 //! coarsest graph → greedy multi-constraint refinement during uncoarsening)
 //! — as the serial policy of the [`crate::multilevel`] driver.
 
-use crate::balance::{imbalances_from_pw, part_weights, rebalance, BalanceModel};
+use crate::balance::{max_vertex_weights, part_weights, rebalance, BalanceModel};
 use crate::boundary::RefineWorkspace;
 use crate::coarsen::{CoarseLevel, Coarsener};
 use crate::config::PartitionConfig;
@@ -12,7 +12,8 @@ use crate::multilevel::{self, enforce, LevelFields, Policy, Seam};
 use crate::rb::recursive_bisection_assignment;
 use crate::PartitionResult;
 use mcgp_graph::check as gcheck;
-use mcgp_graph::{CheckLevel, Graph};
+use mcgp_graph::metrics::imbalances_from_weights;
+use mcgp_graph::{CheckLevel, Graph, PartitionQuality};
 use mcgp_runtime::rng::Rng;
 use mcgp_runtime::{span, trace};
 
@@ -21,11 +22,25 @@ use mcgp_runtime::{span, trace};
 /// serves every `nthreads`: threads reach only the recursive-bisection
 /// task tree, and every level is refined by the same serial boundary
 /// sweep.
+///
+/// What does not change between levels is carried down instead of
+/// recounted: the part weights (projection moves every vertex with its
+/// coarse vertex, so each part keeps its weight), the per-constraint
+/// totals, and the finest level's balance model, which [`Policy::finish`]
+/// reuses. A level pays one pass over its vertex weights for their
+/// maximum, and the walk's result reads its quality off this state
+/// ([`Serial::into_result`]).
 pub(crate) struct Serial<'a> {
     config: &'a PartitionConfig,
     nparts: usize,
     rng: &'a mut Rng,
     ws: RefineWorkspace,
+    /// Flattened `nparts × ncon` part weights of the current assignment.
+    pw: Vec<i64>,
+    /// Per-constraint vertex-weight totals, the same at every level.
+    totals: Vec<i64>,
+    /// The balance model of the level refined last.
+    model: Option<BalanceModel>,
 }
 
 impl<'a> Serial<'a> {
@@ -36,7 +51,30 @@ impl<'a> Serial<'a> {
             nparts,
             rng,
             ws: RefineWorkspace::new(),
+            pw: Vec::new(),
+            totals: Vec::new(),
+            model: None,
         }
+    }
+
+    /// The result of the finished walk, whose assignment is `part` on
+    /// `graph`. Its quality comes from the refiner's state in
+    /// `O(boundary + nparts·ncon)`: the cut and communication volume from
+    /// the engine's rows, the boundary size from its list, the imbalances
+    /// from the carried part weights. A [`CheckLevel::Full`] run recounts
+    /// it from the graph.
+    pub(crate) fn into_result(
+        self,
+        graph: &Graph,
+        part: Vec<u32>,
+        levels: usize,
+    ) -> PartitionResult {
+        let _s = span!("metrics", nvtxs = graph.nvtxs());
+        let engine = &self.ws.engine;
+        let (cut, volume) = engine.cut_and_volume();
+        let imbalances = imbalances_from_weights(&self.pw, &self.totals, self.nparts);
+        let quality = PartitionQuality::new(cut, imbalances, volume, engine.boundary().len());
+        PartitionResult::with_quality(graph, part, self.nparts, quality, levels, self.config.check)
     }
 }
 
@@ -64,43 +102,54 @@ impl Policy<Graph> for Serial<'_> {
         }
     }
 
-    fn refine(&mut self, _lvl: usize, _coarsest: bool, g: &Graph, part: &mut [u32]) -> LevelFields {
+    fn refine(&mut self, _lvl: usize, coarsest: bool, g: &Graph, part: &mut [u32]) -> LevelFields {
         let (nparts, config) = (self.nparts, self.config);
-        let (model, mut pw) = {
+        let model = {
             let _b = span!("balance", nvtxs = g.nvtxs());
-            (
-                BalanceModel::new(g, nparts, config.imbalance_tol),
-                part_weights(g, part, nparts),
+            if coarsest {
+                self.totals = g.total_vwgt();
+                self.pw = part_weights(g, part, nparts);
+            }
+            let maxvw = max_vertex_weights(g);
+            BalanceModel::from_parts(
+                g.ncon(),
+                nparts,
+                self.totals.clone(),
+                &maxvw,
+                config.imbalance_tol,
             )
         };
         // Explicit balancing when a level starts outside the caps.
-        if !model.is_balanced(&pw) {
-            rebalance(g, part, &mut pw, &model, self.rng);
+        if !model.is_balanced(&self.pw) {
+            rebalance(g, part, &mut self.pw, &model, self.rng);
         }
         let stats = {
             let _k = span!("kway_refine", nvtxs = g.nvtxs());
             greedy_kway_refine_ws(
                 g,
                 part,
-                &mut pw,
+                &mut self.pw,
                 &model,
                 config.refine_iters,
                 self.rng,
                 &mut self.ws,
             )
         };
-        if !trace::enabled() {
-            return Vec::new();
-        }
-        vec![
-            ("boundary", self.ws.engine.boundary().len().into()),
-            ("moves", stats.moves.into()),
-            ("cut", mcgp_graph::metrics::edge_cut_raw(g, part).into()),
-            (
-                "imbalance",
-                imbalances_from_pw(&pw, g.ncon(), &model).into(),
-            ),
-        ]
+        let fields = if trace::enabled() {
+            vec![
+                ("boundary", self.ws.engine.boundary().len().into()),
+                ("moves", stats.moves.into()),
+                ("cut", self.ws.engine.cut_and_volume().0.into()),
+                (
+                    "imbalance",
+                    imbalances_from_weights(&self.pw, model.totals(), nparts).into(),
+                ),
+            ]
+        } else {
+            Vec::new()
+        };
+        self.model = Some(model);
+        fields
     }
 
     fn project(&mut self, level: &CoarseLevel, _finer: &Graph, part: &[u32]) -> Vec<u32> {
@@ -110,21 +159,17 @@ impl Policy<Graph> for Serial<'_> {
     fn finish(&mut self, g: &Graph, part: &mut [u32]) {
         // Alternate balancing and refinement until the caps hold (bounded
         // rounds).
-        let (nparts, config) = (self.nparts, self.config);
-        let (model, mut pw) = {
-            let _b = span!("balance", nvtxs = g.nvtxs());
-            (
-                BalanceModel::new(g, nparts, config.imbalance_tol),
-                part_weights(g, part, nparts),
-            )
-        };
+        let model = self
+            .model
+            .take()
+            .expect("the finest level is refined before it is finished");
         for _ in 0..4 {
-            if model.is_balanced(&pw) {
+            if model.is_balanced(&self.pw) {
                 break;
             }
-            rebalance(g, part, &mut pw, &model, self.rng);
+            rebalance(g, part, &mut self.pw, &model, self.rng);
             let _k = span!("kway_refine", nvtxs = g.nvtxs());
-            greedy_kway_refine_ws(g, part, &mut pw, &model, 2, self.rng, &mut self.ws);
+            greedy_kway_refine_ws(g, part, &mut self.pw, &model, 2, self.rng, &mut self.ws);
         }
     }
 }
@@ -151,7 +196,7 @@ pub fn partition_kway(graph: &Graph, nparts: usize, config: &PartitionConfig) ->
     drop(coarsener);
     let mut policy = Serial::new(config, nparts, &mut rng);
     let assignment = multilevel::uncoarsen(&mut policy, graph, &levels);
-    PartitionResult::measure(graph, assignment, nparts, levels.len())
+    policy.into_result(graph, assignment, levels.len())
 }
 
 #[cfg(test)]
@@ -260,6 +305,108 @@ mod tests {
         let a = partition_kway(&g, 4, &cfg);
         let b = partition_kway(&g, 4, &cfg);
         assert_eq!(a.partition.assignment(), b.partition.assignment());
+    }
+
+    /// Delegates to [`Serial`] and records whether `finish` found the
+    /// finest level outside the caps, so it ran its rebalance rounds.
+    struct Watch<'a> {
+        serial: Serial<'a>,
+        finish_rebalanced: bool,
+    }
+
+    impl Policy<Graph> for Watch<'_> {
+        fn check(&self) -> CheckLevel {
+            self.serial.check()
+        }
+        fn nparts(&self) -> usize {
+            self.serial.nparts
+        }
+        fn initial(&mut self, coarsest: &Graph) -> Vec<u32> {
+            self.serial.initial(coarsest)
+        }
+        fn check_part(&self, seam: Seam, graph: &Graph, part: &[u32]) {
+            self.serial.check_part(seam, graph, part)
+        }
+        fn refine(
+            &mut self,
+            lvl: usize,
+            coarsest: bool,
+            g: &Graph,
+            part: &mut [u32],
+        ) -> LevelFields {
+            self.serial.refine(lvl, coarsest, g, part)
+        }
+        fn project(&mut self, level: &CoarseLevel, finer: &Graph, part: &[u32]) -> Vec<u32> {
+            self.serial.project(level, finer, part)
+        }
+        fn finish(&mut self, g: &Graph, part: &mut [u32]) {
+            let model = self.serial.model.as_ref().unwrap();
+            self.finish_rebalanced = !model.is_balanced(&self.serial.pw);
+            self.serial.finish(g, part)
+        }
+    }
+
+    /// `partition_kway`'s walk under [`Watch`]: the result and whether
+    /// `finish` rebalanced.
+    fn watched_kway(g: &Graph, nparts: usize, config: &PartitionConfig) -> (PartitionResult, bool) {
+        let mut rng = Rng::seed_from_u64(config.seed);
+        let mut coarsener = Coarsener::new(config, &mut rng, config.check, false);
+        let levels = multilevel::coarsen(&mut coarsener, g, config.coarsen_target(nparts));
+        drop(coarsener);
+        let mut watch = Watch {
+            serial: Serial::new(config, nparts, &mut rng),
+            finish_rebalanced: false,
+        };
+        let part = multilevel::uncoarsen(&mut watch, g, &levels);
+        let rebalanced = watch.finish_rebalanced;
+        (watch.serial.into_result(g, part, levels.len()), rebalanced)
+    }
+
+    #[test]
+    fn kept_quality_equals_the_recount() {
+        use crate::HierarchySnapshot;
+        use mcgp_graph::generators::rmat_default;
+        let graphs = [
+            ("grid", grid_2d(48, 48)),
+            ("type1", synthetic::type1(&mrng_like(3000, 21), 3, 21)),
+            ("type2", synthetic::type2(&mrng_like(3000, 22), 3, 22)),
+            // Isolated vertices: rows of zero capacity.
+            ("rmat12", rmat_default(12, 8, 23)),
+        ];
+        let cfg = PartitionConfig::default().with_seed(5);
+        for (name, g) in &graphs {
+            let snapshot = HierarchySnapshot::build(g, &cfg);
+            for k in [2usize, 7, 16, 64] {
+                let cold = partition_kway(g, k, &cfg);
+                assert_eq!(
+                    cold.quality,
+                    PartitionQuality::measure(g, &cold.partition),
+                    "{name} k={k}"
+                );
+                let warm = snapshot.partition(g, k, &cfg);
+                assert_eq!(warm.partition, cold.partition, "{name} k={k}");
+                assert_eq!(
+                    warm.quality,
+                    PartitionQuality::measure(g, &warm.partition),
+                    "{name} k={k} replay"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kept_quality_survives_the_finishing_rebalance() {
+        // At zero tolerance the finest level ends refinement over its caps,
+        // so `finish` alternates rebalancing and refinement.
+        let g = synthetic::type2(&mrng_like(3000, 22), 3, 22);
+        let cfg = PartitionConfig {
+            imbalance_tol: 0.0,
+            ..PartitionConfig::default().with_seed(5)
+        };
+        let (r, rebalanced) = watched_kway(&g, 16, &cfg);
+        assert!(rebalanced, "finish found the finest level balanced");
+        assert_eq!(r.quality, PartitionQuality::measure(&g, &r.partition));
+        assert_eq!(r.partition, partition_kway(&g, 16, &cfg).partition);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use hierarchy::HierarchySnapshot;
 pub use kway::partition_kway;
 pub use rb::partition_rb;
 
-use mcgp_graph::{Graph, Partition, PartitionQuality};
+use mcgp_graph::{CheckLevel, Graph, Partition, PartitionQuality};
 
 /// The outcome of a partitioning run: the assignment plus its measured
 /// quality and basic run statistics.
@@ -78,6 +78,7 @@ pub struct PartitionResult {
 }
 
 impl PartitionResult {
+    /// A result whose quality is counted from the graph.
     pub(crate) fn measure(
         graph: &Graph,
         assignment: Vec<u32>,
@@ -88,6 +89,33 @@ impl PartitionResult {
         let partition = Partition::new(nparts, assignment)
             .expect("partitioner produced out-of-range assignment");
         let quality = PartitionQuality::measure(graph, &partition);
+        PartitionResult {
+            partition,
+            quality,
+            coarsen_levels: levels,
+        }
+    }
+
+    /// A result whose quality the partitioner kept while it worked. Under
+    /// [`CheckLevel::Full`] the quality is recounted from the graph, and a
+    /// difference is an invariant violation.
+    pub(crate) fn with_quality(
+        graph: &Graph,
+        assignment: Vec<u32>,
+        nparts: usize,
+        quality: PartitionQuality,
+        levels: usize,
+        check: CheckLevel,
+    ) -> Self {
+        let partition = Partition::new(nparts, assignment)
+            .expect("partitioner produced out-of-range assignment");
+        if check == CheckLevel::Full {
+            let recount = PartitionQuality::measure(graph, &partition);
+            assert!(
+                recount == quality,
+                "mcgp-check: kept quality {quality:?} differs from the recount {recount:?}"
+            );
+        }
         PartitionResult {
             partition,
             quality,

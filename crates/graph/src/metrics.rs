@@ -53,20 +53,26 @@ pub fn edge_cut_raw(graph: &Graph, assignment: &[u32]) -> i64 {
 /// A constraint whose total weight is zero is reported as perfectly balanced
 /// (1.0) — it cannot be violated.
 pub fn imbalances(graph: &Graph, part: &Partition) -> Vec<f64> {
-    let ncon = graph.ncon();
-    let pw = part.part_weights(graph);
-    let tot = graph.total_vwgt();
-    let k = part.nparts() as f64;
+    imbalances_from_weights(
+        &part.part_weights(graph),
+        &graph.total_vwgt(),
+        part.nparts(),
+    )
+}
+
+/// [`imbalances`] from a flattened `nparts × ncon` part-weight matrix and
+/// the per-constraint totals, for callers that keep both current.
+pub fn imbalances_from_weights(pw: &[i64], tot: &[i64], nparts: usize) -> Vec<f64> {
+    let ncon = tot.len();
+    debug_assert_eq!(pw.len(), nparts * ncon);
+    let k = nparts as f64;
     (0..ncon)
         .map(|i| {
             if tot[i] == 0 {
                 return 1.0;
             }
             let avg = tot[i] as f64 / k;
-            let max = (0..part.nparts())
-                .map(|j| pw[j * ncon + i])
-                .max()
-                .unwrap_or(0);
+            let max = (0..nparts).map(|j| pw[j * ncon + i]).max().unwrap_or(0);
             max as f64 / avg
         })
         .collect()
@@ -128,6 +134,18 @@ pub struct PartitionQuality {
 mcgp_runtime::impl_to_json!(PartitionQuality { edge_cut, imbalances, max_imbalance, comm_volume, boundary });
 
 impl PartitionQuality {
+    /// A report from its counted parts; the worst imbalance is derived.
+    pub fn new(edge_cut: i64, imbalances: Vec<f64>, comm_volume: usize, boundary: usize) -> Self {
+        let max_imbalance = imbalances.iter().copied().fold(1.0, f64::max);
+        PartitionQuality {
+            edge_cut,
+            imbalances,
+            max_imbalance,
+            comm_volume,
+            boundary,
+        }
+    }
+
     /// Computes the full report. Cut, communication volume and boundary
     /// count come from one adjacency pass and equal [`edge_cut`],
     /// [`comm_volume`] and [`boundary_count`]: a per-part stamp holding
@@ -135,8 +153,6 @@ impl PartitionQuality {
     /// per vertex.
     pub fn measure(graph: &Graph, part: &Partition) -> Self {
         assert_eq!(graph.nvtxs(), part.len(), "partition/graph size mismatch");
-        let imb = imbalances(graph, part);
-        let max_imbalance = imb.iter().copied().fold(1.0, f64::max);
         let (xadj, adjncy, adjwgt) = (graph.xadj(), graph.adjncy(), graph.adjwgt());
         let assignment = part.assignment();
         let mut stamp = vec![usize::MAX; part.nparts()];
@@ -158,13 +174,7 @@ impl PartitionQuality {
             comm_volume += foreign;
             boundary += usize::from(foreign > 0);
         }
-        PartitionQuality {
-            edge_cut: cut / 2,
-            imbalances: imb,
-            max_imbalance,
-            comm_volume,
-            boundary,
-        }
+        PartitionQuality::new(cut / 2, imbalances(graph, part), comm_volume, boundary)
     }
 
     /// True when every constraint is within `(1 + tol)` of perfect balance.

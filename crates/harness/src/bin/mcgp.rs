@@ -351,8 +351,10 @@ fn run_ablation_constraints(scale: Scale, out: Option<&std::path::Path>) {
     write_out(out, "ablation_constraints", &rows);
 }
 
-/// Loads a graph from a METIS file or a `gen:` pseudo-file
-/// (`gen:grid:WxH`, `gen:mrng:N[:NCON]`).
+/// Reads a METIS graph file, or generates the graph a `gen:` spec names.
+/// Every generator field is checked against its documented range (the
+/// upper bounds keep a generated graph within about a gigabyte); a spec
+/// outside it exits 2 with the usage.
 fn load_graph(spec: &str, seed: u64) -> mcgp_graph::Graph {
     let Some(rest) = spec.strip_prefix("gen:") else {
         return mcgp_graph::io::read_metis_file(spec).unwrap_or_else(|e| {
@@ -360,33 +362,46 @@ fn load_graph(spec: &str, seed: u64) -> mcgp_graph::Graph {
             std::process::exit(1);
         });
     };
-    let parts: Vec<&str> = rest.split(':').collect();
-    let parse = |s: &str, what: &str| -> usize {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("bad {what} `{s}` in generator spec `{spec}`");
-            std::process::exit(2);
-        })
+    let usage = "generator specs: gen:grid:WxH (W, H in 1..=2048), \
+                 gen:mrng:N[:NCON] (N in 8..=4000000, NCON in 1..=16), \
+                 gen:rmat:SCALE[:EF] (SCALE in 1..=20, EF in 1..=16, default 8)";
+    let bad = |msg: String| -> ! {
+        eprintln!("{msg}\n{usage}");
+        std::process::exit(2);
     };
+    let field = |s: &str, what: &str, lo: usize, hi: usize| -> usize {
+        match s.parse::<usize>() {
+            Ok(x) if (lo..=hi).contains(&x) => x,
+            _ => bad(format!(
+                "bad {what} `{s}` in generator spec `{spec}`: want an integer in {lo}..={hi}"
+            )),
+        }
+    };
+    let parts: Vec<&str> = rest.split(':').collect();
     match parts.as_slice() {
         ["grid", dims] => match dims.split_once('x') {
-            Some((w, h)) => {
-                mcgp_graph::generators::grid_2d(parse(w, "grid width"), parse(h, "grid height"))
-            }
-            None => {
-                eprintln!("generator spec `{spec}` wants gen:grid:WxH");
-                std::process::exit(2);
-            }
+            Some((w, h)) => mcgp_graph::generators::grid_2d(
+                field(w, "grid width", 1, 2048),
+                field(h, "grid height", 1, 2048),
+            ),
+            None => bad(format!("generator spec `{spec}` wants gen:grid:WxH")),
         },
-        ["mrng", n] => mcgp_graph::generators::mrng_like(parse(n, "vertex count"), seed),
-        ["mrng", n, ncon] => mcgp_graph::synthetic::type1(
-            &mcgp_graph::generators::mrng_like(parse(n, "vertex count"), seed),
-            parse(ncon, "constraint count"),
-            seed,
-        ),
-        _ => {
-            eprintln!("unknown generator spec `{spec}` (use gen:grid:WxH or gen:mrng:N[:NCON])");
-            std::process::exit(2);
+        ["mrng", n] => {
+            mcgp_graph::generators::mrng_like(field(n, "vertex count", 8, 4_000_000), seed)
         }
+        ["mrng", n, ncon] => {
+            let n = field(n, "vertex count", 8, 4_000_000);
+            let ncon = field(ncon, "constraint count", 1, 16);
+            mcgp_graph::synthetic::type1(&mcgp_graph::generators::mrng_like(n, seed), ncon, seed)
+        }
+        ["rmat", scale, ef @ ..] if ef.len() <= 1 => {
+            let scale = field(scale, "rmat scale", 1, 20);
+            let ef = ef
+                .first()
+                .map_or(8, |ef| field(ef, "rmat edge factor", 1, 16));
+            mcgp_graph::generators::rmat_default(scale as u32, ef, seed)
+        }
+        _ => bad(format!("unknown generator spec `{spec}`")),
     }
 }
 

@@ -123,6 +123,52 @@ fn partition_rejects_bad_part_and_processor_counts() {
 }
 
 #[test]
+fn out_of_range_generator_specs_exit_2_with_the_usage() {
+    for (spec, needle) in [
+        ("gen:mrng:3", "bad vertex count `3`"),
+        ("gen:mrng:1000:0", "bad constraint count `0`"),
+        ("gen:grid:0x5", "bad grid width `0`"),
+        ("gen:grid:5x99999", "bad grid height `99999`"),
+        ("gen:mrng:99999999999", "bad vertex count"),
+        ("gen:mrng:1000:17", "bad constraint count `17`"),
+        ("gen:rmat:0", "bad rmat scale `0`"),
+        ("gen:rmat:31", "bad rmat scale `31`"),
+        ("gen:rmat:10:0", "bad rmat edge factor `0`"),
+        ("gen:rmat:10:8:1", "unknown generator spec"),
+        ("gen:grid:5", "wants gen:grid:WxH"),
+    ] {
+        let out = mcgp()
+            .args(["partition", spec, "2"])
+            .output()
+            .expect("run mcgp partition");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{spec}: {stderr}");
+        assert!(stderr.contains(needle), "{spec}: {stderr}");
+        assert!(stderr.contains("gen:rmat:SCALE[:EF]"), "{spec}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
+    }
+}
+
+#[test]
+fn rmat_generator_spec_partitions() {
+    let dir = std::env::temp_dir().join("mcgp_cli_test_rmat");
+    std::fs::create_dir_all(&dir).unwrap();
+    let ppath = dir.join("rmat.part");
+    for spec in ["gen:rmat:10", "gen:rmat:9:4"] {
+        let out = mcgp()
+            .args(["partition", spec, "4", "--outfile", ppath.to_str().unwrap()])
+            .output()
+            .expect("run mcgp partition");
+        assert!(
+            out.status.success(),
+            "{spec}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(String::from_utf8_lossy(&out.stdout).contains("edge-cut"));
+    }
+}
+
+#[test]
 fn partition_holds_threads_to_the_daemon_range() {
     // A huge thread count used to abort on a multi-gigabyte allocation.
     for bad in ["0", "257", "100000000"] {

@@ -8,10 +8,11 @@ use crate::initial_par::parallel_initial_partition;
 use crate::match_par::parallel_match;
 use crate::refine_par::{parallel_balance, reservation_refine, ParRefineStats};
 use crate::slice_refine::slice_refine;
-use mcgp_core::balance::{imbalances_from_pw, BalanceModel};
+use mcgp_core::balance::BalanceModel;
 use mcgp_core::config::PartitionConfig;
 use mcgp_core::multilevel::{self, enforce, Coarsening, LevelFields, Policy, Seam};
 use mcgp_graph::check as gcheck;
+use mcgp_graph::metrics::imbalances_from_weights;
 use mcgp_graph::{CheckLevel, Graph, Partition, PartitionQuality};
 use mcgp_runtime::{event, Span};
 
@@ -309,7 +310,7 @@ impl Policy<DistGraph> for Bsp<'_> {
             ("balance_moves", bal_moves.into()),
             (
                 "imbalance",
-                imbalances_from_pw(&pw, dist.ncon(), &model).into(),
+                imbalances_from_weights(&pw, model.totals(), model.nparts()).into(),
             ),
         ]
     }

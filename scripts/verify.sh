@@ -147,6 +147,22 @@ if ./target/release/mcgp check gen:mrng:2000:3 "$TRACE_DIR/smoke3.bad.part" 8 \
     echo "verify: mcgp check accepted a corrupted partition" >&2
     exit 1
 fi
+# Kept quality: a partition call reads its cut, communication volume and
+# boundary size off the refiner's connectivity rows and its imbalances
+# off the carried part weights; `MCGP_CHECK=full` recounts them from the
+# graph and panics on a difference. Run it on a skewed-degree graph with
+# isolated vertices, in the checked profile (debug assertions on).
+MCGP_CHECK=full cargo run -q --offline --profile checked -p mcgp-harness \
+    --bin mcgp -- partition gen:rmat:12 16 \
+    --outfile "$TRACE_DIR/rmat_full.part" > /dev/null
+# A generator spec outside its documented range is a usage error (exit
+# 2), not a panic.
+gen_status=0
+./target/release/mcgp partition gen:mrng:3 4 > /dev/null 2>&1 || gen_status=$?
+if [ "$gen_status" -ne 2 ]; then
+    echo "verify: an out-of-range gen: spec exited $gen_status (want 2)" >&2
+    exit 1
+fi
 # Serve smoke: daemon on an ephemeral port, one cold + one warm request.
 # The warm request must hit the hierarchy cache and skip coarsening
 # entirely (X-Mcgp-Coarsen-Us: 0), and SIGTERM must drain cleanly.

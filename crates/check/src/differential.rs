@@ -194,7 +194,7 @@ pub fn differential_case(
 
     let par_cfg = {
         let mut c = ParallelConfig::new(nprocs).with_seed(seed);
-        c.check = CheckLevel::Full;
+        c.serial.check = CheckLevel::Full;
         c
     };
     let parallel = parallel_partition_kway(graph, nparts, &par_cfg);

@@ -43,9 +43,6 @@ pub struct PartitionConfig {
     /// Maximum refinement iterations per uncoarsening level (the paper
     /// upper-bounds these; early exit on a local minimum).
     pub refine_iters: usize,
-    /// Number of seeded attempts for the initial bisection; the best
-    /// balanced cut wins.
-    pub init_tries: usize,
     /// Maximum FM passes per 2-way refinement call.
     pub fm_passes: usize,
     /// FM hill-climbing window: abort a pass after this many consecutive
@@ -70,7 +67,6 @@ impl Default for PartitionConfig {
             matching: MatchingScheme::BalancedHeavyEdge,
             nthreads: 1,
             refine_iters: 8,
-            init_tries: 8,
             fm_passes: 8,
             fm_window: 120,
             check: CheckLevel::for_build(),

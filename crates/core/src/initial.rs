@@ -165,8 +165,12 @@ fn dominant_norm(vw: &[i64], inv: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Best-of-N initial bisection: seeded greedy growing (plus bin-packing
-/// fallbacks), each polished with FM; winner by (feasible, cut, load).
+/// Seeded attempts per initial bisection; the best balanced cut wins.
+const INIT_TRIES: usize = 8;
+
+/// Best-of-[`INIT_TRIES`] initial bisection: seeded greedy growing (plus
+/// bin-packing fallbacks), each polished with FM; winner by (feasible, cut,
+/// load).
 pub fn initial_bisection(
     graph: &Graph,
     fraction: f64,
@@ -174,10 +178,9 @@ pub fn initial_bisection(
     rng: &mut Rng,
 ) -> Vec<u32> {
     let bal = TwoWayBalance::new(graph, (fraction, 1.0 - fraction), config.imbalance_tol);
-    let tries = config.init_tries.max(1);
     let mut ws = FmWorkspace::default();
     let mut best: Option<(bool, i64, f64, Vec<u32>)> = None;
-    for attempt in 0..tries {
+    for attempt in 0..INIT_TRIES {
         // Mostly greedy growing; every fourth attempt uses bin-packing to
         // guarantee a feasibility-oriented candidate.
         let mut side = if attempt % 4 == 3 {

@@ -28,7 +28,7 @@ use mcgp_runtime::phase::{counter_add, Counter};
 use mcgp_runtime::prefetch;
 use mcgp_runtime::rng::Rng;
 use mcgp_runtime::rng::SliceRandom;
-use mcgp_runtime::{metrics, span};
+use mcgp_runtime::span;
 
 /// How many visits ahead a pass prefetches a vertex's engine record,
 /// assignment and weight row.
@@ -93,6 +93,7 @@ pub fn greedy_kway_refine_ws(
         let mut moved_this_iter = 0usize;
         let mut attempted_this_iter = 0usize;
         let mut boundary_this_iter = 0usize;
+        let mut gain_this_iter = 0i64;
         for i in 0..order.len() {
             if let Some(&w) = order.get(i + SWEEP_FAR) {
                 let w = w as usize;
@@ -119,17 +120,17 @@ pub fn greedy_kway_refine_ws(
                 apply_move(pw, ncon, graph.vwgt(v), a, b);
                 engine.commit_move(graph, assignment, v, b);
                 moved_this_iter += 1;
-                stats.gain += gain;
-                metrics::histogram_record("kway_gain", gain);
+                gain_this_iter += gain;
             }
         }
         stats.moves += moved_this_iter;
+        stats.gain += gain_this_iter;
         counter_add(Counter::MovesAttempted, attempted_this_iter as u64);
         counter_add(Counter::MovesCommitted, moved_this_iter as u64);
         sp.record("boundary", boundary_this_iter);
         sp.record("moves_attempted", attempted_this_iter);
         sp.record("moves_committed", moved_this_iter);
-        metrics::gauge_set("boundary_size", boundary_this_iter as i64);
+        sp.record("gain", gain_this_iter);
         #[cfg(debug_assertions)]
         if let Err(e) = engine.validate(graph, assignment) {
             panic!("boundary cache drifted after pass {pass}: {e}");

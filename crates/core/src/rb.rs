@@ -94,9 +94,10 @@ fn recurse(
         out.fill(base);
         return None;
     }
-    // Degenerate granularity: with as many parts as vertices (or fewer
-    // vertices after an uneven split), give every vertex its own part —
-    // bisection tolerances would otherwise starve some labels.
+    // Degenerate granularity: with as many parts as vertices, give every
+    // vertex its own part. A split always leaves each half at least as
+    // many vertices as parts (see `fill_sides`), so only a caller's graph
+    // can have fewer.
     if graph.nvtxs() <= nparts {
         for (i, o) in out.iter_mut().enumerate() {
             *o = base + (i as u32).min(nparts as u32 - 1);
@@ -106,7 +107,8 @@ fn recurse(
     let left_parts = nparts.div_ceil(2);
     let right_parts = nparts - left_parts;
     let fraction = left_parts as f64 / nparts as f64;
-    let (side, levels) = bisect(graph, fraction, config, rng);
+    let (mut side, levels) = bisect(graph, fraction, config, rng);
+    fill_sides(graph, &mut side, [left_parts, right_parts]);
     if nparts == 2 {
         for (o, &s) in out.iter_mut().zip(&side) {
             *o = base + s;
@@ -140,6 +142,28 @@ fn recurse(
         out[parent as usize] = right_out[local];
     }
     Some(levels)
+}
+
+/// Moves vertices across a bisection until each side holds at least `need`
+/// of them, so the recursion below can give every part a vertex. The
+/// lightest vertices of the other side move (ties to the lower id), which
+/// costs the least balance; refinement repairs the cut. A bisection that
+/// already meets `need` is left as it is. The caller guarantees
+/// `side.len() > need[0] + need[1]`, so the giving side keeps its own.
+fn fill_sides(graph: &Graph, side: &mut [u32], need: [usize; 2]) {
+    let on_left = side.iter().filter(|&&s| s == 0).count();
+    let have = [on_left, side.len() - on_left];
+    let Some(to) = (0..2).find(|&s| have[s] < need[s]) else {
+        return;
+    };
+    let mut donors: Vec<(i64, usize)> = (0..side.len())
+        .filter(|&v| side[v] as usize != to)
+        .map(|v| (graph.vwgt(v).iter().sum(), v))
+        .collect();
+    donors.sort_unstable();
+    for &(_, v) in &donors[..need[to] - have[to]] {
+        side[v] = to as u32;
+    }
 }
 
 /// Multilevel recursive bisection partitioner (public driver).
@@ -268,6 +292,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn skewed_graphs_fill_every_part_under_full_checks() {
+        // R-MAT bisections can leave a half with fewer vertices than the
+        // parts it must hold; the full seams reject the empty part.
+        use mcgp_graph::generators::rmat_default;
+        use mcgp_graph::CheckLevel;
+        for (scale, k) in [(10u32, 16usize), (12, 64)] {
+            let g = rmat_default(scale, 8, 1);
+            let cfg = PartitionConfig {
+                check: CheckLevel::Full,
+                ..PartitionConfig::default().with_seed(1)
+            };
+            let r = crate::partition_kway(&g, k, &cfg);
+            assert!(r.partition.all_parts_nonempty(), "rmat {scale} k {k}");
+            let rb = recursive_bisection_assignment(&g, k, &cfg, &mut Rng::seed_from_u64(1));
+            let mut sizes = vec![0usize; k];
+            for &p in &rb {
+                sizes[p as usize] += 1;
+            }
+            assert!(
+                sizes.iter().all(|&s| s > 0),
+                "rmat {scale} k {k}: {sizes:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn fill_sides_moves_the_lightest_vertices() {
+        let g = grid_2d(3, 3);
+        let mut side = vec![0u32; 9];
+        side[8] = 1;
+        fill_sides(&g, &mut side, [2, 3]);
+        assert_eq!(side, [1, 1, 0, 0, 0, 0, 0, 0, 1]);
+        let before = side.clone();
+        fill_sides(&g, &mut side, [2, 3]);
+        assert_eq!(side, before, "a filled bisection is left as it is");
     }
 
     #[test]

@@ -524,15 +524,12 @@ fn run_partition(opts: &Opts) {
     if let Some(path) = &trace_file {
         mcgp_runtime::trace::set_enabled(false);
         let events = mcgp_runtime::trace::take_local();
-        let metrics = mcgp_runtime::metrics::take_local();
         mcgp_runtime::trace::write_trace_file(&events, trace_format, std::path::Path::new(path))
             .unwrap_or_else(|e| {
                 eprintln!("failed to write trace {path}: {e}");
                 std::process::exit(1);
             });
         eprintln!("wrote {} trace events to {path}", events.len());
-        let m = mcgp_runtime::json::ToJson::to_json(&metrics);
-        eprintln!("metrics: {m}");
     }
     let outfile = outfile.unwrap_or_else(|| format!("{}.part.{k}", file.replace(':', "_")));
     std::fs::File::create(&outfile)

@@ -27,32 +27,34 @@ pub enum RefinerKind {
     Slice,
 }
 
+/// Parity-alternating matching rounds per coarsening level.
+const MATCH_ROUNDS: usize = 4;
+
+/// Coarsest-graph size per part for the parallel driver. Larger than the
+/// serial default: the initial partitioning *must* come out balanced (the
+/// paper: an initial partitioning more than ~20 % imbalanced is unlikely to
+/// be repaired by multilevel refinement), and with many constraints that
+/// requires finer vertex granularity at the coarsest level.
+const COARSEN_TO_PER_PART: usize = 50;
+
+/// How many of the `p` replicated initial-partitioning runs to actually
+/// execute on the host (they are concurrent on the modeled machine).
+const INIT_RUNS_EXECUTED: usize = 4;
+
 /// Configuration of the parallel partitioner.
 #[derive(Clone, Debug)]
 pub struct ParallelConfig {
     /// Number of logical processors simulated.
     pub nprocs: usize,
-    /// Serial sub-configuration (tolerance, matching scheme, seeds) shared
-    /// with the coarsest-graph initial partitioning.
+    /// Serial sub-configuration shared with the coarsest-graph initial
+    /// partitioning: tolerance, matching scheme, seed, refinement
+    /// iterations per uncoarsening level (paper: upper-bounded), and the
+    /// invariant validation level at every pipeline seam. At `Full` the
+    /// BSP driver also gathers each coarse distributed graph and validates
+    /// its CSR structure (symmetry included), which is expensive.
     pub serial: PartitionConfig,
-    /// Parity-alternating matching rounds per coarsening level.
-    pub match_rounds: usize,
-    /// Refinement iterations per uncoarsening level (paper: upper-bounded).
-    pub refine_iters: usize,
     /// Refinement scheme.
     pub refiner: RefinerKind,
-    /// Coarsest-graph size per part for the parallel driver. Larger than
-    /// the serial default: the initial partitioning *must* come out
-    /// balanced (the paper: an initial partitioning more than ~20 %
-    /// imbalanced is unlikely to be repaired by multilevel refinement), and
-    /// with many constraints that requires finer vertex granularity at the
-    /// coarsest level.
-    pub coarsen_to_per_part: usize,
-    /// Cost-model constants for the modeled times.
-    pub cost: CostModel,
-    /// How many of the `p` replicated initial-partitioning runs to actually
-    /// execute on the host (they are concurrent on the modeled machine).
-    pub init_runs_executed: usize,
     /// Graph folding threshold: when a coarse graph drops below this many
     /// vertices per active processor, it is redistributed onto fewer
     /// processors (as in ParMETIS). Folding keeps coarse-level refinement
@@ -60,12 +62,6 @@ pub struct ParallelConfig {
     /// move conflicts and the reservation scheme disallows nearly
     /// everything. Set to 0 to disable.
     pub fold_threshold: usize,
-    /// Invariant validation at every pipeline seam, mirroring
-    /// `PartitionConfig::check` in the serial driver. `Full` additionally
-    /// gathers each coarse distributed graph and validates its CSR
-    /// structure (symmetry included) — expensive, intended for the
-    /// differential harness and debugging.
-    pub check: CheckLevel,
 }
 
 impl ParallelConfig {
@@ -74,14 +70,8 @@ impl ParallelConfig {
         ParallelConfig {
             nprocs,
             serial: PartitionConfig::default(),
-            match_rounds: 4,
-            refine_iters: 8,
             refiner: RefinerKind::Reservation,
-            coarsen_to_per_part: 50,
-            cost: CostModel::default(),
-            init_runs_executed: 4,
             fold_threshold: 256,
-            check: CheckLevel::for_build(),
         }
     }
 
@@ -160,7 +150,7 @@ struct Bsp<'a> {
 
 impl Coarsening<DistGraph> for Bsp<'_> {
     fn check(&self) -> CheckLevel {
-        self.cfg.check
+        self.cfg.serial.check
     }
 
     fn coarsen_level(&mut self, cur: &DistGraph, lvl: usize, _: &mut Span) -> Option<DistLevel> {
@@ -168,7 +158,7 @@ impl Coarsening<DistGraph> for Bsp<'_> {
         let matching = parallel_match(
             cur,
             cfg.serial.matching,
-            cfg.match_rounds,
+            MATCH_ROUNDS,
             cfg.serial.seed ^ ((lvl as u64) << 40),
             &mut self.tracker,
         );
@@ -212,15 +202,15 @@ impl Coarsening<DistGraph> for Bsp<'_> {
             finer.nvtxs(),
             level.graph.nvtxs(),
         ));
-        if self.cfg.check >= CheckLevel::Full {
-            enforce(gcheck::check_graph(&level.graph.gather(), self.cfg.check));
+        if self.cfg.serial.check >= CheckLevel::Full {
+            enforce(gcheck::check_graph(&level.graph.gather(), self.cfg.serial.check));
         }
     }
 }
 
 impl Policy<DistGraph> for Bsp<'_> {
     fn check(&self) -> CheckLevel {
-        self.cfg.check
+        self.cfg.serial.check
     }
 
     fn nparts(&self) -> usize {
@@ -233,7 +223,7 @@ impl Policy<DistGraph> for Bsp<'_> {
             coarsest,
             self.nparts,
             &cfg.serial,
-            cfg.init_runs_executed,
+            INIT_RUNS_EXECUTED,
             &mut self.tracker,
         )
     }
@@ -275,7 +265,7 @@ impl Policy<DistGraph> for Bsp<'_> {
             lvl_seed ^ 0xBA7,
             tracker,
         );
-        let iters = cfg.refine_iters;
+        let iters = cfg.serial.refine_iters;
         let s = match cfg.refiner {
             RefinerKind::Reservation => {
                 reservation_refine(dist, part, &mut pw, &model, iters, lvl_seed, tracker)
@@ -376,7 +366,7 @@ pub fn parallel_partition_kway(
         tracker: CostTracker::new(),
         stats: ParRefineStats::default(),
     };
-    let target = (cfg.coarsen_to_per_part * nparts).max(cfg.serial.coarsen_target(nparts));
+    let target = (COARSEN_TO_PER_PART * nparts).max(cfg.serial.coarsen_target(nparts));
     let levels = multilevel::coarsen(&mut policy, &finest, target);
     let part = multilevel::uncoarsen(&mut policy, &finest, &levels);
 
@@ -387,13 +377,14 @@ pub fn parallel_partition_kway(
         PartitionQuality::measure(graph, &partition)
     };
     let tracker = &policy.tracker;
+    let cost = CostModel::default();
     let stats = RunStats {
         nprocs: cfg.nprocs,
         supersteps: tracker.supersteps(),
         comm_bytes: tracker.total_bytes(),
         comp_ops: tracker.total_comp(),
-        modeled_time_s: tracker.modeled_time(&cfg.cost),
-        modeled_serial_time_s: tracker.total_comp() as f64 * cfg.cost.t_comp,
+        modeled_time_s: tracker.modeled_time(&cost),
+        modeled_serial_time_s: tracker.total_comp() as f64 * cost.t_comp,
         wall_time_s: wall_start.elapsed().as_secs_f64(),
     };
     ParallelResult {
@@ -455,10 +446,10 @@ mod tests {
         use mcgp_runtime::rng::Rng;
         let g = mrng_like(4000, 7);
         let cfg = ParallelConfig::new(16);
-        let target = cfg.coarsen_to_per_part * 8;
+        let target = COARSEN_TO_PER_PART * 8;
         let mut rng = Rng::seed_from_u64(7);
         let serial_cfg = PartitionConfig {
-            coarsen_to_per_part: cfg.coarsen_to_per_part,
+            coarsen_to_per_part: COARSEN_TO_PER_PART,
             coarsen_to_min: target,
             ..PartitionConfig::default()
         };

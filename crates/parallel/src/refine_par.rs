@@ -390,8 +390,6 @@ pub fn reservation_refine(
             granted = moves.len(),
             withheld = withheld,
         );
-        mcgp_runtime::metrics::counter_add("reservation_grants", moves.len() as u64);
-        mcgp_runtime::metrics::counter_add("reservation_withholds", withheld as u64);
         if moves.is_empty() {
             break;
         }

@@ -17,16 +17,18 @@
 //!   in index order, so parallel execution never perturbs determinism.
 //! * [`json`] — a minimal JSON value type with writer and parser, enough
 //!   for the experiment JSONL records and config round-trips.
-//! * [`phase`] — per-phase wall time, fed by phase-tagged spans, and
-//!   monotonic counters (moves attempted/committed, matching conflicts)
-//!   collected thread-locally and merged across [`pool`] workers. Always
-//!   on: a fixed-size array tally.
+//! * [`phase`] — per-phase wall time, fed by phase-tagged spans, and five
+//!   monotonic counters (moves attempted/committed, matching conflicts,
+//!   vertices matched, contraction aborts) collected thread-locally and
+//!   merged across [`pool`] workers. Always on: a fixed-size array tally.
 //! * [`trace`] — structured tracing: scoped spans ([`span!`]) and typed
 //!   instant events ([`event!`]), exportable as JSONL or Chrome
-//!   trace-event JSON. Off by default; near-zero cost when off.
-//! * [`metrics`] — a named counter/gauge/histogram registry for the
-//!   open-ended metrics tracing wants (gain distributions, boundary
-//!   sizes), active only while tracing is enabled.
+//!   trace-event JSON. Off by default; near-zero cost when off. These are
+//!   the partitioner's two reporting channels: the phase tally holds the
+//!   totals, and every other number (per-pass boundary sizes and gains,
+//!   per-round grants and withholds) is a span or event field.
+//! * [`metrics`] — histograms, a sliding-window histogram and Prometheus
+//!   text exposition, for the daemon's `/metrics` endpoint.
 //! * [`profile`] — a span-stack sampling profiler: spans publish to
 //!   lock-free per-thread slots, a sampler thread tallies collapsed
 //!   stacks (Brendan Gregg `a;b;c 42` format). Off by default; one
@@ -48,7 +50,7 @@ pub mod rng;
 pub mod trace;
 
 pub use json::{Json, ToJson};
-pub use metrics::{Histogram, MetricsReport, WindowedHistogram};
+pub use metrics::{Histogram, WindowedHistogram};
 pub use phase::{Counter, Phase, PhaseReport};
 pub use profile::{CollapsedStacks, Profiler};
 pub use rng::{Rng, SliceRandom};

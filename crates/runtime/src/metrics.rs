@@ -1,20 +1,16 @@
-//! Named metrics registry: counters, gauges, and log₂-bucket histograms.
+//! Daemon metric types: log₂-bucket histograms, a sliding-window
+//! histogram, and Prometheus text exposition with its validator.
 //!
-//! [`crate::phase`] keeps a tiny always-on array of per-phase time (fed by
-//! phase-tagged spans) and counters; this module is the open-ended
-//! companion for metrics that only matter when someone is looking — gain
-//! distributions, boundary sizes, per-round conflict counts. Registration
-//! is implicit (first use of a name creates the metric), names are
-//! `&'static str` so the registry never allocates keys, and everything is
-//! gated on [`crate::trace::enabled`] so the default path stays free.
-//!
-//! Like the phase tally and trace buffer, metrics accumulate in a
-//! thread-local; [`crate::pool`] forwards all three from each worker as one
-//! bundle. Merge rules keep reports deterministic under any thread count:
-//! counters and histograms add, gauges take the maximum.
+//! The partitioner reports through two channels, neither of which lives
+//! here. The always-on [`crate::phase`] tally holds per-phase times and
+//! five counters; trace-gated [`crate::trace`] spans and events hold the
+//! rest (per-pass boundary sizes and gains, per-round grants and
+//! withholds). This module holds only what `mcgp serve`'s `/metrics`
+//! endpoint aggregates across requests: [`Histogram`] and
+//! [`WindowedHistogram`] for request latency, and [`PromWriter`] /
+//! [`validate_prometheus`] for the text exposition.
 
 use crate::json::{Json, ToJson};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Number of histogram buckets: negatives, zero, then 32 log₂ magnitude
@@ -635,137 +631,6 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
     Ok(samples)
 }
 
-/// A snapshot of one thread's (or one merged run's) named metrics.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsReport {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, i64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-}
-
-impl MetricsReport {
-    /// An empty report.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True when no metric has been touched.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Current value of a counter (0 when never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// A histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Merges `other` in: counters and histograms add, gauges take the
-    /// maximum (deterministic under any worker interleaving).
-    pub fn merge(&mut self, other: &MetricsReport) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            let e = self.gauges.entry(k).or_insert(*v);
-            *e = (*e).max(*v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k).or_default().merge(h);
-        }
-    }
-}
-
-impl ToJson for MetricsReport {
-    fn to_json(&self) -> Json {
-        let section = |pairs: Vec<(String, Json)>| Json::Obj(pairs);
-        Json::obj([
-            (
-                "counters",
-                section(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| ((*k).to_string(), Json::UInt(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges",
-                section(
-                    self.gauges
-                        .iter()
-                        .map(|(k, v)| ((*k).to_string(), Json::Int(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "histograms",
-                section(
-                    self.histograms
-                        .iter()
-                        .map(|(k, h)| ((*k).to_string(), h.to_json()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-thread_local! {
-    static LOCAL: RefCell<MetricsReport> = RefCell::new(MetricsReport::new());
-}
-
-/// Adds `n` to the named counter (no-op unless tracing is enabled).
-#[inline]
-pub fn counter_add(name: &'static str, n: u64) {
-    if n > 0 && crate::trace::enabled() {
-        LOCAL.with(|l| *l.borrow_mut().counters.entry(name).or_insert(0) += n);
-    }
-}
-
-/// Sets the named gauge; merges across threads by maximum (no-op unless
-/// tracing is enabled).
-#[inline]
-pub fn gauge_set(name: &'static str, v: i64) {
-    if crate::trace::enabled() {
-        LOCAL.with(|l| {
-            l.borrow_mut().gauges.insert(name, v);
-        });
-    }
-}
-
-/// Records a sample into the named histogram (no-op unless tracing is
-/// enabled).
-#[inline]
-pub fn histogram_record(name: &'static str, v: i64) {
-    if crate::trace::enabled() {
-        LOCAL.with(|l| l.borrow_mut().histograms.entry(name).or_default().record(v));
-    }
-}
-
-/// Drains and returns the current thread's metrics.
-pub fn take_local() -> MetricsReport {
-    LOCAL.with(|l| std::mem::take(&mut *l.borrow_mut()))
-}
-
-/// Merges `report` into the current thread's metrics (used by the pool to
-/// forward worker registries).
-pub fn merge_local(report: &MetricsReport) {
-    if report.is_empty() {
-        return;
-    }
-    LOCAL.with(|l| l.borrow_mut().merge(report));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -782,7 +647,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_records_and_merges() {
+    fn histogram_samples_add_and_merge() {
         let mut a = Histogram::default();
         a.record(-1);
         a.record(0);
@@ -800,36 +665,6 @@ mod tests {
         let before = a.clone();
         a.merge(&empty);
         assert_eq!(a, before);
-    }
-
-    #[test]
-    fn report_merge_rules() {
-        let mut a = MetricsReport::new();
-        a.counters.insert("c", 2);
-        a.gauges.insert("g", 5);
-        let mut b = MetricsReport::new();
-        b.counters.insert("c", 3);
-        b.gauges.insert("g", 4);
-        b.histograms.insert("h", {
-            let mut h = Histogram::default();
-            h.record(7);
-            h
-        });
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 5);
-        assert_eq!(a.gauge("g"), Some(5), "gauges merge by max");
-        assert_eq!(a.histogram("h").unwrap().count, 1);
-    }
-
-    #[test]
-    fn disabled_metrics_are_free() {
-        // Tracing defaults to off; nothing should land in the registry.
-        let _g = crate::trace::test_lock();
-        let _ = take_local();
-        counter_add("nope", 3);
-        gauge_set("nope", 1);
-        histogram_record("nope", 2);
-        assert!(take_local().is_empty());
     }
 
     #[test]
@@ -929,15 +764,12 @@ mod tests {
 
     #[test]
     fn json_shape_is_stable() {
-        let mut r = MetricsReport::new();
-        r.counters.insert("moves", 7);
-        r.histograms.insert("gain", {
-            let mut h = Histogram::default();
-            h.record(3);
-            h
-        });
-        let s = r.to_json().to_string();
-        assert!(s.contains("\"counters\":{\"moves\":7}"), "{s}");
-        assert!(s.contains("\"gain\":{\"count\":1"), "{s}");
+        let mut h = Histogram::default();
+        h.record(3);
+        let s = h.to_json().to_string();
+        assert_eq!(
+            s,
+            "{\"count\":1,\"sum\":3,\"min\":3,\"max\":3,\"buckets\":[0,0,0,1]}"
+        );
     }
 }

@@ -5,10 +5,11 @@
 //! so that parallel execution never changes the result. [`map`] and
 //! [`for_each`] provide exactly that: work units are claimed from a shared
 //! atomic counter (so uneven units balance), results land in their own
-//! slot, and whatever a worker's thread-locals gathered — [`crate::phase`]
-//! time and counters, trace events, metrics — is merged back into the
-//! caller's as one bundle, so instrumented code deep inside a work unit
-//! needs no plumbing to stay observable.
+//! slot, and whatever a worker's thread-locals gathered — the two reporting
+//! channels, [`crate::phase`] time and counters and [`crate::trace`] spans
+//! and events — is merged back into the caller's as one bundle, so
+//! instrumented code deep inside a work unit needs no plumbing to stay
+//! observable.
 //!
 //! Thread count: `min(available_parallelism, units)`, overridable with the
 //! `MCGP_THREADS` environment variable (`MCGP_THREADS=1` forces serial
@@ -83,12 +84,11 @@ pub fn live_workers() -> usize {
 }
 
 /// Everything a worker thread's thread-locals accumulated during its share
-/// of a parallel region: phase tally (tagged-span time and counters), trace
-/// events, and metrics.
+/// of a parallel region: phase tally (tagged-span time and counters) and
+/// trace events.
 struct WorkerReport {
     phase: crate::phase::PhaseReport,
     events: Vec<crate::trace::TraceEvent>,
-    metrics: crate::metrics::MetricsReport,
 }
 
 impl WorkerReport {
@@ -98,7 +98,6 @@ impl WorkerReport {
         WorkerReport {
             phase: crate::phase::take_local(),
             events: crate::trace::take_local(),
-            metrics: crate::metrics::take_local(),
         }
     }
 
@@ -106,7 +105,6 @@ impl WorkerReport {
     fn merge(self) {
         crate::phase::merge_local(&self.phase);
         crate::trace::merge_local(self.events);
-        crate::metrics::merge_local(&self.metrics);
     }
 }
 

@@ -225,11 +225,12 @@ pub struct CacheConfig {
     /// Spill directory for evicted/shutdown hierarchies; `None` disables
     /// persistence.
     pub spill_dir: Option<PathBuf>,
-    /// Admission doorkeeper threshold as a fraction of the budget:
-    /// entries larger than `budget_bytes * admit_fraction` are admitted
-    /// only when their key has been requested before.
-    pub admit_fraction: f64,
 }
+
+/// Admission doorkeeper threshold as a fraction of the budget: entries
+/// larger than `budget_bytes * ADMIT_FRACTION` are admitted only when their
+/// key has been requested before.
+const ADMIT_FRACTION: f64 = 0.5;
 
 impl CacheConfig {
     /// Defaults: no spill, doorkeeper at half the budget.
@@ -237,7 +238,6 @@ impl CacheConfig {
         CacheConfig {
             budget_bytes,
             spill_dir: None,
-            admit_fraction: 0.5,
         }
     }
 }
@@ -380,7 +380,7 @@ impl HierarchyCache {
 
     /// Largest entry the doorkeeper admits on first sight.
     fn first_sight_max_bytes(&self) -> usize {
-        (self.config.budget_bytes as f64 * self.config.admit_fraction) as usize
+        (self.config.budget_bytes as f64 * ADMIT_FRACTION) as usize
     }
 
     /// Returns the entry for `key`, building it with `build` on a miss.
@@ -939,16 +939,21 @@ mod tests {
     fn evicted_entry_spills_and_reloads_from_disk() {
         let dir = tempdir("evict-reload");
         let probe = entry(400, 1);
-        let mut config = CacheConfig::new(probe.bytes() + probe.bytes() / 2);
+        // Two entries fill the budget exactly, and each is at most half of
+        // it, so the doorkeeper admits every one on first sight.
+        let mut config = CacheConfig::new(probe.bytes() * 2);
         config.spill_dir = Some(dir.clone());
-        // Doorkeeper off: this test is about the evict→spill→reload path.
-        config.admit_fraction = 1.0;
         let cache = HierarchyCache::with_config(config);
         cache.get_or_build(1, || Ok(entry(400, 1))).unwrap();
-        // Inserting 2 evicts 1, which must land on disk.
         cache.get_or_build(2, || Ok(entry(400, 2))).unwrap();
+        assert_eq!(cache.stats().evictions, 0);
+        // Inserting 3 evicts the oldest, 1, which must land on disk.
+        cache.get_or_build(3, || Ok(entry(400, 3))).unwrap();
         let s = cache.stats();
-        assert_eq!((s.evictions, s.spill_writes), (1, 1));
+        assert_eq!(
+            (s.admission_rejects, s.evictions, s.spill_writes),
+            (0, 1, 1)
+        );
         assert!(spill::spill_path(&dir, 1).exists());
         // Reload: the build closure must NOT run.
         let (e, v) = cache

@@ -43,4 +43,4 @@ pub mod spill;
 
 pub use cache::{fingerprint, CacheConfig, CacheStats, CachedEntry, HierarchyCache};
 pub use protocol::GraphFormat;
-pub use server::{Server, ServerHandle, ServeConfig};
+pub use server::{ServeConfig, Server, ServerHandle, MAX_REQUESTS_PER_CONN};

@@ -24,9 +24,11 @@
 //!   (METIS text, or JSON-CSR under `Content-Type: application/json`).
 //!   Streams a JSONL body (`meta`, `part`×, `done`); cache verdict and
 //!   timings ride in `X-Mcgp-*` headers (see [`crate::protocol`]).
-//! - `GET /metrics` — counters, cache occupancy, latency histogram,
-//!   accumulated phase report, and the trace-gated named-metrics
-//!   registry, as one JSON object.
+//! - `GET /metrics` — counters, cache occupancy, latency histogram and
+//!   accumulated phase report, as one JSON object (or Prometheus text).
+//!   The phase report is the always-on channel: per-phase times and five
+//!   counters. Everything finer (per-pass boundary sizes and gains) is a
+//!   trace-gated span or event field, kept in the bounded trace buffer.
 //! - `GET /healthz` — liveness probe.
 //! - `POST /shutdown` — graceful drain, same path as a signal.
 //!
@@ -44,7 +46,7 @@ use mcgp_core::{HierarchySnapshot, PartitionConfig, PartitionResult};
 use mcgp_graph::check::check_graph;
 use mcgp_graph::io::{graph_from_json, parse_metis};
 use mcgp_graph::{CheckLevel, McgpError};
-use mcgp_runtime::metrics::{MetricsReport, PromWriter, WindowedHistogram};
+use mcgp_runtime::metrics::{PromWriter, WindowedHistogram};
 use mcgp_runtime::net::{Conn, Limits, NetError, Request};
 use mcgp_runtime::phase::{Counter, Phase, PhaseReport};
 use mcgp_runtime::profile::Profiler;
@@ -96,6 +98,11 @@ impl Drop for ProfileSlot {
     }
 }
 
+/// Requests served on one connection before the daemon forces a close —
+/// bounds per-connection resource residency and gives load balancers a
+/// natural rebalancing point.
+pub const MAX_REQUESTS_PER_CONN: u64 = 1024;
+
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -113,10 +120,6 @@ pub struct ServeConfig {
     /// idle peer (or one dripping a request byte-by-byte — slowloris)
     /// cannot pin a worker past it.
     pub idle_timeout: Duration,
-    /// Requests served on one connection before the daemon forces a
-    /// close — bounds per-connection resource residency and gives load
-    /// balancers a natural rebalancing point.
-    pub max_requests_per_conn: u64,
     /// When set, evicted and shutdown-resident hierarchies spill here and
     /// cache misses probe it first, so a restart with the same directory
     /// serves warm (`X-Mcgp-Cache: disk`, `X-Mcgp-Coarsen-Us: 0`).
@@ -136,7 +139,6 @@ impl Default for ServeConfig {
             cache_bytes: 256 * 1024 * 1024,
             io_timeout: Duration::from_secs(30),
             idle_timeout: Duration::from_secs(10),
-            max_requests_per_conn: 1024,
             cache_dir: None,
             default_threads: 1,
             limits: Limits::default(),
@@ -144,8 +146,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// Always-on daemon counters (the trace-gated named-metrics registry is
-/// aggregated separately).
+/// Always-on daemon counters, the accumulated phase tally, and the
+/// retained trace events.
 struct ServeStats {
     requests: AtomicU64,
     ok: AtomicU64,
@@ -165,7 +167,6 @@ struct ServeStats {
     /// pipeline.
     by_threads: Mutex<BTreeMap<usize, u64>>,
     phases: Mutex<PhaseReport>,
-    registry: Mutex<MetricsReport>,
     trace_events: Mutex<Vec<TraceEvent>>,
 }
 
@@ -180,7 +181,6 @@ impl Default for ServeStats {
             by_route: Mutex::new(BTreeMap::new()),
             by_threads: Mutex::new(BTreeMap::new()),
             phases: Mutex::new(PhaseReport::default()),
-            registry: Mutex::new(MetricsReport::default()),
             trace_events: Mutex::new(Vec::new()),
         }
     }
@@ -422,7 +422,7 @@ fn handle_connection(state: &State, stream: TcpStream) {
                 let t0 = Instant::now();
                 served += 1;
                 let keep = req.wants_keep_alive()
-                    && served < state.config.max_requests_per_conn
+                    && served < MAX_REQUESTS_PER_CONN
                     && !state.shutdown_requested();
                 let alive = route(state, &mut conn, req, t0, keep);
                 drain_observability(state);
@@ -748,15 +748,11 @@ fn write_success(
     rs.finish()
 }
 
-/// After each connection: forward this worker's trace-gated registries
-/// into the daemon-wide aggregates so `/metrics` sees them.
+/// After each connection: forward this worker's trace events into the
+/// daemon-wide buffer.
 fn drain_observability(state: &State) {
     if !trace::enabled() {
         return;
-    }
-    let registry = mcgp_runtime::metrics::take_local();
-    if !registry.is_empty() {
-        state.stats.registry.lock().unwrap().merge(&registry);
     }
     let events = trace::take_local();
     if !events.is_empty() {
@@ -774,7 +770,6 @@ fn metrics_json(state: &State) -> Json {
     let by_route = stats.by_route.lock().unwrap().clone();
     let by_threads = stats.by_threads.lock().unwrap().clone();
     let phases = stats.phases.lock().unwrap().clone();
-    let registry = stats.registry.lock().unwrap().clone();
     let window = latency.window();
     let route_pairs: Vec<(String, Json)> = by_route
         .iter()
@@ -850,7 +845,6 @@ fn metrics_json(state: &State) -> Json {
             ]),
         ),
         ("phases", phases.to_json()),
-        ("registry", registry.to_json()),
     ])
 }
 

@@ -12,7 +12,7 @@ use mcgp_graph::{synthetic, Graph};
 use mcgp_runtime::net::{http_request, ClientResponse, Limits, NetClient};
 use mcgp_runtime::{Json, PhaseReport, ToJson};
 use mcgp_serve::server::{ServeConfig, Server};
-use mcgp_serve::ServerHandle;
+use mcgp_serve::{ServerHandle, MAX_REQUESTS_PER_CONN};
 use std::io::{Read, Write};
 use std::time::Duration;
 
@@ -721,6 +721,45 @@ fn pipelined_keepalive_requests_are_byte_stable_on_one_socket() {
     let json = Json::parse(get(&addr, "/metrics").text().trim()).unwrap();
     assert_eq!(json.get("connections").unwrap().as_i64(), Some(3));
     assert_eq!(json.get("requests").unwrap().as_i64(), Some(4));
+
+    stop(&handle, thread);
+}
+
+#[test]
+fn keepalive_connection_closes_at_the_request_cap() {
+    let (addr, handle, thread) = start_default();
+    let cap = MAX_REQUESTS_PER_CONN as usize;
+
+    // Exactly `cap` keep-alive requests on one socket, written from a
+    // second thread so neither side blocks on a full socket buffer.
+    let mut s = std::net::TcpStream::connect(&addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut writer = s.try_clone().unwrap();
+    let request = format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\n\r\n");
+    let burst = request.repeat(cap);
+    let write = std::thread::spawn(move || writer.write_all(burst.as_bytes()));
+    let mut all = Vec::new();
+    s.read_to_end(&mut all).unwrap();
+    write.join().unwrap().unwrap();
+
+    let mut rest: &[u8] = &all;
+    for i in 0..cap {
+        let (head, payload, after) = split_response(rest);
+        rest = after;
+        assert!(head.starts_with("HTTP/1.1 200"), "response {i}: {head}");
+        assert_eq!(payload, b"{\"ok\":true}\n", "response {i}");
+        let connection = if i + 1 < cap { "keep-alive" } else { "close" };
+        assert!(
+            head.to_ascii_lowercase()
+                .contains(&format!("connection: {connection}")),
+            "response {i} of {cap}: {head}"
+        );
+    }
+    assert!(
+        rest.is_empty(),
+        "{} stray bytes after responses",
+        rest.len()
+    );
 
     stop(&handle, thread);
 }

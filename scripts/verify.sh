@@ -155,6 +155,14 @@ fi
 MCGP_CHECK=full cargo run -q --offline --profile checked -p mcgp-harness \
     --bin mcgp -- partition gen:rmat:12 16 \
     --outfile "$TRACE_DIR/rmat_full.part" > /dev/null
+# Recursive bisection of these R-MAT graphs once left a half with fewer
+# vertices than parts, so a subdomain came out empty at the initial seam.
+for SPEC in "gen:rmat:10 16" "gen:rmat:12 64"; do
+    # shellcheck disable=SC2086 # SPEC holds the graph and the part count
+    MCGP_CHECK=full cargo run -q --offline --profile checked -p mcgp-harness \
+        --bin mcgp -- partition $SPEC --seed 1 \
+        --outfile "$TRACE_DIR/rmat_full.part" > /dev/null
+done
 # A generator spec outside its documented range is a usage error (exit
 # 2), not a panic.
 gen_status=0

@@ -4,8 +4,8 @@
 
 use mcgp_graph::connectivity::bfs_order;
 use mcgp_graph::Graph;
-use mcgp_runtime::rng::SliceRandom;
 use mcgp_runtime::rng::Rng;
+use mcgp_runtime::rng::SliceRandom;
 
 /// An evolving 2-constraint workload over a fixed mesh: constraint 0 is
 /// uniform background work; constraint 1 is a heavy plume covering
@@ -28,7 +28,12 @@ impl EvolvingWorkload {
         let mut centres: Vec<u32> = (0..n as u32).collect();
         centres.shuffle(&mut rng);
         let plume_size = ((n as f64) * plume_fraction).round().max(1.0) as usize;
-        EvolvingWorkload { mesh, centres, plume_size, step: 0 }
+        EvolvingWorkload {
+            mesh,
+            centres,
+            plume_size,
+            step: 0,
+        }
     }
 
     /// The underlying mesh.
@@ -55,7 +60,10 @@ impl EvolvingWorkload {
             vwgt.push(1); // background
             vwgt.push(if p { 8 } else { 0 }); // plume work
         }
-        self.mesh.clone().with_vwgt(2, vwgt).expect("sized by construction")
+        self.mesh
+            .clone()
+            .with_vwgt(2, vwgt)
+            .expect("sized by construction")
     }
 }
 

@@ -79,14 +79,22 @@ pub fn repartition(
     config: &PartitionConfig,
 ) -> RepartitionResult {
     assert_eq!(graph.nvtxs(), old.len(), "old partition size mismatch");
-    assert_eq!(nparts, old.nparts(), "repartitioning must keep the subdomain count");
+    assert_eq!(
+        nparts,
+        old.nparts(),
+        "repartitioning must keep the subdomain count"
+    );
     let partition = match method {
         RepartitionMethod::ScratchRemap => scratch_remap::scratch_remap(graph, old, nparts, config),
         RepartitionMethod::Refine => refine::refine_repartition(graph, old, nparts, config),
     };
     let quality = PartitionQuality::measure(graph, &partition);
     let migration = migration_cost(graph, old, &partition);
-    RepartitionResult { partition, quality, migration }
+    RepartitionResult {
+        partition,
+        quality,
+        migration,
+    }
 }
 
 #[cfg(test)]

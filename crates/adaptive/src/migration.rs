@@ -15,7 +15,11 @@ pub struct MigrationCost {
     pub moved_fraction_millis: u32,
 }
 
-mcgp_runtime::impl_to_json!(MigrationCost { moved_vertices, moved_weight, moved_fraction_millis });
+mcgp_runtime::impl_to_json!(MigrationCost {
+    moved_vertices,
+    moved_weight,
+    moved_fraction_millis
+});
 
 /// Computes the migration cost between two assignments of the same graph.
 ///
@@ -43,8 +47,16 @@ pub fn migration_cost(graph: &Graph, old: &Partition, new: &Partition) -> Migrat
             }
         }
     }
-    let frac = if graph.nvtxs() == 0 { 0 } else { (moved * 1000 / graph.nvtxs()) as u32 };
-    MigrationCost { moved_vertices: moved, moved_weight: weight, moved_fraction_millis: frac }
+    let frac = if graph.nvtxs() == 0 {
+        0
+    } else {
+        (moved * 1000 / graph.nvtxs()) as u32
+    };
+    MigrationCost {
+        moved_vertices: moved,
+        moved_weight: weight,
+        moved_fraction_millis: frac,
+    }
 }
 
 #[cfg(test)]

@@ -26,8 +26,14 @@ pub fn refine_repartition(
         if !model.is_balanced(&pw) {
             rebalance(graph, &mut assignment, &mut pw, &model, &mut rng);
         }
-        let stats =
-            greedy_kway_refine(graph, &mut assignment, &mut pw, &model, config.refine_iters, &mut rng);
+        let stats = greedy_kway_refine(
+            graph,
+            &mut assignment,
+            &mut pw,
+            &model,
+            config.refine_iters,
+            &mut rng,
+        );
         if model.is_balanced(&pw) && stats.moves == 0 {
             break;
         }
@@ -60,7 +66,11 @@ mod tests {
             before.max_imbalance,
             after.max_imbalance
         );
-        assert!(after.max_imbalance < 1.25, "still badly imbalanced: {}", after.max_imbalance);
+        assert!(
+            after.max_imbalance < 1.25,
+            "still badly imbalanced: {}",
+            after.max_imbalance
+        );
     }
 
     #[test]
@@ -71,7 +81,9 @@ mod tests {
         let old = partition_kway(&wg, 4, &cfg).partition;
         let repaired = refine_repartition(&wg, &old, 4, &cfg);
         // Already balanced and locally optimal-ish: very few moves.
-        let moved = (0..wg.nvtxs()).filter(|&v| old.part(v) != repaired.part(v)).count();
+        let moved = (0..wg.nvtxs())
+            .filter(|&v| old.part(v) != repaired.part(v))
+            .count();
         assert!(
             moved * 20 < wg.nvtxs(),
             "unnecessary churn: {moved} of {}",

@@ -16,8 +16,11 @@ pub fn scratch_remap(
 ) -> Partition {
     let fresh = partition_kway(graph, nparts, config).partition;
     let mapping = overlap_mapping(graph, old, &fresh);
-    let remapped: Vec<u32> =
-        fresh.assignment().iter().map(|&p| mapping[p as usize]).collect();
+    let remapped: Vec<u32> = fresh
+        .assignment()
+        .iter()
+        .map(|&p| mapping[p as usize])
+        .collect();
     Partition::new(nparts, remapped).expect("remapping preserves validity")
 }
 
@@ -57,8 +60,7 @@ pub fn overlap_mapping(graph: &Graph, old: &Partition, fresh: &Partition) -> Vec
         }
     }
     // Leftover labels (zero overlap) take whatever remains.
-    let mut free: Vec<u32> =
-        (0..k as u32).filter(|&l| !taken[l as usize]).collect();
+    let mut free: Vec<u32> = (0..k as u32).filter(|&l| !taken[l as usize]).collect();
     for m in mapping.iter_mut() {
         if *m == UNSET {
             *m = free.pop().expect("label counts match");
@@ -105,9 +107,11 @@ mod tests {
         let fresh = partition_kway(&g, 4, &cfg.with_seed(99)).partition;
         let before = edge_cut(&g, &fresh);
         let m = overlap_mapping(&g, &old, &fresh);
-        let remapped =
-            Partition::new(4, fresh.assignment().iter().map(|&p| m[p as usize]).collect())
-                .unwrap();
+        let remapped = Partition::new(
+            4,
+            fresh.assignment().iter().map(|&p| m[p as usize]).collect(),
+        )
+        .unwrap();
         assert_eq!(edge_cut(&g, &remapped), before);
     }
 
@@ -117,10 +121,17 @@ mod tests {
         let cfg = PartitionConfig::default();
         let old = partition_kway(&g, 8, &cfg).partition;
         let fresh = partition_kway(&g, 8, &cfg.with_seed(7)).partition;
-        let raw_moved = (0..g.nvtxs()).filter(|&v| old.part(v) != fresh.part(v)).count();
+        let raw_moved = (0..g.nvtxs())
+            .filter(|&v| old.part(v) != fresh.part(v))
+            .count();
         let m = overlap_mapping(&g, &old, &fresh);
         let remapped: Vec<u32> = fresh.assignment().iter().map(|&p| m[p as usize]).collect();
-        let remap_moved = (0..g.nvtxs()).filter(|&v| old.part(v) as u32 != remapped[v]).count();
-        assert!(remap_moved <= raw_moved, "remap {remap_moved} vs raw {raw_moved}");
+        let remap_moved = (0..g.nvtxs())
+            .filter(|&v| old.part(v) as u32 != remapped[v])
+            .count();
+        assert!(
+            remap_moved <= raw_moved,
+            "remap {remap_moved} vs raw {raw_moved}"
+        );
     }
 }

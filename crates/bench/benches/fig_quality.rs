@@ -16,8 +16,10 @@ fn main() {
         b.run("figures/cell_mrng1_p32", &format!("serial/{ncon}"), || {
             partition_kway(&wg, 32, &PartitionConfig::default())
         });
-        b.run("figures/cell_mrng1_p32", &format!("parallel/{ncon}"), || {
-            parallel_partition_kway(&wg, 32, &ParallelConfig::new(32))
-        });
+        b.run(
+            "figures/cell_mrng1_p32",
+            &format!("parallel/{ncon}"),
+            || parallel_partition_kway(&wg, 32, &ParallelConfig::new(32)),
+        );
     }
 }

@@ -74,12 +74,16 @@ fn main() {
     });
 
     let d = DistGraph::distribute(&g, 16);
-    b.run("refine/reservation", "p16_mrng200k_ncon3_k16_sliced", || {
-        let mut part = sliced.clone();
-        let mut pw = part_weights(&g, &part, k);
-        let mut t = CostTracker::new();
-        reservation_refine(&d, &mut part, &mut pw, &model, 4, 1, &mut t)
-    });
+    b.run(
+        "refine/reservation",
+        "p16_mrng200k_ncon3_k16_sliced",
+        || {
+            let mut part = sliced.clone();
+            let mut pw = part_weights(&g, &part, k);
+            let mut t = CostTracker::new();
+            reservation_refine(&d, &mut part, &mut pw, &model, 4, 1, &mut t)
+        },
+    );
     b.run("refine/slice", "p16_mrng200k_ncon3_k16_sliced", || {
         let mut part = sliced.clone();
         let mut pw = part_weights(&g, &part, k);

@@ -12,11 +12,15 @@ fn main() {
     }
     let mesh = mrng_like(16_000, 1);
     for ncon in [2usize, 5] {
-        b.run("table1/workload_synthesis", &format!("type1/{ncon}"), || {
-            synthetic::type1(&mesh, ncon, 1)
-        });
-        b.run("table1/workload_synthesis", &format!("type2/{ncon}"), || {
-            synthetic::type2(&mesh, ncon, 1)
-        });
+        b.run(
+            "table1/workload_synthesis",
+            &format!("type1/{ncon}"),
+            || synthetic::type1(&mesh, ncon, 1),
+        );
+        b.run(
+            "table1/workload_synthesis",
+            &format!("type2/{ncon}"),
+            || synthetic::type2(&mesh, ncon, 1),
+        );
     }
 }

@@ -81,11 +81,11 @@ impl Bench {
             }
         }
         black_box(f()); // warmup
-        // With --trace, the warmup's events are discarded and tracing stays
-        // on for the timed samples; the per-event-name counts of all samples
-        // are attached to the record. Timings then include the (small)
-        // tracing overhead — comparable across benchmarks, not with runs
-        // that have tracing off.
+                        // With --trace, the warmup's events are discarded and tracing stays
+                        // on for the timed samples; the per-event-name counts of all samples
+                        // are attached to the record. Timings then include the (small)
+                        // tracing overhead — comparable across benchmarks, not with runs
+                        // that have tracing off.
         let mut event_counts: std::collections::BTreeMap<&'static str, u64> =
             std::collections::BTreeMap::new();
         if self.trace {
@@ -208,7 +208,10 @@ impl Bench {
             }
         }
         println!("{record}");
-        eprintln!("{id:<44} median {median:>9.4}s  min {min:>9.4}s  max {max:>9.4}s  n={}", self.samples);
+        eprintln!(
+            "{id:<44} median {median:>9.4}s  min {min:>9.4}s  max {max:>9.4}s  n={}",
+            self.samples
+        );
         median
     }
 }

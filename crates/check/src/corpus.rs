@@ -25,16 +25,36 @@ pub type CorpusEntry = (&'static str, &'static str, ExpectedError);
 /// silently-coerced graph.
 pub const MALFORMED_GRAPHS: &[CorpusEntry] = &[
     ("empty file", "", ExpectedError::Parse),
-    ("comments only", "% nothing here\n% still nothing\n", ExpectedError::Parse),
+    (
+        "comments only",
+        "% nothing here\n% still nothing\n",
+        ExpectedError::Parse,
+    ),
     ("header too short", "4\n", ExpectedError::Parse),
     ("header too long", "4 3 011 2 9\n", ExpectedError::Parse),
     ("non-numeric nvtxs", "x 3\n1 2\n", ExpectedError::Parse),
     ("non-numeric nedges", "2 y\n2\n1\n", ExpectedError::Parse),
-    ("malformed fmt digits", "2 1 019\n2\n1\n", ExpectedError::Parse),
+    (
+        "malformed fmt digits",
+        "2 1 019\n2\n1\n",
+        ExpectedError::Parse,
+    ),
     ("non-numeric fmt", "2 1 ab\n2\n1\n", ExpectedError::Parse),
-    ("vertex sizes unsupported", "2 1 100\n1 2\n1 1\n", ExpectedError::Parse),
-    ("zero ncon", "2 1 011 0\n5 2 9\n7 1 9\n", ExpectedError::Parse),
-    ("ncon without vwgt flag", "2 1 001 2\n2 9\n1 9\n", ExpectedError::Parse),
+    (
+        "vertex sizes unsupported",
+        "2 1 100\n1 2\n1 1\n",
+        ExpectedError::Parse,
+    ),
+    (
+        "zero ncon",
+        "2 1 011 0\n5 2 9\n7 1 9\n",
+        ExpectedError::Parse,
+    ),
+    (
+        "ncon without vwgt flag",
+        "2 1 001 2\n2 9\n1 9\n",
+        ExpectedError::Parse,
+    ),
     ("body missing", "3 2\n", ExpectedError::Parse),
     (
         "header/body mismatch: too few vertex lines",
@@ -52,29 +72,57 @@ pub const MALFORMED_GRAPHS: &[CorpusEntry] = &[
         ExpectedError::Parse,
     ),
     ("self-loop", "2 2\n1 2\n1 2\n", ExpectedError::Structure),
-    ("asymmetric edge", "3 2\n2 3\n1 3\n\n", ExpectedError::Structure),
+    (
+        "asymmetric edge",
+        "3 2\n2 3\n1 3\n\n",
+        ExpectedError::Structure,
+    ),
     (
         "asymmetric edge weight",
         "2 1 001\n2 5\n1 7\n",
         ExpectedError::Structure,
     ),
-    ("duplicate edge", "2 2\n2 2\n1 1\n", ExpectedError::Structure),
-    ("non-numeric weight", "2 1 010\nx 2\n7 1\n", ExpectedError::Parse),
-    ("negative vertex weight", "2 1 010\n-5 2\n7 1\n", ExpectedError::Parse),
+    (
+        "duplicate edge",
+        "2 2\n2 2\n1 1\n",
+        ExpectedError::Structure,
+    ),
+    (
+        "non-numeric weight",
+        "2 1 010\nx 2\n7 1\n",
+        ExpectedError::Parse,
+    ),
+    (
+        "negative vertex weight",
+        "2 1 010\n-5 2\n7 1\n",
+        ExpectedError::Parse,
+    ),
     (
         "missing vertex weight",
         "2 1 011 2\n5 2 9\n7 8 1 9\n",
         ExpectedError::Parse,
     ),
-    ("missing edge weight", "2 1 001\n2\n1 4\n", ExpectedError::Parse),
+    (
+        "missing edge weight",
+        "2 1 001\n2\n1 4\n",
+        ExpectedError::Parse,
+    ),
     ("neighbor id zero", "2 1\n0\n1\n", ExpectedError::Parse),
-    ("huge neighbor id", "2 1\n999999999\n1\n", ExpectedError::Parse),
+    (
+        "huge neighbor id",
+        "2 1\n999999999\n1\n",
+        ExpectedError::Parse,
+    ),
     (
         "vertex count beyond u32",
         "4294967296 0\n",
         ExpectedError::Overflow,
     ),
-    ("huge ncon", "2 1 011 9999\n5 2 9\n7 1 9\n", ExpectedError::Overflow),
+    (
+        "huge ncon",
+        "2 1 011 9999\n5 2 9\n7 1 9\n",
+        ExpectedError::Overflow,
+    ),
 ];
 
 /// Malformed `.part` files: `(name, contents)`. Each must be rejected by
@@ -102,10 +150,9 @@ mod tests {
             let ok = match expected {
                 ExpectedError::Parse => matches!(err, McgpError::Parse { .. }),
                 ExpectedError::Overflow => matches!(err, McgpError::Overflow { .. }),
-                ExpectedError::Structure => matches!(
-                    err,
-                    McgpError::Malformed(_) | McgpError::NotUndirected(_)
-                ),
+                ExpectedError::Structure => {
+                    matches!(err, McgpError::Malformed(_) | McgpError::NotUndirected(_))
+                }
             };
             assert!(ok, "corpus `{name}`: expected {expected:?}, got {err:?}");
             // Every diagnostic renders to something readable.

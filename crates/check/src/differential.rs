@@ -180,7 +180,9 @@ pub fn differential_case(
     // task tree (threads 1/2/8 on the default grids) under the same
     // envelopes.
     let serial_cfg = {
-        let mut c = PartitionConfig::default().with_seed(seed).with_threads(nprocs);
+        let mut c = PartitionConfig::default()
+            .with_seed(seed)
+            .with_threads(nprocs);
         c.check = CheckLevel::Full;
         c
     };

@@ -143,8 +143,7 @@ fn mutate(text: &str, idx: usize, rng: &mut Rng) -> String {
         "flip fmt digit" => {
             let mut out: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
             if let Some(h) = out.first_mut() {
-                let mut toks: Vec<String> =
-                    h.split_whitespace().map(|t| t.to_string()).collect();
+                let mut toks: Vec<String> = h.split_whitespace().map(|t| t.to_string()).collect();
                 if toks.len() >= 3 {
                     let digit = rng.gen_range(0usize..3);
                     let mut fmt: Vec<u8> = format!("{:0>3}", toks[2]).into_bytes();
@@ -232,7 +231,11 @@ pub fn fuzz_graph_case(seed: u64) -> FuzzCase {
     let case = run_case(seed, MUTATIONS[idx], || read_metis(mutated.as_bytes()));
     if MUTATIONS[idx] == "control(no corruption)" {
         // The uncorrupted render must round-trip.
-        debug_assert!(case.accepted || case.panicked, "control case rejected: {}", case.detail);
+        debug_assert!(
+            case.accepted || case.panicked,
+            "control case rejected: {}",
+            case.detail
+        );
     }
     case
 }
@@ -248,7 +251,9 @@ pub fn fuzz_partition_case(seed: u64) -> FuzzCase {
     let idx = rng.gen_range(0usize..MUTATIONS.len());
     let mutation = MUTATIONS[idx];
     let mutated = mutate(&text, idx, &mut rng);
-    run_case(seed, mutation, || read_partition_bounded(mutated.as_bytes(), k))
+    run_case(seed, mutation, || {
+        read_partition_bounded(mutated.as_bytes(), k)
+    })
 }
 
 /// The JSON-CSR corruptions the fuzzer draws from.
@@ -305,7 +310,10 @@ impl JsonCsr {
     }
 
     fn render(fields: &[(&str, String)]) -> String {
-        let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+        let body: Vec<String> = fields
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
         format!("{{{}}}", body.join(", "))
     }
 
@@ -395,7 +403,11 @@ pub fn fuzz_json_case(seed: u64) -> FuzzCase {
     let text = mutate_json(csr, idx, &mut rng);
     let case = run_case(seed, JSON_MUTATIONS[idx], || graph_from_json(&text));
     if idx == 0 {
-        debug_assert!(case.accepted || case.panicked, "control case rejected: {}", case.detail);
+        debug_assert!(
+            case.accepted || case.panicked,
+            "control case rejected: {}",
+            case.detail
+        );
     }
     case
 }
@@ -449,9 +461,16 @@ mod tests {
         for seed in 0..400u64 {
             let case = fuzz_json_case(seed);
             assert!(!case.panicked, "seed {seed}: {}", case.detail);
-            let idx = JSON_MUTATIONS.iter().position(|&m| m == case.mutation).unwrap();
+            let idx = JSON_MUTATIONS
+                .iter()
+                .position(|&m| m == case.mutation)
+                .unwrap();
             if idx == 0 {
-                assert!(case.accepted, "seed {seed}: control rejected: {}", case.detail);
+                assert!(
+                    case.accepted,
+                    "seed {seed}: control rejected: {}",
+                    case.detail
+                );
             } else if !case.accepted {
                 rejected[idx] += 1;
             }
@@ -475,6 +494,9 @@ mod tests {
         assert_eq!(report.cases, 600);
         // The corruption catalogue must actually bite: a healthy run
         // rejects a substantial share of inputs.
-        assert!(report.rejected > report.cases / 10, "corpus too tame: {report:?}");
+        assert!(
+            report.rejected > report.cases / 10,
+            "corpus too tame: {report:?}"
+        );
     }
 }

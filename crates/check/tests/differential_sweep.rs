@@ -28,9 +28,11 @@ fn serial_and_parallel_agree_within_envelopes_across_sweep() {
     assert!(!records.is_empty(), "sweep produced no cells");
 
     // Both partitioners must be exercised at >= 2 distinct thread counts.
-    let procs: std::collections::BTreeSet<usize> =
-        records.iter().map(|r| r.nprocs).collect();
-    assert!(procs.len() >= 2, "sweep covered only {procs:?} processor counts");
+    let procs: std::collections::BTreeSet<usize> = records.iter().map(|r| r.nprocs).collect();
+    assert!(
+        procs.len() >= 2,
+        "sweep covered only {procs:?} processor counts"
+    );
 
     let failing: Vec<String> = records
         .iter()

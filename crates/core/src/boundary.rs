@@ -723,8 +723,22 @@ mod tests {
         e.rebuild(&g, &assignment, 3);
         assert_eq!((e.vtx[0].cap, e.vtx[1].cap), (0, 0));
         e.commit_move(&g, &mut assignment, 0, 2);
-        assert_eq!(e.conn_of(0), &[PartConn { part: 0, weight: 3, edges: 1 }]);
-        assert_eq!(e.conn_of(1), &[PartConn { part: 2, weight: 3, edges: 1 }]);
+        assert_eq!(
+            e.conn_of(0),
+            &[PartConn {
+                part: 0,
+                weight: 3,
+                edges: 1
+            }]
+        );
+        assert_eq!(
+            e.conn_of(1),
+            &[PartConn {
+                part: 2,
+                weight: 3,
+                edges: 1
+            }]
+        );
         assert_eq!((e.internal(0), e.internal(1)), (0, 2));
         assert!(e.is_boundary(0) && e.is_boundary(1));
         e.validate(&g, &assignment).unwrap();
@@ -845,7 +859,14 @@ mod tests {
         let mut e = BoundaryEngine::new();
         e.rebuild(&g, &assignment, 2);
         assert!(e.is_boundary(0) && e.is_boundary(1));
-        assert_eq!(e.conn_of(0), &[PartConn { part: 1, weight: 0, edges: 1 }]);
+        assert_eq!(
+            e.conn_of(0),
+            &[PartConn {
+                part: 1,
+                weight: 0,
+                edges: 1
+            }]
+        );
         e.commit_move(&g, &mut assignment, 1, 0);
         assert!(!e.is_boundary(0) && !e.is_boundary(1));
         e.validate(&g, &assignment).unwrap();

@@ -23,8 +23,8 @@
 use crate::config::PartitionConfig;
 use crate::pqueue::IndexedMaxHeap;
 use mcgp_graph::Graph;
-use mcgp_runtime::rng::SliceRandom;
 use mcgp_runtime::rng::Rng;
+use mcgp_runtime::rng::SliceRandom;
 
 /// Balance bookkeeping for a (possibly uneven) bisection with target
 /// fractions `(f0, f1)`, `f0 + f1 = 1`.

@@ -212,7 +212,10 @@ impl HierarchySnapshot {
             self.finest_nvtxs,
             "snapshot used with a different graph"
         );
-        assert_eq!(config.seed, self.seed, "snapshot used with a different seed");
+        assert_eq!(
+            config.seed, self.seed,
+            "snapshot used with a different seed"
+        );
         assert!(nparts >= 1, "nparts must be >= 1");
         assert!(graph.nvtxs() >= nparts, "more parts than vertices");
         if nparts == 1 {

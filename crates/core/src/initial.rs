@@ -22,8 +22,8 @@ use crate::config::PartitionConfig;
 use crate::fm2way::{fm_refine_with, FmWorkspace, TwoWayBalance};
 use crate::pqueue::IndexedMaxHeap;
 use mcgp_graph::Graph;
-use mcgp_runtime::rng::SliceRandom;
 use mcgp_runtime::rng::Rng;
+use mcgp_runtime::rng::SliceRandom;
 
 /// Grows side 0 greedily to `fraction` of every constraint. Returns the
 /// side assignment (0 = grown region, 1 = remainder).

@@ -38,7 +38,11 @@ fn bisect(
     let mut ws = FmWorkspace::default();
     for lvl in (0..levels.len()).rev() {
         side = levels[lvl].project(&side);
-        let finer = if lvl == 0 { graph } else { &levels[lvl - 1].graph };
+        let finer = if lvl == 0 {
+            graph
+        } else {
+            &levels[lvl - 1].graph
+        };
         let bal = TwoWayBalance::new(finer, (fraction, 1.0 - fraction), config.imbalance_tol);
         fm_refine_with(finer, &mut side, &bal, config, rng, &mut ws);
     }

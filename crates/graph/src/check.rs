@@ -50,7 +50,9 @@ impl CheckLevel {
     /// The level requested via the `MCGP_CHECK` environment variable, if set
     /// and well-formed.
     pub fn from_env() -> Option<CheckLevel> {
-        std::env::var("MCGP_CHECK").ok().and_then(|v| Self::parse(&v))
+        std::env::var("MCGP_CHECK")
+            .ok()
+            .and_then(|v| Self::parse(&v))
     }
 
     /// The default for partitioner configs: `MCGP_CHECK` when set, otherwise
@@ -226,7 +228,10 @@ pub fn check_projection(cmap: &[u32], fine_nvtxs: usize, coarse_nvtxs: usize) ->
     if cmap.len() != fine_nvtxs {
         return Err(McgpError::invariant(
             "project/cmap-length",
-            format!("cmap has {} entries for {fine_nvtxs} fine vertices", cmap.len()),
+            format!(
+                "cmap has {} entries for {fine_nvtxs} fine vertices",
+                cmap.len()
+            ),
         ));
     }
     if let Some((v, &c)) = cmap
@@ -315,7 +320,7 @@ mod tests {
     #[test]
     fn balance_check_respects_tolerance_and_slack() {
         let g = grid_2d(4, 4); // 16 unit vertices
-        // 8|8 split: perfectly balanced.
+                               // 8|8 split: perfectly balanced.
         let even: Vec<u32> = (0..16).map(|v| (v / 8) as u32).collect();
         assert!(check_balance(&g, &even, 2, 0.05).is_ok());
         // 12|4 split: max 12 vs cap max(1.05*8, 8+1)=9 — violation.

@@ -2,8 +2,8 @@
 //! multi-seed BFS region growing used by the workload synthesiser.
 
 use crate::csr::Graph;
-use mcgp_runtime::rng::SliceRandom;
 use mcgp_runtime::rng::Rng;
+use mcgp_runtime::rng::SliceRandom;
 
 /// Breadth-first order of the component containing `start`.
 pub fn bfs_order(graph: &Graph, start: usize) -> Vec<u32> {

@@ -16,7 +16,10 @@ use mcgp_runtime::rng::Rng;
 /// (`d = 1 - a - b - c`). Kronecker defaults: `a = 0.57, b = c = 0.19`.
 pub fn rmat(scale: u32, edge_factor: usize, a: f64, b: f64, c: f64, seed: u64) -> Graph {
     assert!((1..31).contains(&scale), "scale out of range");
-    assert!(a > 0.0 && b >= 0.0 && c >= 0.0 && a + b + c < 1.0, "bad quadrant probabilities");
+    assert!(
+        a > 0.0 && b >= 0.0 && c >= 0.0 && a + b + c < 1.0,
+        "bad quadrant probabilities"
+    );
     let n = 1usize << scale;
     let mut rng = Rng::seed_from_u64(seed);
     let mut builder = GraphBuilder::new(n);
@@ -38,7 +41,9 @@ pub fn rmat(scale: u32, edge_factor: usize, a: f64, b: f64, c: f64, seed: u64) -
         }
         builder.edge(u, v);
     }
-    builder.build().expect("rmat construction is structurally correct")
+    builder
+        .build()
+        .expect("rmat construction is structurally correct")
 }
 
 /// R-MAT with the standard Graph500 parameters.

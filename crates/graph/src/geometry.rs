@@ -38,9 +38,13 @@ fn recurse(coords: &[[f32; 3]], ids: &mut [u32], nparts: usize, base: u32, out: 
             hi[a] = hi[a].max(c[a]);
         }
     }
-    let axis = (0..3).max_by(|&a, &b| {
-        (hi[a] - lo[a]).partial_cmp(&(hi[b] - lo[b])).unwrap_or(std::cmp::Ordering::Equal)
-    }).unwrap();
+    let axis = (0..3)
+        .max_by(|&a, &b| {
+            (hi[a] - lo[a])
+                .partial_cmp(&(hi[b] - lo[b]))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+        .unwrap();
 
     // Proportional split point for non-power-of-two part counts.
     let left_parts = nparts.div_ceil(2);
@@ -52,7 +56,13 @@ fn recurse(coords: &[[f32; 3]], ids: &mut [u32], nparts: usize, base: u32, out: 
     });
     let (left, right) = ids.split_at_mut(split);
     recurse(coords, left, left_parts, base, out);
-    recurse(coords, right, nparts - left_parts, base + left_parts as u32, out);
+    recurse(
+        coords,
+        right,
+        nparts - left_parts,
+        base + left_parts as u32,
+        out,
+    );
 }
 
 /// Convenience: RCB evaluated against a graph's edge structure (the graph
@@ -121,6 +131,10 @@ mod tests {
         let (g, coords) = mrng_like_with_coords(2_000, 1);
         let q = rcb_quality(&g, &coords, 8);
         assert!(q.edge_cut > 0);
-        assert!(q.max_imbalance < 1.05, "counts split is near-perfect: {}", q.max_imbalance);
+        assert!(
+            q.max_imbalance < 1.05,
+            "counts split is near-perfect: {}",
+            q.max_imbalance
+        );
     }
 }

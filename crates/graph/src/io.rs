@@ -63,7 +63,13 @@ pub fn parse_metis(bytes: &[u8]) -> Result<Graph> {
             (utf8(&bytes[..end])?, true)
         }
     };
-    let at_end = || if truncated { Err(invalid_utf8()) } else { Ok(()) };
+    let at_end = || {
+        if truncated {
+            Err(invalid_utf8())
+        } else {
+            Ok(())
+        }
+    };
     let mut lines = text
         .strip_suffix('\n')
         .unwrap_or(text)
@@ -356,7 +362,10 @@ fn is_space(b: u8) -> bool {
 
 #[inline]
 fn skip_space(bytes: &[u8]) -> &[u8] {
-    let start = bytes.iter().position(|&b| !is_space(b)).unwrap_or(bytes.len());
+    let start = bytes
+        .iter()
+        .position(|&b| !is_space(b))
+        .unwrap_or(bytes.len());
     &bytes[start..]
 }
 
@@ -620,8 +629,7 @@ fn read_partition_impl<R: Read>(reader: R, nparts: Option<usize>) -> Result<Vec<
 pub fn graph_from_json(text: &str) -> Result<Graph> {
     use mcgp_runtime::Json;
 
-    let root = Json::parse(text)
-        .map_err(|e| McgpError::parse(0, format!("invalid JSON: {e}")))?;
+    let root = Json::parse(text).map_err(|e| McgpError::parse(0, format!("invalid JSON: {e}")))?;
     if root.get("xadj").is_none() {
         return Err(McgpError::parse(
             0,
@@ -971,12 +979,30 @@ mod tests {
     #[test]
     fn integer_tokens_parse_like_str_parse() {
         for tok in [
-            "0", "7", "+7", "007", "-0", "-7", "+", "-", "", "+-1", "1a", "12 ",
-            "18446744073709551615", "18446744073709551616",
-            "9223372036854775807", "9223372036854775808",
-            "-9223372036854775808", "-9223372036854775809",
+            "0",
+            "7",
+            "+7",
+            "007",
+            "-0",
+            "-7",
+            "+",
+            "-",
+            "",
+            "+-1",
+            "1a",
+            "12 ",
+            "18446744073709551615",
+            "18446744073709551616",
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775808",
+            "-9223372036854775809",
         ] {
-            assert_eq!(parse_usize(tok.as_bytes()), tok.parse().ok(), "usize `{tok}`");
+            assert_eq!(
+                parse_usize(tok.as_bytes()),
+                tok.parse().ok(),
+                "usize `{tok}`"
+            );
             assert_eq!(parse_i64(tok.as_bytes()), tok.parse().ok(), "i64 `{tok}`");
         }
     }
@@ -984,7 +1010,12 @@ mod tests {
     #[test]
     fn tokens_split_like_split_whitespace() {
         for line in [
-            "", "  ", "1 2", " \t1\x0b2\x0c3\r", "a\u{a0}b\u{3000}c\u{85}d", "\u{2028}x ",
+            "",
+            "  ",
+            "1 2",
+            " \t1\x0b2\x0c3\r",
+            "a\u{a0}b\u{3000}c\u{85}d",
+            "\u{2028}x ",
         ] {
             let got: Vec<&[u8]> = Tokens::new(line).map(|t| t.bytes).collect();
             let want: Vec<&[u8]> = line.split_whitespace().map(str::as_bytes).collect();

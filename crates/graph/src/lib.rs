@@ -53,7 +53,11 @@ pub enum McgpError {
     /// A METIS-format file violated the format specification. `col` is the
     /// 1-based whitespace-token index on the line (0 when the whole line is
     /// at fault).
-    Parse { line: usize, col: usize, msg: String },
+    Parse {
+        line: usize,
+        col: usize,
+        msg: String,
+    },
     /// A pipeline-stage invariant was violated. `invariant` names the
     /// specific catalogued invariant (see DESIGN.md, "Validation &
     /// differential testing"), `detail` locates the offending entity.

@@ -131,7 +131,13 @@ pub struct PartitionQuality {
     pub boundary: usize,
 }
 
-mcgp_runtime::impl_to_json!(PartitionQuality { edge_cut, imbalances, max_imbalance, comm_volume, boundary });
+mcgp_runtime::impl_to_json!(PartitionQuality {
+    edge_cut,
+    imbalances,
+    max_imbalance,
+    comm_volume,
+    boundary
+});
 
 impl PartitionQuality {
     /// A report from its counted parts; the worst imbalance is derived.
@@ -202,7 +208,14 @@ pub struct SubdomainReport {
     pub cut_edges: i64,
 }
 
-mcgp_runtime::impl_to_json!(SubdomainReport { part, vertices, weights, boundary, neighbors, cut_edges });
+mcgp_runtime::impl_to_json!(SubdomainReport {
+    part,
+    vertices,
+    weights,
+    boundary,
+    neighbors,
+    cut_edges
+});
 
 /// Computes the per-subdomain breakdown of a partition.
 pub fn subdomain_reports(graph: &Graph, part: &Partition) -> Vec<SubdomainReport> {

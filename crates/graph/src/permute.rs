@@ -49,9 +49,9 @@ pub fn bandwidth(graph: &Graph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcgp_runtime::rng::Rng;
     use crate::generators::{grid_2d, mrng_like};
     use crate::synthetic;
+    use mcgp_runtime::rng::Rng;
 
     #[test]
     fn identity_permutation_is_identity() {
@@ -105,6 +105,9 @@ mod tests {
         let mut iperm: Vec<u32> = (0..g.nvtxs() as u32).collect();
         iperm.shuffle(&mut Rng::seed_from_u64(1));
         let shuffled = bandwidth(&permute(&g, &iperm));
-        assert!(shuffled > natural, "shuffle should hurt bandwidth: {shuffled} vs {natural}");
+        assert!(
+            shuffled > natural,
+            "shuffle should hurt bandwidth: {shuffled} vs {natural}"
+        );
     }
 }

@@ -24,8 +24,8 @@
 
 use crate::connectivity::bfs_regions;
 use crate::csr::Graph;
-use mcgp_runtime::rng::SliceRandom;
 use mcgp_runtime::rng::Rng;
+use mcgp_runtime::rng::SliceRandom;
 
 /// Number of regions used by Type-1 synthesis in the paper.
 pub const TYPE1_REGIONS: usize = 16;

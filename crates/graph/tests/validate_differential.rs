@@ -42,9 +42,11 @@ fn reference(g: &Csr) -> Result<(), String> {
                         "graph is not undirected: edge ({v},{u}) has no reverse edge"
                     ))
                 }
-                Some((_, back)) if back != w => return Err(format!(
+                Some((_, back)) if back != w => {
+                    return Err(format!(
                     "graph is not undirected: edge ({v},{u}) weight {w} != reverse weight {back}"
-                )),
+                ))
+                }
                 Some(_) => {}
             }
         }

@@ -105,10 +105,7 @@ impl ToJson for GateReport {
             ("tolerance", Json::Float(self.tolerance)),
             ("noise_floor_s", Json::Float(self.noise_floor_s)),
             ("compared", Json::UInt(self.checks.len() as u64)),
-            (
-                "regressed",
-                Json::UInt(self.regressions().count() as u64),
-            ),
+            ("regressed", Json::UInt(self.regressions().count() as u64)),
             (
                 "checks",
                 Json::Arr(
@@ -217,10 +214,7 @@ impl ToJson for ThreadsWinReport {
             ),
             ("tolerance", Json::Float(self.tolerance)),
             ("compared", Json::UInt(self.checks.len() as u64)),
-            (
-                "regressed",
-                Json::UInt(self.regressions().count() as u64),
-            ),
+            ("regressed", Json::UInt(self.regressions().count() as u64)),
             (
                 "checks",
                 Json::Arr(
@@ -356,10 +350,7 @@ impl ToJson for RpsWinReport {
                 Json::Str(if self.passed() { "pass" } else { "fail" }.into()),
             ),
             ("compared", Json::UInt(self.checks.len() as u64)),
-            (
-                "regressed",
-                Json::UInt(self.regressions().count() as u64),
-            ),
+            ("regressed", Json::UInt(self.regressions().count() as u64)),
             (
                 "checks",
                 Json::Arr(
@@ -459,7 +450,10 @@ pub fn parse_bench_file(text: &str, label: &str) -> Result<BTreeMap<String, Benc
             ));
         }
         let samples = samples as u64;
-        let rps = json.get("rps").and_then(|v| v.as_f64()).filter(|v| *v > 0.0);
+        let rps = json
+            .get("rps")
+            .and_then(|v| v.as_f64())
+            .filter(|v| *v > 0.0);
         if rows
             .insert(
                 name.clone(),
@@ -621,9 +615,14 @@ mod tests {
     fn parser_rejects_garbage_and_duplicates() {
         assert!(parse_bench_file("", "t").is_err(), "empty file");
         assert!(parse_bench_file("not json", "t").is_err());
-        assert!(parse_bench_file("{\"bench\":\"a\"}", "t").is_err(), "missing fields");
+        assert!(
+            parse_bench_file("{\"bench\":\"a\"}", "t").is_err(),
+            "missing fields"
+        );
         let dup = file(&[("a", 0.1, None), ("a", 0.2, None)]);
-        assert!(parse_bench_file(&dup, "t").unwrap_err().contains("duplicate"));
+        assert!(parse_bench_file(&dup, "t")
+            .unwrap_err()
+            .contains("duplicate"));
         // Blank lines are fine.
         let ok = format!("\n{}\n\n", file(&[("a", 0.1, None)]));
         assert_eq!(parse_bench_file(&ok, "t").unwrap().len(), 1);
@@ -735,17 +734,17 @@ mod tests {
             ("full/total", 0.1, None),
         ]);
         assert_eq!(
-            threads_win(&rows, &tw_config(&["full/"])).unwrap().checks.len(),
+            threads_win(&rows, &tw_config(&["full/"]))
+                .unwrap()
+                .checks
+                .len(),
             1
         );
     }
 
     #[test]
     fn rps_win_holds_the_ratio_within_one_report() {
-        let rows = parse(&[
-            ("ka", 0.001, Some(500.0)),
-            ("pc", 0.005, Some(200.0)),
-        ]);
+        let rows = parse(&[("ka", 0.001, Some(500.0)), ("pc", 0.005, Some(200.0))]);
         let pair = |min_ratio| {
             vec![RpsWinPair {
                 fast: "ka".into(),

@@ -481,8 +481,8 @@ fn run_partition(opts: &Opts) {
     let profiler = profile_file
         .as_ref()
         .map(|_| mcgp_runtime::profile::Profiler::start(profile_hz));
-    let ((assignment, quality), report) = mcgp_runtime::phase::PhaseReport::capture(|| {
-        match parallel {
+    let ((assignment, quality), report) =
+        mcgp_runtime::phase::PhaseReport::capture(|| match parallel {
             Some(p) => {
                 let mut pcfg = mcgp_parallel::ParallelConfig::new(p);
                 pcfg.serial = cfg;
@@ -497,8 +497,7 @@ fn run_partition(opts: &Opts) {
                 let r = mcgp_core::partition_kway(&graph, k, &cfg);
                 (r.partition.into_assignment(), r.quality)
             }
-        }
-    });
+        });
     println!(
         "edge-cut {}  max-imbalance {:.4}  comm-volume {}",
         quality.edge_cut, quality.max_imbalance, quality.comm_volume
@@ -673,7 +672,10 @@ fn run_bench_gate(opts: &Opts) {
         die(usage);
     }
     if config.tolerance < 1.0 || !config.tolerance.is_finite() {
-        die(format!("--tolerance must be a finite ratio >= 1, got {}", config.tolerance));
+        die(format!(
+            "--tolerance must be a finite ratio >= 1, got {}",
+            config.tolerance
+        ));
     }
     if tw_config.tolerance < 1.0 || !tw_config.tolerance.is_finite() {
         die(format!(
@@ -789,7 +791,10 @@ fn run_bench_gate(opts: &Opts) {
             );
         }
         if rw.passed() {
-            eprintln!("bench-gate: rps-win pass — {} pair(s) held their ratio", rw.checks.len());
+            eprintln!(
+                "bench-gate: rps-win pass — {} pair(s) held their ratio",
+                rw.checks.len()
+            );
         } else {
             eprintln!(
                 "bench-gate: rps-win FAIL — {} of {} pair(s) below their minimum ratio",
@@ -828,7 +833,9 @@ fn parse_rps_win_pair(spec: &str) -> Result<mcgp_harness::bench_gate::RpsWinPair
     }
     let min_ratio: f64 = ratio.parse().map_err(|_| bad())?;
     if !min_ratio.is_finite() || min_ratio < 1.0 {
-        return Err(format!("--rps-win: minimum ratio must be a finite value >= 1, got `{ratio}`"));
+        return Err(format!(
+            "--rps-win: minimum ratio must be a finite value >= 1, got `{ratio}`"
+        ));
     }
     Ok(mcgp_harness::bench_gate::RpsWinPair {
         fast: fast.to_string(),
@@ -888,7 +895,9 @@ fn run_check(opts: &Opts) {
     );
     let Some(pfile) = pfile else { return };
     let Some(k) = k else {
-        die(format!("`mcgp check` needs <k> alongside <file.part>\n{usage}"))
+        die(format!(
+            "`mcgp check` needs <k> alongside <file.part>\n{usage}"
+        ))
     };
     let assignment = std::fs::File::open(&pfile)
         .map_err(mcgp_graph::McgpError::Io)
@@ -981,7 +990,11 @@ fn run_verify(opts: &Opts) {
         );
         std::process::exit(1);
     }
-    let nparts = assignment.iter().copied().max().map_or(1, |m| m as usize + 1);
+    let nparts = assignment
+        .iter()
+        .copied()
+        .max()
+        .map_or(1, |m| m as usize + 1);
     let part = mcgp_graph::Partition::new(nparts, assignment).unwrap_or_else(|e| {
         eprintln!("invalid partition: {e}");
         std::process::exit(1);
@@ -1017,7 +1030,10 @@ fn run_serve(opts: &Opts) {
     let mut config = mcgp_serve::ServeConfig::default();
     // Requests that do not pin `threads=` inherit the daemon default:
     // --threads wins, then the MCGP_THREADS environment, then serial.
-    if let Some(n) = std::env::var("MCGP_THREADS").ok().and_then(|v| v.trim().parse().ok()) {
+    if let Some(n) = std::env::var("MCGP_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+    {
         config.default_threads = n;
     }
     let mut port_file: Option<String> = None;
@@ -1068,7 +1084,9 @@ fn run_serve(opts: &Opts) {
         eprintln!("mcgp serve: bind failed: {e}");
         std::process::exit(1);
     });
-    let addr = server.local_addr().unwrap_or_else(|e| die(format!("local_addr: {e}")));
+    let addr = server
+        .local_addr()
+        .unwrap_or_else(|e| die(format!("local_addr: {e}")));
     if let Some(path) = &port_file {
         std::fs::write(path, addr.to_string()).unwrap_or_else(|e| {
             eprintln!("mcgp serve: cannot write --port-file {path}: {e}");
@@ -1100,7 +1118,8 @@ fn run_serve(opts: &Opts) {
 /// then the body — eliding bulky `part` lines unless `--full` is given.
 /// Exits 0 on a 2xx status, 1 otherwise.
 fn run_serve_request(opts: &Opts) {
-    let usage = "usage: mcgp serve-request --addr <host:port> (--get <path> | <file.graph|gen:...> <k>) \
+    let usage =
+        "usage: mcgp serve-request --addr <host:port> (--get <path> | <file.graph|gen:...> <k>) \
                  [--seed <s>] [--tol <t>] [--threads <t>] [--repeat <n>] [--json] [--full]";
     let mut addr: Option<String> = None;
     let mut get_path: Option<String> = None;
@@ -1138,7 +1157,9 @@ fn run_serve_request(opts: &Opts) {
     if let Some(path) = get_path {
         (method, target, headers, body) = ("GET", path, Vec::new(), Vec::new());
     } else {
-        let (Some(file), Some(k)) = (file, k) else { die(usage) };
+        let (Some(file), Some(k)) = (file, k) else {
+            die(usage)
+        };
         let graph = load_graph(&file, seed);
         // Leave `threads=` off the wire unless pinned, so the daemon's
         // --threads / MCGP_THREADS default applies.
@@ -1149,32 +1170,51 @@ fn run_serve_request(opts: &Opts) {
                 (
                     "xadj",
                     mcgp_runtime::json::Json::Arr(
-                        graph.xadj().iter().map(|&x| mcgp_runtime::json::Json::UInt(x as u64)).collect(),
+                        graph
+                            .xadj()
+                            .iter()
+                            .map(|&x| mcgp_runtime::json::Json::UInt(x as u64))
+                            .collect(),
                     ),
                 ),
                 (
                     "adjncy",
                     mcgp_runtime::json::Json::Arr(
-                        graph.adjncy().iter().map(|&x| mcgp_runtime::json::Json::UInt(x as u64)).collect(),
+                        graph
+                            .adjncy()
+                            .iter()
+                            .map(|&x| mcgp_runtime::json::Json::UInt(x as u64))
+                            .collect(),
                     ),
                 ),
                 (
                     "adjwgt",
                     mcgp_runtime::json::Json::Arr(
-                        graph.adjwgt().iter().map(|&x| mcgp_runtime::json::Json::Int(x)).collect(),
+                        graph
+                            .adjwgt()
+                            .iter()
+                            .map(|&x| mcgp_runtime::json::Json::Int(x))
+                            .collect(),
                     ),
                 ),
                 (
                     "vwgt",
                     mcgp_runtime::json::Json::Arr(
-                        graph.vwgt_flat().iter().map(|&x| mcgp_runtime::json::Json::Int(x)).collect(),
+                        graph
+                            .vwgt_flat()
+                            .iter()
+                            .map(|&x| mcgp_runtime::json::Json::Int(x))
+                            .collect(),
                     ),
                 ),
                 ("ncon", mcgp_runtime::json::Json::UInt(graph.ncon() as u64)),
             ])
             .to_string()
             .into_bytes();
-            (doc, vec![("Content-Type".to_string(), "application/json".to_string())])
+            (
+                doc,
+                vec![("Content-Type".to_string(), "application/json".to_string())],
+            )
         } else {
             let mut body = Vec::new();
             mcgp_graph::io::write_metis(&graph, &mut body).unwrap_or_else(|e| {
@@ -1185,8 +1225,10 @@ fn run_serve_request(opts: &Opts) {
         };
         (method, target, headers, body) = ("POST", url, post_headers, post_body);
     }
-    let header_refs: Vec<(&str, &str)> =
-        headers.iter().map(|(n, v)| (n.as_str(), v.as_str())).collect();
+    let header_refs: Vec<(&str, &str)> = headers
+        .iter()
+        .map(|(n, v)| (n.as_str(), v.as_str()))
+        .collect();
     fn fail(addr: &str, e: impl std::fmt::Display) -> ! {
         eprintln!("request to {addr} failed: {e}");
         std::process::exit(1);
@@ -1263,7 +1305,9 @@ fn run_bench(opts: &Opts) {
             "--cold-every" => cfg.cold_every = parse_value(flag_value(&mut it, a, usage), a),
             "--workers" => cfg.workers = parse_value(flag_value(&mut it, a, usage), a),
             "--small-scale" => cfg.small_scale = parse_value(flag_value(&mut it, a, usage), a),
-            "--small-requests" => cfg.small_requests = parse_value(flag_value(&mut it, a, usage), a),
+            "--small-requests" => {
+                cfg.small_requests = parse_value(flag_value(&mut it, a, usage), a)
+            }
             "--profile" => profile_file = Some(flag_value(&mut it, a, usage).to_string()),
             "--profile-hz" => profile_hz = parse_value(flag_value(&mut it, a, usage), a),
             other if which.is_none() => which = Some(other.to_string()),
@@ -1272,7 +1316,9 @@ fn run_bench(opts: &Opts) {
     }
     match which.as_deref() {
         Some("serve") => {}
-        Some(other) => die(format!("unknown bench target `{other}` (only `serve`)\n{usage}")),
+        Some(other) => die(format!(
+            "unknown bench target `{other}` (only `serve`)\n{usage}"
+        )),
         None => die(usage),
     }
     // One OS thread per client and per daemon worker.

@@ -36,7 +36,14 @@ pub struct SliceAblationRow {
     pub slice_disallowed: usize,
 }
 
-mcgp_runtime::impl_to_json!(SliceAblationRow { graph, label, nprocs, reservation_ratio, slice_ratio, slice_disallowed });
+mcgp_runtime::impl_to_json!(SliceAblationRow {
+    graph,
+    label,
+    nprocs,
+    reservation_ratio,
+    slice_ratio,
+    slice_disallowed
+});
 
 /// Runs the A1 grid.
 pub fn slice_ablation(
@@ -125,7 +132,11 @@ pub struct ImbalanceRow {
     pub cut_ratio: f64,
 }
 
-mcgp_runtime::impl_to_json!(ImbalanceRow { injected, final_imbalance, cut_ratio });
+mcgp_runtime::impl_to_json!(ImbalanceRow {
+    injected,
+    final_imbalance,
+    cut_ratio
+});
 
 /// A2: corrupt a good k-way partitioning to a target imbalance, then let
 /// the parallel refinement machinery (reservation refinement plus the
@@ -229,7 +240,11 @@ pub struct ConstraintRow {
     pub balance: f64,
 }
 
-mcgp_runtime::impl_to_json!(ConstraintRow { ncon, cut_ratio, balance });
+mcgp_runtime::impl_to_json!(ConstraintRow {
+    ncon,
+    cut_ratio,
+    balance
+});
 
 /// A3: serial multi-constraint quality for m = 1..=max_ncon (Type-1
 /// weights) at fixed k.
@@ -296,7 +311,10 @@ mod tests {
             rows[1].cut_ratio > rows[0].cut_ratio,
             "recovery cost did not grow: {rows:?}"
         );
-        assert!(rows[0].final_imbalance < 1.15, "balanced start drifted: {rows:?}");
+        assert!(
+            rows[0].final_imbalance < 1.15,
+            "balanced start drifted: {rows:?}"
+        );
         assert!(imbalance_text(&rows).contains("injected"));
     }
 

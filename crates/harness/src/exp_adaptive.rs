@@ -28,7 +28,13 @@ pub struct AdaptiveRow {
     pub moved: usize,
 }
 
-mcgp_runtime::impl_to_json!(AdaptiveRow { method, step, cut, balance, moved });
+mcgp_runtime::impl_to_json!(AdaptiveRow {
+    method,
+    step,
+    cut,
+    balance,
+    moved
+});
 
 /// Runs the adaptive comparison on `mesh` over `steps` steps.
 pub fn adaptive_comparison(
@@ -88,9 +94,8 @@ mod tests {
         let mesh = mrng_like(2_000, 1);
         let rows = adaptive_comparison(&mesh, 8, 4, 3);
         assert_eq!(rows.len(), 6); // 2 methods x 3 repartitioned steps
-        let moved = |m: &str| -> usize {
-            rows.iter().filter(|r| r.method == m).map(|r| r.moved).sum()
-        };
+        let moved =
+            |m: &str| -> usize { rows.iter().filter(|r| r.method == m).map(|r| r.moved).sum() };
         assert!(
             moved("Refine") <= moved("ScratchRemap"),
             "refine should migrate no more than scratch-remap: {} vs {}",

@@ -22,7 +22,13 @@ pub struct Table1Row {
     pub paper_nedges: usize,
 }
 
-mcgp_runtime::impl_to_json!(Table1Row { graph, nvtxs, nedges, paper_nvtxs, paper_nedges });
+mcgp_runtime::impl_to_json!(Table1Row {
+    graph,
+    nvtxs,
+    nedges,
+    paper_nvtxs,
+    paper_nedges
+});
 
 /// Regenerates Table 1 for the given suite.
 pub fn table1(suite: &[SuiteGraph]) -> Vec<Table1Row> {
@@ -90,7 +96,18 @@ pub struct QualityRow {
     pub levels_serial: f64,
 }
 
-mcgp_runtime::impl_to_json!(QualityRow { graph, label, nprocs, serial_cut, parallel_cut, ratio, balance, serial_balance, levels_parallel, levels_serial });
+mcgp_runtime::impl_to_json!(QualityRow {
+    graph,
+    label,
+    nprocs,
+    serial_cut,
+    parallel_cut,
+    ratio,
+    balance,
+    serial_balance,
+    levels_parallel,
+    levels_serial
+});
 
 /// Runs the Figures 3–5 grid: every suite graph × the workload grid ×
 /// `procs`, averaged over `seeds` (the paper used three seeds).

@@ -136,7 +136,15 @@ pub struct ScalingCell {
     pub comm_bytes: u64,
 }
 
-mcgp_runtime::impl_to_json!(ScalingCell { graph, nprocs, ncon, time_s, efficiency, wall_s, comm_bytes });
+mcgp_runtime::impl_to_json!(ScalingCell {
+    graph,
+    nprocs,
+    ncon,
+    time_s,
+    efficiency,
+    wall_s,
+    comm_bytes
+});
 
 /// Runs the Table 3 grid: `ncon`-constraint Type-1 problems on the given
 /// suite graphs over `procs`, computing relative efficiencies per graph.
@@ -257,7 +265,12 @@ pub struct IsoRow {
     pub eff_large: f64,
 }
 
-mcgp_runtime::impl_to_json!(IsoRow { small, large, eff_small, eff_large });
+mcgp_runtime::impl_to_json!(IsoRow {
+    small,
+    large,
+    eff_small,
+    eff_large
+});
 
 /// Extracts the paper's isoefficiency checks from Table-3 cells: pairs
 /// (mrng2 @ p, mrng3 @ 2p) for p ∈ {16, 32, 64}.

@@ -108,7 +108,10 @@ fn partition_rejects_bad_part_and_processor_counts() {
     for (args, needle) in [
         (&["gen:grid:3x3", "0"][..], "got 0"),
         (&["gen:grid:3x3", "20"][..], "got 20"),
-        (&["gen:grid:3x3", "4", "--parallel", "0"][..], "--parallel must be at least 1"),
+        (
+            &["gen:grid:3x3", "4", "--parallel", "0"][..],
+            "--parallel must be at least 1",
+        ),
     ] {
         let out = mcgp()
             .arg("partition")
@@ -202,7 +205,11 @@ fn partition_holds_threads_to_the_daemon_range() {
         .arg(&ppath)
         .output()
         .expect("run mcgp partition");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]
@@ -212,7 +219,13 @@ fn tol_outside_the_daemon_range_is_a_usage_error() {
     let commands: [&[&str]; 3] = [
         &["partition", "gen:grid:32x32", "8"],
         &["check", "gen:grid:32x32"],
-        &["serve-request", "--addr", "127.0.0.1:9", "gen:grid:32x32", "8"],
+        &[
+            "serve-request",
+            "--addr",
+            "127.0.0.1:9",
+            "gen:grid:32x32",
+            "8",
+        ],
     ];
     for args in commands {
         for bad in ["-2", "nan", "inf", "-inf", "0", "10"] {
@@ -273,9 +286,14 @@ fn exit_within_deadline(mut cmd: Command, what: &str) -> (Option<i32>, String) {
 
 #[test]
 fn serve_rejects_out_of_range_default_threads_at_startup() {
-    for (flag, env) in [(Some("0"), None), (Some("257"), None), (None, Some("100000000"))] {
+    for (flag, env) in [
+        (Some("0"), None),
+        (Some("257"), None),
+        (None, Some("100000000")),
+    ] {
         let mut cmd = mcgp();
-        cmd.args(["serve", "--addr", "127.0.0.1:0"]).env_remove("MCGP_THREADS");
+        cmd.args(["serve", "--addr", "127.0.0.1:0"])
+            .env_remove("MCGP_THREADS");
         if let Some(t) = flag {
             cmd.args(["--threads", t]);
         }
@@ -332,7 +350,11 @@ fn verify_subcommand_reports_quality() {
         .args(["verify", gpath.to_str().unwrap(), ppath.to_str().unwrap()])
         .output()
         .expect("run mcgp verify");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("edge-cut 10"), "{stdout}");
     assert!(stdout.contains("imbalance 1.0000"), "{stdout}");
@@ -349,7 +371,12 @@ fn verify_detailed_prints_subdomain_rows() {
     let assignment: Vec<u32> = (0..64).map(|v| (v / 32) as u32).collect();
     mcgp_graph::io::write_partition(&assignment, std::fs::File::create(&ppath).unwrap()).unwrap();
     let out = mcgp()
-        .args(["verify", gpath.to_str().unwrap(), ppath.to_str().unwrap(), "--detailed"])
+        .args([
+            "verify",
+            gpath.to_str().unwrap(),
+            ppath.to_str().unwrap(),
+            "--detailed",
+        ])
         .output()
         .expect("run mcgp verify --detailed");
     assert!(out.status.success());
@@ -647,7 +674,12 @@ fn check_rejects_corrupt_partition_with_line_context() {
     // Vertex 6's id is >= k: the diagnostic must name line 6.
     std::fs::write(&ppath, "0\n1\n0\n1\n0\n9\n0\n1\n0\n1\n0\n1\n0\n1\n0\n1\n").unwrap();
     let out = mcgp()
-        .args(["check", gpath.to_str().unwrap(), ppath.to_str().unwrap(), "2"])
+        .args([
+            "check",
+            gpath.to_str().unwrap(),
+            ppath.to_str().unwrap(),
+            "2",
+        ])
         .output()
         .expect("run mcgp check");
     assert!(!out.status.success());

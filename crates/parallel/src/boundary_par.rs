@@ -257,8 +257,9 @@ mod tests {
         let k = 5u32;
         let d = DistGraph::distribute(&g, p);
         let mut part: Vec<u32> = (0..n).map(|v| (v as u32) % k).collect();
-        let mut pbs: Vec<ProcBoundary> =
-            (0..p).map(|q| ProcBoundary::build(d.local(q), &part)).collect();
+        let mut pbs: Vec<ProcBoundary> = (0..p)
+            .map(|q| ProcBoundary::build(d.local(q), &part))
+            .collect();
         let mut rng = Rng::seed_from_u64(7);
         for _round in 0..30 {
             // A commit round: several distinct vertices change parts at
@@ -297,8 +298,9 @@ mod tests {
         let g = grid_2d(8, 1);
         let d = DistGraph::distribute(&g, 2);
         let mut part = vec![0u32, 0, 0, 0, 1, 1, 1, 1];
-        let mut pbs: Vec<ProcBoundary> =
-            (0..2).map(|q| ProcBoundary::build(d.local(q), &part)).collect();
+        let mut pbs: Vec<ProcBoundary> = (0..2)
+            .map(|q| ProcBoundary::build(d.local(q), &part))
+            .collect();
         let moves = vec![
             Move {
                 v: 3,

@@ -126,7 +126,15 @@ pub struct RunStats {
     pub wall_time_s: f64,
 }
 
-mcgp_runtime::impl_to_json!(RunStats { nprocs, supersteps, comm_bytes, comp_ops, modeled_time_s, modeled_serial_time_s, wall_time_s });
+mcgp_runtime::impl_to_json!(RunStats {
+    nprocs,
+    supersteps,
+    comm_bytes,
+    comp_ops,
+    modeled_time_s,
+    modeled_serial_time_s,
+    wall_time_s
+});
 
 impl RunStats {
     /// Modeled speedup (`serial / parallel`).

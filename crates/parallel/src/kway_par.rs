@@ -203,7 +203,10 @@ impl Coarsening<DistGraph> for Bsp<'_> {
             level.graph.nvtxs(),
         ));
         if self.cfg.serial.check >= CheckLevel::Full {
-            enforce(gcheck::check_graph(&level.graph.gather(), self.cfg.serial.check));
+            enforce(gcheck::check_graph(
+                &level.graph.gather(),
+                self.cfg.serial.check,
+            ));
         }
     }
 }

@@ -18,8 +18,8 @@ use crate::cost::CostTracker;
 use crate::dist::DistGraph;
 use mcgp_core::config::MatchingScheme;
 use mcgp_core::matching::{combined_spread, grant_beats};
-use mcgp_runtime::rng::SliceRandom;
 use mcgp_runtime::rng::Rng;
+use mcgp_runtime::rng::SliceRandom;
 
 /// A global matching over a distributed graph (`mate[g] == g` when
 /// unmatched).
@@ -246,10 +246,14 @@ pub fn parallel_match(
             let mut best: Option<(i64, usize)> = None;
             for (u, w) in lg.edges(lv) {
                 let ug = u as usize;
-                if ug >= lo && ug < hi && !matched[ug] && ug != v
-                    && best.is_none_or(|(bw, _)| w > bw) {
-                        best = Some((w, ug));
-                    }
+                if ug >= lo
+                    && ug < hi
+                    && !matched[ug]
+                    && ug != v
+                    && best.is_none_or(|(bw, _)| w > bw)
+                {
+                    best = Some((w, ug));
+                }
             }
             if let Some((_, u)) = best {
                 mate[v] = u as u32;

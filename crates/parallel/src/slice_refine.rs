@@ -102,11 +102,11 @@ pub fn slice_refine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcgp_runtime::rng::Rng;
     use mcgp_core::balance::part_weights;
     use mcgp_graph::generators::{grid_2d, mrng_like};
     use mcgp_graph::metrics::edge_cut_raw;
     use mcgp_graph::synthetic;
+    use mcgp_runtime::rng::Rng;
 
     #[test]
     fn never_violates_caps() {

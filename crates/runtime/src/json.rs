@@ -182,7 +182,11 @@ pub struct JsonError {
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "JSON parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -403,12 +407,10 @@ impl<'a> Parser<'a> {
                 return Ok(Json::UInt(u));
             }
         }
-        text.parse::<f64>()
-            .map(Json::Float)
-            .map_err(|_| JsonError {
-                offset: start,
-                message: "invalid number".to_string(),
-            })
+        text.parse::<f64>().map(Json::Float).map_err(|_| JsonError {
+            offset: start,
+            message: "invalid number".to_string(),
+        })
     }
 }
 
@@ -572,16 +574,22 @@ mod tests {
 
     #[test]
     fn roundtrips_numbers() {
-        for text in ["0", "-7", "9223372036854775807", "18446744073709551615", "1e3", "-1.25e-2"] {
+        for text in [
+            "0",
+            "-7",
+            "9223372036854775807",
+            "18446744073709551615",
+            "1e3",
+            "-1.25e-2",
+        ] {
             let v = Json::parse(text).unwrap();
             let back = Json::parse(&v.to_string()).unwrap();
-            assert_eq!(
-                v.as_f64().unwrap(),
-                back.as_f64().unwrap(),
-                "{text}"
-            );
+            assert_eq!(v.as_f64().unwrap(), back.as_f64().unwrap(), "{text}");
         }
-        assert_eq!(Json::parse("18446744073709551615").unwrap(), Json::UInt(u64::MAX));
+        assert_eq!(
+            Json::parse("18446744073709551615").unwrap(),
+            Json::UInt(u64::MAX)
+        );
     }
 
     #[test]
@@ -598,7 +606,17 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,", "{\"a\"}", "tru", "\"abc", "1 2", "{\"a\":}", "\"\\u12\""] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "tru",
+            "\"abc",
+            "1 2",
+            "{\"a\":}",
+            "\"\\u12\"",
+        ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
         let e = Json::parse("[1,}").unwrap_err();

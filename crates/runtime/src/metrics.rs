@@ -123,8 +123,8 @@ impl Histogram {
             seen += b;
             if seen >= rank {
                 let rep = match i {
-                    0 => self.min,        // negatives: no lower bound recorded
-                    1 => 0,               // the zero bucket
+                    0 => self.min, // negatives: no lower bound recorded
+                    1 => 0,        // the zero bucket
                     _ => {
                         let k = (i - 2) as u32;
                         // Midpoint of [2^k, 2^(k+1)): 1.5 · 2^k.
@@ -166,7 +166,12 @@ impl ToJson for Histogram {
             ("max", Json::Int(self.max)),
             (
                 "buckets",
-                Json::Arr(self.buckets[..used].iter().map(|&b| Json::UInt(b)).collect()),
+                Json::Arr(
+                    self.buckets[..used]
+                        .iter()
+                        .map(|&b| Json::UInt(b))
+                        .collect(),
+                ),
             ),
         ])
     }
@@ -263,7 +268,11 @@ fn prom_escape_label(v: &str) -> String {
 
 fn prom_value(v: f64) -> String {
     if v.is_infinite() {
-        if v > 0.0 { "+Inf".into() } else { "-Inf".into() }
+        if v > 0.0 {
+            "+Inf".into()
+        } else {
+            "-Inf".into()
+        }
     } else if v.is_nan() {
         "NaN".into()
     } else if v.fract() == 0.0 && v.abs() < 1e15 {
@@ -319,8 +328,11 @@ impl PromWriter {
     /// Writes one gauge sample.
     pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
         self.header(name, help, "gauge");
-        self.out
-            .push_str(&format!("{name}{} {}\n", prom_labels(labels), prom_value(value)));
+        self.out.push_str(&format!(
+            "{name}{} {}\n",
+            prom_labels(labels),
+            prom_value(value)
+        ));
     }
 
     /// Writes one histogram family member: cumulative `_bucket` series
@@ -358,8 +370,11 @@ impl PromWriter {
             prom_labels(labels),
             prom_value(h.sum as f64 * scale)
         ));
-        self.out
-            .push_str(&format!("{name}_count{} {}\n", prom_labels(labels), h.count));
+        self.out.push_str(&format!(
+            "{name}_count{} {}\n",
+            prom_labels(labels),
+            h.count
+        ));
     }
 
     /// The finished document.
@@ -511,7 +526,10 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
             if !valid_metric_name(name) {
                 return Err(format!("line {no}: invalid metric name `{name}`"));
             }
-            if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
+            if !matches!(
+                kind,
+                "counter" | "gauge" | "histogram" | "summary" | "untyped"
+            ) {
                 return Err(format!("line {no}: unknown metric type `{kind}`"));
             }
             if types.insert(name.to_string(), kind.to_string()).is_some() {
@@ -551,11 +569,8 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
             }
             "histogram" => {
                 let st = hists.entry(family.clone()).or_default();
-                let mut base_labels: Vec<(String, String)> = labels
-                    .iter()
-                    .filter(|(k, _)| k != "le")
-                    .cloned()
-                    .collect();
+                let mut base_labels: Vec<(String, String)> =
+                    labels.iter().filter(|(k, _)| k != "le").cloned().collect();
                 base_labels.sort();
                 let key = base_labels
                     .iter()
@@ -612,7 +627,9 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
                 return Err(format!("histogram `{family}`{{{key}}}: no buckets"));
             };
             if !inf_le.is_infinite() {
-                return Err(format!("histogram `{family}`{{{key}}}: missing +Inf bucket"));
+                return Err(format!(
+                    "histogram `{family}`{{{key}}}: missing +Inf bucket"
+                ));
             }
             let count = st
                 .counts
@@ -720,18 +737,37 @@ mod tests {
             h.record(v);
         }
         let mut w = PromWriter::new();
-        w.counter("mcgp_requests_total", "Total requests.", &[("route", "partition")], 10);
-        w.counter("mcgp_requests_total", "Total requests.", &[("route", "metrics")], 4);
+        w.counter(
+            "mcgp_requests_total",
+            "Total requests.",
+            &[("route", "partition")],
+            10,
+        );
+        w.counter(
+            "mcgp_requests_total",
+            "Total requests.",
+            &[("route", "metrics")],
+            4,
+        );
         w.gauge("mcgp_cache_bytes", "Cache size.", &[], 123.0);
         w.gauge("mcgp_hit_ratio", "Hits over lookups.", &[], 0.75);
         w.histogram("mcgp_latency_seconds", "Request latency.", &[], &h, 1e-6);
         let text = w.finish();
         let n = validate_prometheus(&text).expect(&text);
         assert!(n >= 4, "{text}");
-        assert!(text.contains("# TYPE mcgp_latency_seconds histogram"), "{text}");
-        assert!(text.contains("mcgp_latency_seconds_bucket{le=\"+Inf\"} 5"), "{text}");
+        assert!(
+            text.contains("# TYPE mcgp_latency_seconds histogram"),
+            "{text}"
+        );
+        assert!(
+            text.contains("mcgp_latency_seconds_bucket{le=\"+Inf\"} 5"),
+            "{text}"
+        );
         assert!(text.contains("mcgp_latency_seconds_count 5"), "{text}");
-        assert!(text.contains("mcgp_requests_total{route=\"partition\"} 10"), "{text}");
+        assert!(
+            text.contains("mcgp_requests_total{route=\"partition\"} 10"),
+            "{text}"
+        );
         // Headers are emitted once per family even with two label rows.
         assert_eq!(text.matches("# TYPE mcgp_requests_total").count(), 1);
     }
@@ -745,7 +781,9 @@ mod tests {
         assert!(validate_prometheus(neg).is_err());
         // Interleaved families.
         let interleaved = "# TYPE a counter\na 1\n# TYPE b counter\nb 1\na 2\n";
-        assert!(validate_prometheus(interleaved).unwrap_err().contains("contiguous"));
+        assert!(validate_prometheus(interleaved)
+            .unwrap_err()
+            .contains("contiguous"));
         // Histogram without +Inf.
         let no_inf = "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n";
         assert!(validate_prometheus(no_inf).unwrap_err().contains("+Inf"));

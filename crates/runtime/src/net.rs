@@ -322,7 +322,14 @@ impl Conn {
         body: &[u8],
         keep_alive: bool,
     ) -> io::Result<()> {
-        write_response(&mut self.stream, status, content_type, extra, body, keep_alive)
+        write_response(
+            &mut self.stream,
+            status,
+            content_type,
+            extra,
+            body,
+            keep_alive,
+        )
     }
 
     /// Starts a streamed response (chunked under keep-alive,
@@ -438,7 +445,11 @@ fn read_request_buffered(
     for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
         let n = match v.parse::<usize>() {
             Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => n,
-            _ => return Err(NetError::BadRequest(format!("invalid Content-Length `{v}`"))),
+            _ => {
+                return Err(NetError::BadRequest(format!(
+                    "invalid Content-Length `{v}`"
+                )))
+            }
         };
         if content_length.is_some_and(|prev| prev != n) {
             return Err(NetError::BadRequest(
@@ -663,7 +674,12 @@ fn read_response_head(stream: &TcpStream, rb: &mut RecvBuf) -> io::Result<Vec<u8
 }
 
 /// Appends exactly `n` body bytes to `out`.
-fn read_exact_body(stream: &TcpStream, rb: &mut RecvBuf, n: usize, out: &mut Vec<u8>) -> io::Result<()> {
+fn read_exact_body(
+    stream: &TcpStream,
+    rb: &mut RecvBuf,
+    n: usize,
+    out: &mut Vec<u8>,
+) -> io::Result<()> {
     let mut remaining = n;
     while remaining > 0 {
         let avail = rb.unread();
@@ -707,7 +723,8 @@ fn read_crlf_line(stream: &TcpStream, rb: &mut RecvBuf) -> io::Result<String> {
 }
 
 fn parse_response_head(head: &[u8]) -> io::Result<(u16, Vec<(String, String)>)> {
-    let head_text = std::str::from_utf8(head).map_err(|_| invalid_data("non-UTF-8 response head"))?;
+    let head_text =
+        std::str::from_utf8(head).map_err(|_| invalid_data("non-UTF-8 response head"))?;
     let mut lines = head_text.split("\r\n");
     let status_line = lines.next().unwrap_or("");
     let status = status_line
@@ -1011,12 +1028,18 @@ mod tests {
 
     #[test]
     fn keep_alive_follows_version_and_connection_header() {
-        let keep = |bytes: &[u8]| roundtrip(bytes, Limits::default()).unwrap().wants_keep_alive();
+        let keep = |bytes: &[u8]| {
+            roundtrip(bytes, Limits::default())
+                .unwrap()
+                .wants_keep_alive()
+        };
         assert!(keep(b"GET /x HTTP/1.1\r\n\r\n"));
         assert!(!keep(b"GET /x HTTP/1.1\r\nConnection: close\r\n\r\n"));
         assert!(!keep(b"GET /x HTTP/1.0\r\n\r\n"));
         assert!(keep(b"GET /x HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"));
-        assert!(!keep(b"GET /x HTTP/1.1\r\nConnection: close, keep-alive\r\n\r\n"));
+        assert!(!keep(
+            b"GET /x HTTP/1.1\r\nConnection: close, keep-alive\r\n\r\n"
+        ));
     }
 
     #[test]
@@ -1030,7 +1053,10 @@ mod tests {
             b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
         ] {
             assert!(
-                matches!(roundtrip(bad, Limits::default()), Err(NetError::BadRequest(_))),
+                matches!(
+                    roundtrip(bad, Limits::default()),
+                    Err(NetError::BadRequest(_))
+                ),
                 "{:?} should be a bad request",
                 String::from_utf8_lossy(bad)
             );
@@ -1049,7 +1075,10 @@ mod tests {
             b"POST /x HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: +5\r\n\r\nhello",
         ] {
             assert!(
-                matches!(roundtrip(bad, Limits::default()), Err(NetError::BadRequest(_))),
+                matches!(
+                    roundtrip(bad, Limits::default()),
+                    Err(NetError::BadRequest(_))
+                ),
                 "{:?} should be a bad request",
                 String::from_utf8_lossy(bad)
             );
@@ -1072,14 +1101,17 @@ mod tests {
         let big_head = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(100));
         assert!(matches!(
             roundtrip(big_head.as_bytes(), limits),
-            Err(NetError::TooLarge { what: "request head", .. })
+            Err(NetError::TooLarge {
+                what: "request head",
+                ..
+            })
         ));
         assert!(matches!(
-            roundtrip(
-                b"POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\n",
-                limits
-            ),
-            Err(NetError::TooLarge { what: "request body", .. })
+            roundtrip(b"POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\n", limits),
+            Err(NetError::TooLarge {
+                what: "request body",
+                ..
+            })
         ));
     }
 
@@ -1196,8 +1228,10 @@ mod tests {
         );
         let b = conn.read_request(&Limits::default(), None).unwrap();
         assert_eq!((b.path.as_str(), b.body.as_slice()), ("/b", &b"two"[..]));
-        conn.write_response(200, "text/plain", &[], b"ok-a", true).unwrap();
-        conn.write_response(200, "text/plain", &[], b"ok-b", false).unwrap();
+        conn.write_response(200, "text/plain", &[], b"ok-a", true)
+            .unwrap();
+        conn.write_response(200, "text/plain", &[], b"ok-b", false)
+            .unwrap();
         drop(conn);
         let raw = client.join().unwrap();
         let text = String::from_utf8_lossy(&raw);
@@ -1219,12 +1253,15 @@ mod tests {
                 let req = conn.read_request(&Limits::default(), None).unwrap();
                 assert!(req.wants_keep_alive());
                 if i == 0 {
-                    let mut s = conn.begin_stream(200, "application/jsonl", &[], true).unwrap();
+                    let mut s = conn
+                        .begin_stream(200, "application/jsonl", &[], true)
+                        .unwrap();
                     s.write_line("{\"n\":1}").unwrap();
                     s.write_line("{\"n\":2}").unwrap();
                     s.finish().unwrap();
                 } else {
-                    conn.write_response(200, "text/plain", &[], b"again", true).unwrap();
+                    conn.write_response(200, "text/plain", &[], b"again", true)
+                        .unwrap();
                 }
             }
             drop(conn); // server-side close between requests
@@ -1232,7 +1269,8 @@ mod tests {
             accepted += 1;
             let mut conn = Conn::new(stream);
             let _ = conn.read_request(&Limits::default(), None).unwrap();
-            conn.write_response(200, "text/plain", &[], b"fresh", true).unwrap();
+            conn.write_response(200, "text/plain", &[], b"fresh", true)
+                .unwrap();
             accepted
         });
         let mut client = NetClient::new(&addr, Some(Duration::from_secs(5)));

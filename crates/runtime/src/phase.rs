@@ -210,7 +210,11 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         let r = take_local();
-        assert!(r.seconds(Phase::Coarsen) >= 0.004, "{}", r.seconds(Phase::Coarsen));
+        assert!(
+            r.seconds(Phase::Coarsen) >= 0.004,
+            "{}",
+            r.seconds(Phase::Coarsen)
+        );
         assert_eq!(r.seconds(Phase::Refine), 0.0);
     }
 
@@ -259,9 +263,17 @@ mod tests {
         });
         assert_eq!(out, "done");
         assert_eq!(report.counter(Counter::MovesAttempted), 4);
-        assert_eq!(report.counter(Counter::MovesCommitted), 0, "prior tally leaked in");
+        assert_eq!(
+            report.counter(Counter::MovesCommitted),
+            0,
+            "prior tally leaked in"
+        );
         let rest = take_local();
-        assert_eq!(rest.counter(Counter::MovesCommitted), 11, "prior tally lost");
+        assert_eq!(
+            rest.counter(Counter::MovesCommitted),
+            11,
+            "prior tally lost"
+        );
     }
 
     #[test]

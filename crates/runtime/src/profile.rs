@@ -551,10 +551,17 @@ mod tests {
     fn validator_rejects_malformed_documents() {
         assert!(validate_collapsed("a;b notanumber\n").is_err());
         assert!(validate_collapsed("a;b 0\n").is_err());
-        assert!(validate_collapsed("a;;b 3\n").unwrap_err().contains("empty frame"));
+        assert!(validate_collapsed("a;;b 3\n")
+            .unwrap_err()
+            .contains("empty frame"));
         assert!(validate_collapsed(";a 3\n").is_err());
-        assert!(validate_collapsed("b 1\na 1\n").unwrap_err().contains("increasing"));
-        assert!(validate_collapsed("a 1\na 2\n").is_err(), "duplicates rejected");
+        assert!(validate_collapsed("b 1\na 1\n")
+            .unwrap_err()
+            .contains("increasing"));
+        assert!(
+            validate_collapsed("a 1\na 2\n").is_err(),
+            "duplicates rejected"
+        );
         assert!(validate_collapsed("\n").is_err());
         assert_eq!(validate_collapsed("").unwrap(), 0);
     }

@@ -223,7 +223,13 @@ mod tests {
         seed[16] = 3;
         seed[24] = 4;
         let mut rng = Rng::from_seed(seed);
-        let expected: [u64; 5] = [41943041, 58720359, 3588806011781223, 3591011842654386, 9228616714210784205];
+        let expected: [u64; 5] = [
+            41943041,
+            58720359,
+            3588806011781223,
+            3591011842654386,
+            9228616714210784205,
+        ];
         for &e in &expected {
             assert_eq!(rng.next_u64(), e);
         }

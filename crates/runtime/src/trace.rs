@@ -488,7 +488,10 @@ fn check_balance(
 fn finish_balance(stacks: BTreeMap<u64, Vec<String>>) -> Result<(), String> {
     for (tid, stack) in stacks {
         if !stack.is_empty() {
-            return Err(format!("tid {tid}: {} unclosed span(s): {stack:?}", stack.len()));
+            return Err(format!(
+                "tid {tid}: {} unclosed span(s): {stack:?}",
+                stack.len()
+            ));
         }
     }
     Ok(())
@@ -513,10 +516,10 @@ pub fn validate_jsonl(text: &str) -> Result<usize, String> {
             Some(&Json::Int(t)) if t >= 0 => t as u64,
             _ => return Err(format!("line {line_no}: missing/invalid ts_ns")),
         };
-        let tid = v
-            .get("tid")
-            .and_then(|j| j.as_i64())
-            .ok_or_else(|| format!("line {line_no}: missing/invalid tid"))? as u64;
+        let tid =
+            v.get("tid")
+                .and_then(|j| j.as_i64())
+                .ok_or_else(|| format!("line {line_no}: missing/invalid tid"))? as u64;
         let ph = v
             .get("ph")
             .and_then(|j| j.as_str())
@@ -647,10 +650,7 @@ mod tests {
         assert_eq!(events[0].name, "refine_pass");
         assert_eq!(
             events[0].fields,
-            vec![
-                ("level", FieldValue::U64(2)),
-                ("pass", FieldValue::U64(0)),
-            ]
+            vec![("level", FieldValue::U64(2)), ("pass", FieldValue::U64(0)),]
         );
         assert_eq!(events[1].kind, EventKind::Instant);
         assert_eq!(events[1].fields[1].0, "imbalance");

@@ -36,7 +36,11 @@ fn unit_latencies(unit: usize) -> Vec<i64> {
 /// Per-unit span stack and weight for the collapsed-profile artifact.
 fn unit_stack(unit: usize) -> (Vec<&'static str>, u64) {
     const LEAVES: [&str; 4] = ["match", "contract", "fm_pass", "project"];
-    let stack = vec!["partition", ["coarsen", "refine"][unit % 2], LEAVES[unit % 4]];
+    let stack = vec![
+        "partition",
+        ["coarsen", "refine"][unit % 2],
+        LEAVES[unit % 4],
+    ];
     (stack, unit as u64 % 7 + 1)
 }
 
@@ -71,7 +75,10 @@ fn run_workload() -> (WindowedHistogram, CollapsedStacks) {
         }
     }
     // Merging worker histograms and replaying their samples must agree.
-    assert_eq!(format!("{merged_hist:?}"), format!("{:?}", window.lifetime()));
+    assert_eq!(
+        format!("{merged_hist:?}"),
+        format!("{:?}", window.lifetime())
+    );
     (window, folded)
 }
 

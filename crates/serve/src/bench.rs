@@ -105,7 +105,9 @@ impl Sample {
     }
 
     fn overlaps_any(&self, intervals: &[(f64, f64)]) -> bool {
-        intervals.iter().any(|&(a, b)| self.start < b && a < self.end)
+        intervals
+            .iter()
+            .any(|&(a, b)| self.start < b && a < self.end)
     }
 }
 
@@ -124,10 +126,7 @@ fn latency_row(name: &str, samples: &mut [f64], extra: Vec<(String, Json)>) -> S
         ("samples".to_string(), Json::UInt(samples.len() as u64)),
         ("median_s".to_string(), Json::Float(quantile(samples, 0.5))),
         ("min_s".to_string(), Json::Float(samples[0])),
-        (
-            "max_s".to_string(),
-            Json::Float(samples[samples.len() - 1]),
-        ),
+        ("max_s".to_string(), Json::Float(samples[samples.len() - 1])),
         ("p50_s".to_string(), Json::Float(quantile(samples, 0.5))),
         ("p99_s".to_string(), Json::Float(quantile(samples, 0.99))),
     ];
@@ -142,10 +141,7 @@ pub fn run_serve_bench(cfg: &BenchServeConfig, out: &mut dyn Write) -> io::Resul
     assert!(
         cfg.requests >= 2 && cfg.clients >= 1 && cfg.cold_every >= 2 && cfg.small_requests >= 4
     );
-    eprintln!(
-        "bench serve: generating mrng mesh, nvtxs={} ...",
-        cfg.nvtxs
-    );
+    eprintln!("bench serve: generating mrng mesh, nvtxs={} ...", cfg.nvtxs);
     let graph = mrng_like(cfg.nvtxs, 5);
     let mut body = Vec::new();
     write_metis(&graph, &mut body).map_err(|e| io::Error::other(e.to_string()))?;
@@ -212,8 +208,7 @@ pub fn run_serve_bench(cfg: &BenchServeConfig, out: &mut dyn Write) -> io::Resul
                     let resp = match net.request_on("POST", &target, &[], body) {
                         Ok(r) => r,
                         Err(e) => {
-                            *failure.lock().unwrap() =
-                                Some(format!("request {i} failed: {e}"));
+                            *failure.lock().unwrap() = Some(format!("request {i} failed: {e}"));
                             return;
                         }
                     };
@@ -227,10 +222,7 @@ pub fn run_serve_bench(cfg: &BenchServeConfig, out: &mut dyn Write) -> io::Resul
                         ));
                         return;
                     }
-                    let verdict = resp
-                        .header("x-mcgp-cache")
-                        .unwrap_or("miss")
-                        .to_string();
+                    let verdict = resp.header("x-mcgp-cache").unwrap_or("miss").to_string();
                     let digest = lane_hash(&resp.body, &[]);
                     let prior = body_digests.lock().unwrap().insert((k, seed), digest);
                     if let Some(prior) = prior {
@@ -241,7 +233,11 @@ pub fn run_serve_bench(cfg: &BenchServeConfig, out: &mut dyn Write) -> io::Resul
                             return;
                         }
                     }
-                    samples.lock().unwrap().push(Sample { start, end, verdict });
+                    samples.lock().unwrap().push(Sample {
+                        start,
+                        end,
+                        verdict,
+                    });
                     i += cfg.clients;
                 }
             });
@@ -291,18 +287,30 @@ pub fn run_serve_bench(cfg: &BenchServeConfig, out: &mut dyn Write) -> io::Resul
     }
     let mut all: Vec<f64> = samples.iter().map(|s| s.seconds()).collect();
     let label = format!("mrng{}", cfg.nvtxs);
-    writeln!(out, "{}", latency_row(&format!("serve_cold_{label}"), &mut cold, vec![]))?;
+    writeln!(
+        out,
+        "{}",
+        latency_row(&format!("serve_cold_{label}"), &mut cold, vec![])
+    )?;
     if !warm_first.is_empty() {
         writeln!(
             out,
             "{}",
-            latency_row(&format!("serve_warm_first_{label}"), &mut warm_first, vec![])
+            latency_row(
+                &format!("serve_warm_first_{label}"),
+                &mut warm_first,
+                vec![]
+            )
         )?;
     }
     writeln!(
         out,
         "{}",
-        latency_row(&format!("serve_warm_steady_{label}"), &mut warm_steady, vec![])
+        latency_row(
+            &format!("serve_warm_steady_{label}"),
+            &mut warm_steady,
+            vec![]
+        )
     )?;
     writeln!(
         out,
@@ -311,7 +319,10 @@ pub fn run_serve_bench(cfg: &BenchServeConfig, out: &mut dyn Write) -> io::Resul
             &format!("serve_mixed_{label}"),
             &mut all,
             vec![
-                ("rps".to_string(), Json::Float(samples.len() as f64 / wall_s)),
+                (
+                    "rps".to_string(),
+                    Json::Float(samples.len() as f64 / wall_s)
+                ),
                 ("wall_s".to_string(), Json::Float(wall_s)),
                 ("clients".to_string(), Json::UInt(cfg.clients as u64)),
                 ("workers".to_string(), Json::UInt(cfg.workers as u64)),
@@ -399,7 +410,11 @@ fn stage_rows(n: usize, graph: &Graph, body: &[u8]) -> Vec<String> {
     vec![
         latency_row(&format!("stage/fingerprint/{label}"), &mut fp, vec![]),
         latency_row(&format!("stage/measure/{label}_k{k}"), &mut measure, vec![]),
-        latency_row(&format!("stage/part_lines/{label}_k{k}"), &mut lines, vec![]),
+        latency_row(
+            &format!("stage/part_lines/{label}_k{k}"),
+            &mut lines,
+            vec![],
+        ),
     ]
 }
 

@@ -537,11 +537,7 @@ impl HierarchyCache {
                     Slot::Ready(r) if *k != keep => Some((r.priority, r.tick, *k)),
                     _ => None,
                 })
-                .min_by(|a, b| {
-                    a.0.total_cmp(&b.0)
-                        .then(a.1.cmp(&b.1))
-                        .then(a.2.cmp(&b.2))
-                });
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
             match victim {
                 Some((priority, _, k)) => {
                     if let Some(Slot::Ready(r)) = g.map.remove(&k) {
@@ -917,11 +913,13 @@ mod tests {
                 verdict
             }));
         }
-        let verdicts: Vec<CacheVerdict> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let verdicts: Vec<CacheVerdict> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(builds.load(Ordering::SeqCst), 1, "exactly one build");
         assert_eq!(
-            verdicts.iter().filter(|v| **v == CacheVerdict::Miss).count(),
+            verdicts
+                .iter()
+                .filter(|v| **v == CacheVerdict::Miss)
+                .count(),
             1
         );
         // Latecomers that waited report Coalesced, never Hit: they paid a

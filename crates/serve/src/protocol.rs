@@ -46,7 +46,12 @@ impl GraphFormat {
     /// Format selected by a request's `Content-Type` header.
     pub fn from_request(req: &Request) -> GraphFormat {
         match req.header("content-type") {
-            Some(ct) if ct.trim().to_ascii_lowercase().starts_with("application/json") => {
+            Some(ct)
+                if ct
+                    .trim()
+                    .to_ascii_lowercase()
+                    .starts_with("application/json") =>
+            {
                 GraphFormat::Json
             }
             _ => GraphFormat::Metis,
@@ -286,11 +291,9 @@ mod tests {
         let p = PartitionParams::from_request(&req("/partition?k=8", &[]), 1).unwrap();
         assert_eq!((p.nparts, p.seed, p.nthreads), (8, 4242, 1));
         assert!((p.tol - 0.05).abs() < 1e-12);
-        let p = PartitionParams::from_request(
-            &req("/partition?k=4&tol=0.2&seed=7&threads=2", &[]),
-            1,
-        )
-        .unwrap();
+        let p =
+            PartitionParams::from_request(&req("/partition?k=4&tol=0.2&seed=7&threads=2", &[]), 1)
+                .unwrap();
         assert_eq!((p.nparts, p.seed, p.nthreads), (4, 7, 2));
         assert!((p.tol - 0.2).abs() < 1e-12);
     }
@@ -301,8 +304,7 @@ mod tests {
         let p = PartitionParams::from_request(&req("/partition?k=8", &[]), 4).unwrap();
         assert_eq!(p.nthreads, 4);
         // An explicit parameter always wins over the daemon default.
-        let p =
-            PartitionParams::from_request(&req("/partition?k=8&threads=1", &[]), 4).unwrap();
+        let p = PartitionParams::from_request(&req("/partition?k=8&threads=1", &[]), 4).unwrap();
         assert_eq!(p.nthreads, 1);
         // A degenerate configured default of 0 clamps to serial.
         let p = PartitionParams::from_request(&req("/partition?k=8", &[]), 0).unwrap();

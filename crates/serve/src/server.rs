@@ -206,12 +206,7 @@ impl ServeStats {
     }
 
     fn count_threads(&self, nthreads: usize) {
-        *self
-            .by_threads
-            .lock()
-            .unwrap()
-            .entry(nthreads)
-            .or_insert(0) += 1;
+        *self.by_threads.lock().unwrap().entry(nthreads).or_insert(0) += 1;
     }
 
     fn record_error(&self, route: &'static str) {
@@ -468,14 +463,8 @@ fn route(state: &State, conn: &mut Conn, req: Request, t0: Instant, keep: bool) 
             if wants_prom(&req) {
                 let body = metrics_prom(state);
                 state.stats.record_ok("metrics", "ok", None);
-                conn.write_response(
-                    200,
-                    "text/plain; version=0.0.4",
-                    &[],
-                    body.as_bytes(),
-                    keep,
-                )
-                .is_ok()
+                conn.write_response(200, "text/plain; version=0.0.4", &[], body.as_bytes(), keep)
+                    .is_ok()
                     && keep
             } else {
                 let mut body = metrics_json(state).to_string();
@@ -713,7 +702,13 @@ fn handle_partition(state: &State, conn: &mut Conn, req: Request, t0: Instant, k
 fn finish_error(state: &State, conn: &mut Conn, err: &RequestError) -> bool {
     state.stats.record_error("partition");
     let (status, _, _) = err.parts();
-    let _ = conn.write_response(status, "application/json", &[], err.body().as_bytes(), false);
+    let _ = conn.write_response(
+        status,
+        "application/json",
+        &[],
+        err.body().as_bytes(),
+        false,
+    );
     false
 }
 
@@ -974,7 +969,10 @@ fn metrics_prom(state: &State) -> String {
         latency.lifetime(),
         1e-6,
     );
-    for (q, v) in [("0.5", window.quantile(0.5)), ("0.99", window.quantile(0.99))] {
+    for (q, v) in [
+        ("0.5", window.quantile(0.5)),
+        ("0.99", window.quantile(0.99)),
+    ] {
         w.gauge(
             "mcgp_request_latency_window_seconds",
             "Windowed (steady-state) partition latency quantiles.",

@@ -131,11 +131,7 @@ fn encode_graph(out: &mut Vec<u8>, g: &Graph) {
 fn decode_graph(r: &mut Reader<'_>) -> Result<Graph, String> {
     let ncon = r.len("ncon")?;
     let nvtxs = r.len("nvtxs")?;
-    let xadj: Vec<usize> = r
-        .u64s(nvtxs + 1)?
-        .into_iter()
-        .map(|x| x as usize)
-        .collect();
+    let xadj: Vec<usize> = r.u64s(nvtxs + 1)?.into_iter().map(|x| x as usize).collect();
     let adj_len = r.len("adjacency")?;
     let adjncy = r.u32s(adj_len)?;
     let adjwgt = r.i64s(adj_len)?;
@@ -278,7 +274,9 @@ fn validate_and_decode(raw: &[u8], key: u64) -> Result<CachedEntry, String> {
     }
     let fp = u64::from_le_bytes(raw[12..20].try_into().unwrap());
     if fp != key {
-        return Err(format!("fingerprint {fp:016x} does not match key {key:016x}"));
+        return Err(format!(
+            "fingerprint {fp:016x} does not match key {key:016x}"
+        ));
     }
     let cost_us = u64::from_le_bytes(raw[20..28].try_into().unwrap());
     let len = u64::from_le_bytes(raw[28..36].try_into().unwrap());
@@ -303,10 +301,7 @@ mod tests {
     use mcgp_graph::generators::mrng_like;
 
     fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "mcgp-spill-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("mcgp-spill-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir

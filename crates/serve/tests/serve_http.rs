@@ -46,7 +46,15 @@ fn metis_bytes(g: &Graph) -> Vec<u8> {
 }
 
 fn post(addr: &str, target: &str, body: &[u8]) -> ClientResponse {
-    http_request(addr, "POST", target, &[], body, Some(Duration::from_secs(120))).unwrap()
+    http_request(
+        addr,
+        "POST",
+        target,
+        &[],
+        body,
+        Some(Duration::from_secs(120)),
+    )
+    .unwrap()
 }
 
 fn get(addr: &str, target: &str) -> ClientResponse {
@@ -171,13 +179,7 @@ fn json_and_metis_ingest_agree_on_the_same_graph() {
         ),
         (
             "adjwgt",
-            Json::Arr(
-                graph
-                    .adjwgt()
-                    .iter()
-                    .map(|&x| Json::Int(x))
-                    .collect(),
-            ),
+            Json::Arr(graph.adjwgt().iter().map(|&x| Json::Int(x)).collect()),
         ),
         (
             "vwgt",
@@ -218,7 +220,10 @@ fn json_and_metis_ingest_agree_on_the_same_graph() {
 fn json_body_with_many_constraints_and_no_vertex_weights_is_a_400() {
     // A 400 KB body at ncon 255 without `vwgt` used to make the daemon
     // allocate 255 unit weights per vertex (a 64 MiB body: ~65 GB).
-    let body = format!(r#"{{"ncon":255,"xadj":[{}]}}"#, vec!["0"; 200_000].join(","));
+    let body = format!(
+        r#"{{"ncon":255,"xadj":[{}]}}"#,
+        vec!["0"; 200_000].join(",")
+    );
     let (addr, handle, thread) = start_default();
     let resp = http_request(
         &addr,
@@ -270,7 +275,12 @@ fn malformed_corpus_over_the_wire_yields_typed_errors_not_a_dead_daemon() {
     assert_eq!(get(&addr, "/healthz").status, 200);
     let metrics = Json::parse(get(&addr, "/metrics").text().trim()).unwrap();
     assert_eq!(
-        metrics.get("cache").unwrap().get("entries").unwrap().as_i64(),
+        metrics
+            .get("cache")
+            .unwrap()
+            .get("entries")
+            .unwrap()
+            .as_i64(),
         Some(0),
         "malformed inputs must not populate the cache"
     );
@@ -364,7 +374,8 @@ fn slow_client_gets_a_request_timeout() {
     });
     let mut s = std::net::TcpStream::connect(&addr).unwrap();
     // An incomplete head, never finished: the daemon's read times out.
-    s.write_all(b"POST /partition?k=4 HTTP/1.1\r\nContent-Len").unwrap();
+    s.write_all(b"POST /partition?k=4 HTTP/1.1\r\nContent-Len")
+        .unwrap();
     let mut answer = String::new();
     s.read_to_string(&mut answer).unwrap();
     assert!(answer.starts_with("HTTP/1.1 408"), "{answer}");
@@ -422,7 +433,10 @@ fn prom_metrics_validate_and_report_windowed_quantiles() {
         wp50 <= life_max,
         "windowed p50 {wp50} vs lifetime max {life_max}"
     );
-    assert_eq!(json.get("cache").unwrap().get("hits").unwrap().as_i64(), Some(11));
+    assert_eq!(
+        json.get("cache").unwrap().get("hits").unwrap().as_i64(),
+        Some(11)
+    );
     let ratio = json
         .get("cache")
         .unwrap()
@@ -511,12 +525,26 @@ fn profile_endpoint_returns_valid_collapsed_stacks() {
     // to defaults-with-a-tiny-window and the daemon keeps serving.
     for bad in ["nan", "inf"] {
         let target = format!("/profile?seconds={bad}&hz=1500");
-        let prof = http_request(&addr, "GET", &target, &[], b"", Some(Duration::from_secs(30)))
-            .unwrap_or_else(|e| panic!("seconds={bad} hung or died: {e}"));
+        let prof = http_request(
+            &addr,
+            "GET",
+            &target,
+            &[],
+            b"",
+            Some(Duration::from_secs(30)),
+        )
+        .unwrap_or_else(|e| panic!("seconds={bad} hung or died: {e}"));
         assert_eq!(prof.status, 200, "seconds={bad}: {}", prof.text());
     }
-    let alive = http_request(&addr, "GET", "/healthz", &[], b"", Some(Duration::from_secs(5)))
-        .expect("daemon must survive non-finite profile params");
+    let alive = http_request(
+        &addr,
+        "GET",
+        "/healthz",
+        &[],
+        b"",
+        Some(Duration::from_secs(5)),
+    )
+    .expect("daemon must survive non-finite profile params");
     assert_eq!(alive.status, 200);
 
     stop(&handle, thread);
@@ -614,11 +642,9 @@ fn dechunk(mut body: &[u8]) -> Vec<u8> {
             .windows(2)
             .position(|w| w == b"\r\n")
             .expect("chunk size line");
-        let size = usize::from_str_radix(
-            std::str::from_utf8(&body[..line_end]).unwrap().trim(),
-            16,
-        )
-        .expect("hex chunk size");
+        let size =
+            usize::from_str_radix(std::str::from_utf8(&body[..line_end]).unwrap().trim(), 16)
+                .expect("hex chunk size");
         body = &body[line_end + 2..];
         if size == 0 {
             return out;
@@ -712,7 +738,11 @@ fn pipelined_keepalive_requests_are_byte_stable_on_one_socket() {
             "response {i} payload differs from the per-connection reference"
         );
     }
-    assert!(rest.is_empty(), "{} stray bytes after responses", rest.len());
+    assert!(
+        rest.is_empty(),
+        "{} stray bytes after responses",
+        rest.len()
+    );
 
     // The whole burst rode one connection; with the reference request
     // that's 2 accepted sockets for 4 served partitions (the /metrics
@@ -775,7 +805,9 @@ fn net_client_reuse_matches_per_connection_responses() {
 
     let mut net = NetClient::new(&addr, Some(Duration::from_secs(60)));
     for i in 0..4 {
-        let resp = net.request_on("POST", "/partition?k=3", &[], &body).unwrap();
+        let resp = net
+            .request_on("POST", "/partition?k=3", &[], &body)
+            .unwrap();
         assert_eq!(resp.status, 200, "request {i}");
         assert_eq!(resp.header("x-mcgp-cache"), Some("hit"), "request {i}");
         assert_eq!(resp.body, reference.body, "request {i} body differs");
@@ -816,7 +848,10 @@ fn slowloris_second_request_is_reaped_on_the_idle_deadline() {
         assert!(n > 0, "server closed before finishing the first response");
         got.extend_from_slice(&buf[..n]);
     }
-    assert!(got.starts_with(b"HTTP/1.1 200"), "first response must succeed");
+    assert!(
+        got.starts_with(b"HTTP/1.1 200"),
+        "first response must succeed"
+    );
 
     // Drip the second request a few bytes at a time, slower than the idle
     // deadline allows. Re-arming reads must not extend the deadline: the
@@ -878,7 +913,10 @@ fn warm_restart_from_cache_dir_serves_disk_hits_with_zero_coarsening() {
     assert_eq!(warm.status, 200, "{}", warm.text());
     assert_eq!(warm.header("x-mcgp-cache"), Some("disk"));
     assert_eq!(
-        warm.header("x-mcgp-coarsen-us").unwrap().parse::<u64>().unwrap(),
+        warm.header("x-mcgp-coarsen-us")
+            .unwrap()
+            .parse::<u64>()
+            .unwrap(),
         0,
         "a disk reload must not coarsen"
     );

@@ -168,7 +168,10 @@ fn tracing_does_not_perturb_the_partition() {
         serial_off.partition.assignment(),
         serial_on.partition.assignment()
     );
-    assert_eq!(par_off.partition.assignment(), par_on.partition.assignment());
+    assert_eq!(
+        par_off.partition.assignment(),
+        par_on.partition.assignment()
+    );
 }
 
 #[test]

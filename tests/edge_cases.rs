@@ -69,7 +69,11 @@ fn single_heavy_vertex_dominates_a_constraint() {
     let g = mesh.clone().with_vwgt(2, vwgt).unwrap();
     let r = partition_kway(&g, 4, &PartitionConfig::default());
     assert!(r.partition.all_parts_nonempty());
-    assert!(r.quality.imbalances[0] < 1.25, "constraint 0: {:?}", r.quality.imbalances);
+    assert!(
+        r.quality.imbalances[0] < 1.25,
+        "constraint 0: {:?}",
+        r.quality.imbalances
+    );
 }
 
 #[test]
@@ -163,6 +167,14 @@ fn five_constraint_type2_full_pipeline() {
     let g = synthetic::type2(&grid_2d(24, 24), 5, 9);
     let ser = partition_kway(&g, 16, &PartitionConfig::default());
     let par = parallel_partition_kway(&g, 16, &ParallelConfig::new(16));
-    assert!(ser.quality.max_imbalance < 1.25, "serial {}", ser.quality.max_imbalance);
-    assert!(par.quality.max_imbalance < 1.30, "parallel {}", par.quality.max_imbalance);
+    assert!(
+        ser.quality.max_imbalance < 1.25,
+        "serial {}",
+        ser.quality.max_imbalance
+    );
+    assert!(
+        par.quality.max_imbalance < 1.30,
+        "parallel {}",
+        par.quality.max_imbalance
+    );
 }

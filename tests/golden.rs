@@ -33,7 +33,10 @@ fn mesh() -> Graph {
 
 fn check(what: &str, assignment: &[u32], expect: u64) {
     let got = fnv1a64(assignment);
-    assert_eq!(got, expect, "{what}: digest {got:#018x}, expected {expect:#018x}");
+    assert_eq!(
+        got, expect,
+        "{what}: digest {got:#018x}, expected {expect:#018x}"
+    );
 }
 
 /// Thread counts every shared-memory pin is asserted at: a partition is a
@@ -46,7 +49,11 @@ fn kway_serial_and_threaded_outputs_are_pinned() {
     for t in THREADS {
         let cfg = PartitionConfig::default().with_seed(7).with_threads(t);
         let r = partition_kway(&g, 16, &cfg).partition;
-        check(&format!("partition_kway t={t} k=16"), r.assignment(), 0x93d5_f569_8eb3_3a96);
+        check(
+            &format!("partition_kway t={t} k=16"),
+            r.assignment(),
+            0x93d5_f569_8eb3_3a96,
+        );
     }
 }
 
@@ -55,15 +62,27 @@ fn kway_eight_thread_output_is_pinned() {
     let g = mesh();
     let cfg = PartitionConfig::default().with_seed(7).with_threads(8);
     let t8 = partition_kway(&g, 16, &cfg);
-    check("partition_kway t=8 k=16", t8.partition.assignment(), 0x93d5_f569_8eb3_3a96);
+    check(
+        "partition_kway t=8 k=16",
+        t8.partition.assignment(),
+        0x93d5_f569_8eb3_3a96,
+    );
 }
 
 #[test]
 fn rb_output_is_pinned() {
     let g = mesh();
     for t in THREADS {
-        let rb = partition_rb(&g, 6, &PartitionConfig::default().with_seed(7).with_threads(t));
-        check(&format!("partition_rb t={t} k=6"), rb.partition.assignment(), 0x527f_6aa3_84fa_dd82);
+        let rb = partition_rb(
+            &g,
+            6,
+            &PartitionConfig::default().with_seed(7).with_threads(t),
+        );
+        check(
+            &format!("partition_rb t={t} k=6"),
+            rb.partition.assignment(),
+            0x527f_6aa3_84fa_dd82,
+        );
     }
 }
 
@@ -71,7 +90,11 @@ fn rb_output_is_pinned() {
 fn parallel_kway_output_is_pinned() {
     let g = mesh();
     let par = parallel_partition_kway(&g, 16, &ParallelConfig::new(4).with_seed(7));
-    check("parallel_partition_kway p=4 k=16", par.partition.assignment(), 0x4652_36f9_3269_c865);
+    check(
+        "parallel_partition_kway p=4 k=16",
+        par.partition.assignment(),
+        0x4652_36f9_3269_c865,
+    );
 }
 
 #[test]
@@ -81,7 +104,10 @@ fn hierarchy_replay_outputs_are_pinned() {
     let cfg = PartitionConfig::default().with_seed(7);
     let snap = HierarchySnapshot::build(&g, &cfg);
     for t in THREADS {
-        for (k, expect) in [(8usize, 0xd3d2_36ee_b07c_8ab4u64), (37, 0x1169_372e_c783_0328)] {
+        for (k, expect) in [
+            (8usize, 0xd3d2_36ee_b07c_8ab4u64),
+            (37, 0x1169_372e_c783_0328),
+        ] {
             let warm = snap.partition(&g, k, &cfg.with_threads(t));
             let what = format!("HierarchySnapshot::partition t={t} k={k}");
             check(&what, warm.partition.assignment(), expect);
@@ -95,9 +121,16 @@ fn threaded_hierarchy_replay_outputs_are_pinned() {
     let g = mesh();
     let cfg = PartitionConfig::default().with_seed(7).with_threads(2);
     let snap = HierarchySnapshot::build(&g, &cfg);
-    for (k, expect) in [(8usize, 0xd3d2_36ee_b07c_8ab4u64), (37, 0x1169_372e_c783_0328)] {
+    for (k, expect) in [
+        (8usize, 0xd3d2_36ee_b07c_8ab4u64),
+        (37, 0x1169_372e_c783_0328),
+    ] {
         let warm = snap.partition(&g, k, &cfg);
-        check(&format!("HierarchySnapshot::partition t=2 k={k}"), warm.partition.assignment(), expect);
+        check(
+            &format!("HierarchySnapshot::partition t=2 k={k}"),
+            warm.partition.assignment(),
+            expect,
+        );
     }
 }
 
@@ -118,7 +151,11 @@ fn stalled_hierarchy_outputs_are_pinned() {
     for t in THREADS {
         let tcfg = cfg.with_threads(t);
         let cold = partition_kway(&g, 16, &tcfg);
-        check(&format!("partition_kway rmat12 t={t} k=16"), cold.partition.assignment(), expect);
+        check(
+            &format!("partition_kway rmat12 t={t} k=16"),
+            cold.partition.assignment(),
+            expect,
+        );
         let warm = snap.partition(&g, 16, &tcfg);
         let what = format!("HierarchySnapshot::partition rmat12 t={t} k=16");
         check(&what, warm.partition.assignment(), expect);
@@ -138,14 +175,22 @@ fn levelless_outputs_are_pinned() {
         let tcfg = cfg.with_threads(t);
         let cold = partition_kway(&g, 4, &tcfg);
         assert_eq!(cold.coarsen_levels, 0);
-        check(&format!("partition_kway 9x9 t={t} k=4"), cold.partition.assignment(), expect);
+        check(
+            &format!("partition_kway 9x9 t={t} k=4"),
+            cold.partition.assignment(),
+            expect,
+        );
         let warm = snap.partition(&g, 4, &tcfg);
         let what = format!("HierarchySnapshot::partition 9x9 t={t} k=4");
         check(&what, warm.partition.assignment(), expect);
     }
     let par = parallel_partition_kway(&g, 4, &ParallelConfig::new(2).with_seed(7));
     assert_eq!(par.coarsen_levels, 0);
-    check("parallel_partition_kway 9x9 p=2 k=4", par.partition.assignment(), 0x4cc7_363e_0119_fcf7);
+    check(
+        "parallel_partition_kway 9x9 p=2 k=4",
+        par.partition.assignment(),
+        0x4cc7_363e_0119_fcf7,
+    );
 }
 
 #[test]
@@ -154,11 +199,19 @@ fn parallel_kway_variants_are_pinned() {
     let mut slice = ParallelConfig::new(4).with_seed(7);
     slice.refiner = RefinerKind::Slice;
     let r = parallel_partition_kway(&g, 16, &slice);
-    check("parallel_partition_kway slice p=4 k=16", r.partition.assignment(), 0x6cdc_4386_b6d9_9494);
+    check(
+        "parallel_partition_kway slice p=4 k=16",
+        r.partition.assignment(),
+        0x6cdc_4386_b6d9_9494,
+    );
     let mut unfolded = ParallelConfig::new(4).with_seed(7);
     unfolded.fold_threshold = 0;
     let r = parallel_partition_kway(&g, 16, &unfolded);
-    check("parallel_partition_kway unfolded p=4 k=16", r.partition.assignment(), 0x7b6b_7e36_7e1a_3bc3);
+    check(
+        "parallel_partition_kway unfolded p=4 k=16",
+        r.partition.assignment(),
+        0x7b6b_7e36_7e1a_3bc3,
+    );
 }
 
 #[test]
@@ -171,7 +224,11 @@ fn parallel_kway_cost_counters_are_pinned() {
         .iter()
         .flat_map(|&x| [x as u32, (x >> 32) as u32])
         .collect();
-    check("parallel_partition_kway p=4 k=16 RunStats", &words, 0x6834_962a_c3f5_132f);
+    check(
+        "parallel_partition_kway p=4 k=16 RunStats",
+        &words,
+        0x6834_962a_c3f5_132f,
+    );
 }
 
 /// The order-independent BSP cost totals of a run, as digest words.
@@ -189,12 +246,20 @@ fn parallel_kway_variant_cost_counters_are_pinned() {
     slice.refiner = RefinerKind::Slice;
     let s = parallel_partition_kway(&g, 16, &slice).stats;
     let words = cost_words(s.supersteps, s.comm_bytes, s.comp_ops);
-    check("parallel_partition_kway slice p=4 k=16 RunStats", &words, 0x1c0b_d7b8_cde4_31c5);
+    check(
+        "parallel_partition_kway slice p=4 k=16 RunStats",
+        &words,
+        0x1c0b_d7b8_cde4_31c5,
+    );
     let mut unfolded = ParallelConfig::new(4).with_seed(7);
     unfolded.fold_threshold = 0;
     let s = parallel_partition_kway(&g, 16, &unfolded).stats;
     let words = cost_words(s.supersteps, s.comm_bytes, s.comp_ops);
-    check("parallel_partition_kway unfolded p=4 k=16 RunStats", &words, 0x505d_5383_a0a0_1ec6);
+    check(
+        "parallel_partition_kway unfolded p=4 k=16 RunStats",
+        &words,
+        0x505d_5383_a0a0_1ec6,
+    );
 }
 
 #[test]
@@ -230,11 +295,36 @@ fn imbalance_recovery_path_is_pinned() {
     let model = BalanceModel::new(&g, k, 0.05);
     let mut tracker = CostTracker::new();
     for it in 0..4 {
-        parallel_balance(&dist, &mut part, &mut pw, &model, 2 * k, false, seed ^ it, &mut tracker);
-        reservation_refine(&dist, &mut part, &mut pw, &model, 4, seed ^ it, &mut tracker);
+        parallel_balance(
+            &dist,
+            &mut part,
+            &mut pw,
+            &model,
+            2 * k,
+            false,
+            seed ^ it,
+            &mut tracker,
+        );
+        reservation_refine(
+            &dist,
+            &mut part,
+            &mut pw,
+            &model,
+            4,
+            seed ^ it,
+            &mut tracker,
+        );
     }
     assert_eq!(pw, part_weights(&g, &part, k));
     check("A2 recovery p=8 k=16", &part, 0x08ba_7c78_0b17_3d1d);
-    let words = cost_words(tracker.supersteps(), tracker.total_bytes(), tracker.total_comp());
-    check("A2 recovery p=8 k=16 CostTracker", &words, 0x8dc0_af9b_bc85_3f14);
+    let words = cost_words(
+        tracker.supersteps(),
+        tracker.total_bytes(),
+        tracker.total_comp(),
+    );
+    check(
+        "A2 recovery p=8 k=16 CostTracker",
+        &words,
+        0x8dc0_af9b_bc85_3f14,
+    );
 }

@@ -132,8 +132,7 @@ fn projection_preserves_cut_through_full_hierarchy() {
             // Any partition of the coarsest projects to a partition of the
             // finest with EXACTLY the same cut (projection moves no weight
             // across the cut).
-            let coarse_assignment: Vec<u32> =
-                (0..coarsest.nvtxs() as u32).map(|v| v % 3).collect();
+            let coarse_assignment: Vec<u32> = (0..coarsest.nvtxs() as u32).map(|v| v % 3).collect();
             let coarse_cut = edge_cut_raw(coarsest, &coarse_assignment);
             let mut a = coarse_assignment;
             for level in h.iter().rev() {
@@ -294,7 +293,8 @@ fn boundary_cache_equals_recompute_after_arbitrary_moves() {
             use mcgp::core::boundary::BoundaryEngine;
             use mcgp::graph::synthetic;
             let mut rng = Rng::seed_from_u64(seed);
-            let base = random_connected(rng.gen_range(30..250usize), 4.0, rng.gen_range(0..1000u64));
+            let base =
+                random_connected(rng.gen_range(30..250usize), 4.0, rng.gen_range(0..1000u64));
             let ncon = *[1usize, 3, 5].as_slice().choose(&mut rng).unwrap();
             let wseed = rng.gen_range(0..1000u64);
             let g = if rng.gen_range(0..2u32) == 0 {

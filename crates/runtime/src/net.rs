@@ -16,16 +16,14 @@
 //!   slowloris peer dripping one byte per read would otherwise reset a
 //!   per-read timer thousands of times — and expiry surfaces as
 //!   [`NetError::Timeout`].
-//! * **Responses** either carry a `Content-Length` ([`write_response`]) or
-//!   stream ([`ResponseStream`]). A streamed response uses chunked
-//!   transfer coding when the connection stays open and close-delimited
-//!   framing otherwise; in both cases the *payload bytes* are identical
-//!   (the serve determinism contract is over body bytes, and the client
-//!   de-frames before comparing).
+//! * **Responses** carry a `Content-Length` ([`write_response`]): the
+//!   daemon builds every body before it writes the head, so it never
+//!   needs a streamed framing. The serve determinism contract is over
+//!   body bytes, which this one framing leaves untouched.
 //! * **Clients** issue one-shot exchanges ([`http_request`]) or hold a
 //!   persistent connection ([`NetClient`]) so N requests cost one TCP
-//!   handshake, not N. The client de-frames `Content-Length`, chunked,
-//!   and close-delimited bodies identically.
+//!   handshake, not N. A response without `Content-Length` is an
+//!   [`io::ErrorKind::InvalidData`] error, never a read to end of stream.
 //!
 //! Unsupported on purpose: chunked ingest, HTTP/2, TLS. A request using
 //! them gets a clean typed rejection, not a hang.
@@ -331,18 +329,6 @@ impl Conn {
             keep_alive,
         )
     }
-
-    /// Starts a streamed response (chunked under keep-alive,
-    /// close-delimited otherwise).
-    pub fn begin_stream(
-        &mut self,
-        status: u16,
-        content_type: &str,
-        extra: &[(String, String)],
-        keep_alive: bool,
-    ) -> io::Result<ResponseStream<'_>> {
-        ResponseStream::begin(&mut self.stream, status, content_type, extra, keep_alive)
-    }
 }
 
 /// Reads one HTTP/1.1 request from `stream` under `limits`. `timeout`, when
@@ -548,72 +534,6 @@ pub fn write_response(
     stream.flush()
 }
 
-/// A response streamed line by line without buffering the whole body —
-/// how partition responses stream their JSONL. Under keep-alive the body
-/// uses chunked transfer coding (one chunk per line, `0\r\n\r\n`
-/// terminator); on a closing connection it is close-delimited raw bytes.
-/// Either way the de-framed payload is byte-identical, which keeps the
-/// serve determinism contract independent of connection reuse.
-pub struct ResponseStream<'a> {
-    stream: &'a mut TcpStream,
-    chunked: bool,
-}
-
-impl<'a> ResponseStream<'a> {
-    /// Writes the status line and headers; body bytes follow via
-    /// [`ResponseStream::write_line`].
-    pub fn begin(
-        stream: &'a mut TcpStream,
-        status: u16,
-        content_type: &str,
-        extra: &[(String, String)],
-        keep_alive: bool,
-    ) -> io::Result<ResponseStream<'a>> {
-        let mut head = format!(
-            "HTTP/1.1 {status} {}\r\nConnection: {}\r\n",
-            reason_phrase(status),
-            connection_header(keep_alive),
-        );
-        if keep_alive {
-            head.push_str("Transfer-Encoding: chunked\r\n");
-        }
-        head.push_str(&format!("Content-Type: {content_type}\r\n"));
-        for (k, v) in extra {
-            head.push_str(k);
-            head.push_str(": ");
-            head.push_str(v);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        Ok(ResponseStream {
-            stream,
-            chunked: keep_alive,
-        })
-    }
-
-    /// Streams one body line (the newline is appended here, so callers
-    /// hand over exactly one JSONL record at a time).
-    pub fn write_line(&mut self, line: &str) -> io::Result<()> {
-        if self.chunked {
-            write!(self.stream, "{:x}\r\n", line.len() + 1)?;
-            self.stream.write_all(line.as_bytes())?;
-            self.stream.write_all(b"\n\r\n")
-        } else {
-            self.stream.write_all(line.as_bytes())?;
-            self.stream.write_all(b"\n")
-        }
-    }
-
-    /// Terminates the body (final chunk under keep-alive) and flushes.
-    pub fn finish(self) -> io::Result<()> {
-        if self.chunked {
-            self.stream.write_all(b"0\r\n\r\n")?;
-        }
-        self.stream.flush()
-    }
-}
-
 /// A complete client-side view of one HTTP exchange.
 #[derive(Debug)]
 pub struct ClientResponse {
@@ -621,7 +541,7 @@ pub struct ClientResponse {
     pub status: u16,
     /// Response headers, names lower-cased.
     pub headers: Vec<(String, String)>,
-    /// Full response body, de-framed (chunk headers stripped).
+    /// Full response body (the `Content-Length` bytes after the head).
     pub body: Vec<u8>,
 }
 
@@ -700,28 +620,6 @@ fn read_exact_body(
     Ok(())
 }
 
-/// Reads one CRLF-terminated line (returned without the terminator).
-fn read_crlf_line(stream: &TcpStream, rb: &mut RecvBuf) -> io::Result<String> {
-    loop {
-        if let Some(pos) = rb.unread().iter().position(|&b| b == b'\n') {
-            let line = String::from_utf8_lossy(&rb.unread()[..pos])
-                .trim_end_matches('\r')
-                .to_string();
-            rb.consume(pos + 1);
-            return Ok(line);
-        }
-        if rb.unread().len() > MAX_RESPONSE_HEAD {
-            return Err(invalid_data("unterminated chunk header"));
-        }
-        if rb.fill(stream)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-chunk",
-            ));
-        }
-    }
-}
-
 fn parse_response_head(head: &[u8]) -> io::Result<(u16, Vec<(String, String)>)> {
     let head_text =
         std::str::from_utf8(head).map_err(|_| invalid_data("non-UTF-8 response head"))?;
@@ -739,9 +637,10 @@ fn parse_response_head(head: &[u8]) -> io::Result<(u16, Vec<(String, String)>)> 
     Ok((status, headers))
 }
 
-/// Reads one response off the wire, de-framing the body. The second
+/// Reads one `Content-Length`-framed response off the wire. The second
 /// element reports whether the connection may carry another exchange
-/// (false after `Connection: close` or a close-delimited body).
+/// (false after `Connection: close`). A response without a valid
+/// `Content-Length` is [`io::ErrorKind::InvalidData`].
 fn read_response(stream: &TcpStream, rb: &mut RecvBuf) -> io::Result<(ClientResponse, bool)> {
     let head = read_response_head(stream, rb)?;
     let (status, headers) = parse_response_head(&head)?;
@@ -751,47 +650,13 @@ fn read_response(stream: &TcpStream, rb: &mut RecvBuf) -> io::Result<(ClientResp
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
     };
-    let mut reusable = !find("connection")
+    let reusable = !find("connection")
         .is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close")));
+    let len = find("content-length")
+        .and_then(|v| v.parse::<usize>().ok())
+        .ok_or_else(|| invalid_data("response without a valid Content-Length"))?;
     let mut body = Vec::new();
-    let chunked =
-        find("transfer-encoding").is_some_and(|v| v.to_ascii_lowercase().contains("chunked"));
-    if chunked {
-        loop {
-            let size_line = read_crlf_line(stream, rb)?;
-            let size_text = size_line.split(';').next().unwrap_or("").trim();
-            let size = usize::from_str_radix(size_text, 16)
-                .map_err(|_| invalid_data(&format!("bad chunk size `{size_line}`")))?;
-            if size == 0 {
-                // Consume (empty) trailer section through the blank line.
-                loop {
-                    if read_crlf_line(stream, rb)?.is_empty() {
-                        break;
-                    }
-                }
-                break;
-            }
-            read_exact_body(stream, rb, size, &mut body)?;
-            if !read_crlf_line(stream, rb)?.is_empty() {
-                return Err(invalid_data("missing chunk terminator"));
-            }
-        }
-    } else if let Some(len) = find("content-length").and_then(|v| v.parse::<usize>().ok()) {
-        read_exact_body(stream, rb, len, &mut body)?;
-    } else {
-        // Close-delimited: the body ends with the connection.
-        reusable = false;
-        loop {
-            let avail = rb.unread().len();
-            if avail > 0 {
-                body.extend_from_slice(rb.unread());
-                rb.consume(avail);
-            }
-            if rb.fill(stream)? == 0 {
-                break;
-            }
-        }
-    }
+    read_exact_body(stream, rb, len, &mut body)?;
     Ok((
         ClientResponse {
             status,
@@ -1164,39 +1029,57 @@ mod tests {
     }
 
     #[test]
-    fn client_and_server_roundtrip_fixed_and_streamed() {
+    fn client_and_server_roundtrip_content_length() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let req = read_request(&mut stream, &Limits::default(), None).unwrap();
+            assert_eq!(req.path, "/fixed");
+            write_response(
+                &mut stream,
+                200,
+                "application/json",
+                &[("X-Test".to_string(), "yes".to_string())],
+                b"{\"ok\":true}",
+                false,
+            )
+            .unwrap();
+        });
+        let r = http_request(&addr, "GET", "/fixed", &[], b"", None).unwrap();
+        assert_eq!(r.status, 200);
+        assert_eq!(r.header("x-test"), Some("yes"));
+        assert_eq!(r.header("content-length"), Some("11"));
+        assert_eq!(r.body, b"{\"ok\":true}");
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn response_without_content_length_is_invalid_data() {
+        // A server that frames its body by closing the connection: both
+        // client paths must fail with a typed error instead of reading to
+        // end of stream or waiting on a body length they were never told.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             for _ in 0..2 {
                 let (mut stream, _) = listener.accept().unwrap();
-                let req = read_request(&mut stream, &Limits::default(), None).unwrap();
-                if req.path == "/fixed" {
-                    write_response(
-                        &mut stream,
-                        200,
-                        "application/json",
-                        &[("X-Test".to_string(), "yes".to_string())],
-                        b"{\"ok\":true}",
-                        false,
-                    )
-                    .unwrap();
-                } else {
-                    let mut s =
-                        ResponseStream::begin(&mut stream, 200, "application/jsonl", &[], false)
-                            .unwrap();
-                    s.write_line("{\"line\":1}").unwrap();
-                    s.write_line("{\"line\":2}").unwrap();
-                    s.finish().unwrap();
-                }
+                let _ = read_request(&mut stream, &Limits::default(), None).unwrap();
+                stream.write_all(b"HTTP/1.1 200 OK\r\n\r\nabc").unwrap();
             }
         });
-        let r = http_request(&addr, "GET", "/fixed", &[], b"", None).unwrap();
-        assert_eq!(r.status, 200);
-        assert_eq!(r.header("x-test"), Some("yes"));
-        assert_eq!(r.body, b"{\"ok\":true}");
-        let r = http_request(&addr, "GET", "/stream", &[], b"", None).unwrap();
-        assert_eq!(r.text(), "{\"line\":1}\n{\"line\":2}\n");
+        let timeout = Some(Duration::from_secs(10));
+        let t0 = Instant::now();
+        let err = http_request(&addr, "GET", "/bare", &[], b"", timeout).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let mut client = NetClient::new(&addr, timeout);
+        let err = client.request_on("GET", "/bare", &[], b"").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(client.connects(), 1, "a framing error is not retried");
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "a missing Content-Length must fail at the head, not at a timeout"
+        );
         server.join().unwrap();
     }
 
@@ -1244,25 +1127,20 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let mut accepted = 0u32;
-            // First connection: serve three requests (streamed, fixed,
-            // fixed), then close. Second connection: serve one.
+            // First connection: serve three requests, then close. Second connection: serve one.
             let (stream, _) = listener.accept().unwrap();
             accepted += 1;
             let mut conn = Conn::new(stream);
             for i in 0..3 {
                 let req = conn.read_request(&Limits::default(), None).unwrap();
                 assert!(req.wants_keep_alive());
-                if i == 0 {
-                    let mut s = conn
-                        .begin_stream(200, "application/jsonl", &[], true)
-                        .unwrap();
-                    s.write_line("{\"n\":1}").unwrap();
-                    s.write_line("{\"n\":2}").unwrap();
-                    s.finish().unwrap();
+                let body: &[u8] = if i == 0 {
+                    b"{\"n\":1}\n{\"n\":2}\n"
                 } else {
-                    conn.write_response(200, "text/plain", &[], b"again", true)
-                        .unwrap();
-                }
+                    b"again"
+                };
+                conn.write_response(200, "text/plain", &[], body, true)
+                    .unwrap();
             }
             drop(conn); // server-side close between requests
             let (stream, _) = listener.accept().unwrap();
@@ -1274,7 +1152,7 @@ mod tests {
             accepted
         });
         let mut client = NetClient::new(&addr, Some(Duration::from_secs(5)));
-        let r = client.request_on("GET", "/stream", &[], b"").unwrap();
+        let r = client.request_on("GET", "/lines", &[], b"").unwrap();
         assert_eq!(r.text(), "{\"n\":1}\n{\"n\":2}\n");
         for _ in 0..2 {
             let r = client.request_on("GET", "/x", &[], b"").unwrap();
@@ -1287,38 +1165,6 @@ mod tests {
         assert_eq!(r.body, b"fresh");
         assert_eq!(client.connects(), 2);
         assert_eq!(server.join().unwrap(), 2);
-    }
-
-    #[test]
-    fn chunked_and_close_delimited_bodies_deframe_identically() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            for keep in [true, false] {
-                let (stream, _) = listener.accept().unwrap();
-                let mut conn = Conn::new(stream);
-                let _ = conn.read_request(&Limits::default(), None).unwrap();
-                let mut s = conn
-                    .begin_stream(200, "application/jsonl", &[], keep)
-                    .unwrap();
-                for i in 0..5 {
-                    s.write_line(&format!("{{\"i\":{i}}}")).unwrap();
-                }
-                s.finish().unwrap();
-            }
-        });
-        let mut client = NetClient::new(&addr, Some(Duration::from_secs(5)));
-        let chunked = client.request_on("GET", "/s", &[], b"").unwrap();
-        assert_eq!(
-            chunked.header("transfer-encoding").map(str::to_string),
-            Some("chunked".to_string())
-        );
-        let closed = http_request(&addr, "GET", "/s", &[], b"", None).unwrap();
-        assert_eq!(
-            chunked.body, closed.body,
-            "payload bytes must be framing-independent"
-        );
-        server.join().unwrap();
     }
 
     #[test]

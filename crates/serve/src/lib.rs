@@ -13,8 +13,8 @@
 //! The transport is the hand-rolled HTTP/1.1 subset in
 //! [`mcgp_runtime::net`] (hermetic policy: no hyper/tokio) with
 //! persistent keep-alive connections: one socket carries many requests,
-//! streamed responses use chunked framing under reuse, and idle
-//! connections are reaped on a deadline. Responses stream as JSONL;
+//! every response is `Content-Length`-framed, and idle connections are
+//! reaped on a deadline. A partition response is one JSONL body;
 //! everything that varies between a cold, warm, or disk-reloaded run
 //! (cache verdict, timings, trace id) rides in `X-Mcgp-*` headers so
 //! the partition in a response body is a function of

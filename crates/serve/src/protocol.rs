@@ -17,7 +17,7 @@
 //! of the same request — cache verdict, phase timings, trace id — is
 //! carried in `X-Mcgp-*` response headers, never the body.
 
-use mcgp_graph::{McgpError, PartitionQuality};
+use mcgp_graph::{Graph, McgpError, PartitionQuality};
 use mcgp_runtime::net::Request;
 use mcgp_runtime::Json;
 
@@ -256,6 +256,38 @@ pub fn done_line(quality: &PartitionQuality) -> String {
         ("boundary", Json::UInt(quality.boundary as u64)),
     ])
     .to_string()
+}
+
+/// The whole JSONL body of a successful partition response: the `meta`
+/// line, one `part` line per [`PART_CHUNK`] vertices and the `done` line,
+/// each newline-terminated. The daemon builds it before writing the
+/// head, so the response carries its `Content-Length`.
+pub fn partition_body(
+    fp: u64,
+    params: &PartitionParams,
+    graph: &Graph,
+    assignment: &[u32],
+    levels: usize,
+    quality: &PartitionQuality,
+) -> Vec<u8> {
+    let meta = meta_line(
+        fp,
+        params,
+        graph.nvtxs(),
+        graph.adjacency_len() / 2,
+        graph.ncon(),
+        levels,
+    );
+    let mut body = Vec::with_capacity(4 * assignment.len() + 1024);
+    body.extend_from_slice(meta.as_bytes());
+    body.push(b'\n');
+    for (i, chunk) in assignment.chunks(PART_CHUNK).enumerate() {
+        body.extend_from_slice(part_line(i * PART_CHUNK, chunk).as_bytes());
+        body.push(b'\n');
+    }
+    body.extend_from_slice(done_line(quality).as_bytes());
+    body.push(b'\n');
+    body
 }
 
 #[cfg(test)]

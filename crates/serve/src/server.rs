@@ -22,8 +22,10 @@
 //!
 //! - `POST /partition?k=&tol=&seed=&threads=` — body is the graph
 //!   (METIS text, or JSON-CSR under `Content-Type: application/json`).
-//!   Streams a JSONL body (`meta`, `part`×, `done`); cache verdict and
-//!   timings ride in `X-Mcgp-*` headers (see [`crate::protocol`]).
+//!   Answers with a `Content-Length` JSONL body (`meta`, `part`×,
+//!   `done`), built in a `serialize` span and sent in a `write` span;
+//!   cache verdict and timings ride in `X-Mcgp-*` headers (see
+//!   [`crate::protocol`]).
 //! - `GET /metrics` — counters, cache occupancy, latency histogram and
 //!   accumulated phase report, as one JSON object (or Prometheus text).
 //!   The phase report is the always-on channel: per-phase times and five
@@ -38,9 +40,7 @@
 //! hierarchy cache.
 
 use crate::cache::{fingerprint, CacheConfig, CacheVerdict, CachedEntry, HierarchyCache};
-use crate::protocol::{
-    done_line, meta_line, part_line, GraphFormat, PartitionParams, RequestError, PART_CHUNK,
-};
+use crate::protocol::{partition_body, GraphFormat, PartitionParams, RequestError};
 use crate::signal;
 use mcgp_core::{HierarchySnapshot, PartitionConfig, PartitionResult};
 use mcgp_graph::check::check_graph;
@@ -375,8 +375,9 @@ impl Server {
 fn handle_connection(state: &State, stream: TcpStream) {
     state.stats.connections.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_write_timeout(Some(state.config.io_timeout));
-    // Nagle + delayed-ACK stalls every small chunked write behind the
-    // peer's ACK clock (~40ms each) — fatal for pipelined keep-alive.
+    // `write_response` sends the head and the body as two writes; with
+    // Nagle on, the body waits for the peer's delayed ACK of the head
+    // (~40ms) — fatal for pipelined keep-alive.
     let _ = stream.set_nodelay(true);
     let mut conn = Conn::new(stream);
     let mut served: u64 = 0;
@@ -680,7 +681,24 @@ fn handle_partition(state: &State, conn: &mut Conn, req: Request, t0: Instant, k
                 ("X-Mcgp-Coarsen-Us".to_string(), coarsen_us.to_string()),
                 ("X-Mcgp-Total-Us".to_string(), total_us.to_string()),
             ];
-            match write_success(conn, &headers, fp, &params, &entry, &result, keep) {
+            let body = {
+                let mut serialize = mcgp_runtime::span!("serialize");
+                let body = partition_body(
+                    fp,
+                    &params,
+                    &entry.graph,
+                    result.partition.assignment(),
+                    result.coarsen_levels,
+                    &result.quality,
+                );
+                serialize.record("bytes", body.len());
+                body
+            };
+            let sent = {
+                let _write = mcgp_runtime::span!("write");
+                conn.write_response(200, "application/x-ndjson", &headers, &body, keep)
+            };
+            match sent {
                 Ok(()) => {
                     state
                         .stats
@@ -710,37 +728,6 @@ fn finish_error(state: &State, conn: &mut Conn, err: &RequestError) -> bool {
         false,
     );
     false
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_success(
-    conn: &mut Conn,
-    headers: &[(String, String)],
-    fp: u64,
-    params: &PartitionParams,
-    entry: &CachedEntry,
-    result: &PartitionResult,
-    keep: bool,
-) -> io::Result<()> {
-    let g = &entry.graph;
-    let mut rs = conn.begin_stream(200, "application/x-ndjson", headers, keep)?;
-    rs.write_line(&meta_line(
-        fp,
-        params,
-        g.nvtxs(),
-        g.adjacency_len() / 2,
-        g.ncon(),
-        result.coarsen_levels,
-    ))?;
-    let assignment = result.partition.assignment();
-    let mut off = 0;
-    while off < assignment.len() {
-        let end = (off + PART_CHUNK).min(assignment.len());
-        rs.write_line(&part_line(off, &assignment[off..end]))?;
-        off = end;
-    }
-    rs.write_line(&done_line(&result.quality))?;
-    rs.finish()
 }
 
 /// After each connection: forward this worker's trace events into the

@@ -10,9 +10,11 @@ use mcgp_graph::generators::mrng_like;
 use mcgp_graph::io::write_metis;
 use mcgp_graph::{synthetic, Graph};
 use mcgp_runtime::net::{http_request, ClientResponse, Limits, NetClient};
+use mcgp_runtime::trace::{self, EventKind, FieldValue};
 use mcgp_runtime::{Json, PhaseReport, ToJson};
 use mcgp_serve::server::{ServeConfig, Server};
 use mcgp_serve::{ServerHandle, MAX_REQUESTS_PER_CONN};
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::time::Duration;
 
@@ -634,57 +636,31 @@ fn tempdir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// De-frames a chunked transfer-encoded body back to its payload bytes.
-fn dechunk(mut body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    loop {
-        let line_end = body
-            .windows(2)
-            .position(|w| w == b"\r\n")
-            .expect("chunk size line");
-        let size =
-            usize::from_str_radix(std::str::from_utf8(&body[..line_end]).unwrap().trim(), 16)
-                .expect("hex chunk size");
-        body = &body[line_end + 2..];
-        if size == 0 {
-            return out;
-        }
-        out.extend_from_slice(&body[..size]);
-        assert_eq!(&body[size..size + 2], b"\r\n", "chunk terminator");
-        body = &body[size + 2..];
-    }
+/// The head (through its blank line) and the `Content-Length` of the
+/// response at the front of `bytes`, once its head has fully arrived.
+/// Every daemon response is `Content-Length`-framed and carries no
+/// `Transfer-Encoding`.
+fn response_head(bytes: &[u8]) -> Option<(String, usize)> {
+    let head_end = bytes.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
+    let head = String::from_utf8(bytes[..head_end].to_vec()).unwrap();
+    let lower = head.to_ascii_lowercase();
+    assert!(!lower.contains("transfer-encoding"), "{head}");
+    let len = lower
+        .lines()
+        .find_map(|l| l.strip_prefix("content-length: "))
+        .expect("content-length header")
+        .trim()
+        .parse()
+        .unwrap();
+    Some((head, len))
 }
 
 /// Splits one raw HTTP response off the front of `bytes`: returns
-/// (head text, de-framed payload, rest). Supports the three server
-/// framings: `Transfer-Encoding: chunked`, `Content-Length`, and
-/// close-delimited (everything to EOF).
+/// (head text, body, rest).
 fn split_response(bytes: &[u8]) -> (String, Vec<u8>, &[u8]) {
-    let head_end = bytes
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response head")
-        + 4;
-    let head = String::from_utf8(bytes[..head_end].to_vec()).unwrap();
-    let rest = &bytes[head_end..];
-    let lower = head.to_ascii_lowercase();
-    if lower.contains("transfer-encoding: chunked") {
-        let term = rest
-            .windows(5)
-            .position(|w| w == b"0\r\n\r\n")
-            .expect("chunked terminator")
-            + 5;
-        (head, dechunk(&rest[..term]), &rest[term..])
-    } else if let Some(len) = lower
-        .lines()
-        .find_map(|l| l.strip_prefix("content-length: "))
-    {
-        let len: usize = len.trim().parse().unwrap();
-        (head, rest[..len].to_vec(), &rest[len..])
-    } else {
-        // Close-delimited: the payload runs to the end of the stream.
-        (head, rest.to_vec(), &rest[rest.len()..])
-    }
+    let (head, len) = response_head(bytes).expect("response head");
+    let rest = &bytes[head.len()..];
+    (head, rest[..len].to_vec(), &rest[len..])
 }
 
 #[test]
@@ -693,9 +669,14 @@ fn pipelined_keepalive_requests_are_byte_stable_on_one_socket() {
     let body = metis_bytes(&graph);
     let (addr, handle, thread) = start_default();
 
-    // Reference response over a throwaway connection (close-delimited).
+    // Reference response over a throwaway `Connection: close` socket.
     let reference = post(&addr, "/partition?k=4", &body);
     assert_eq!(reference.status, 200, "{}", reference.text());
+    assert_eq!(reference.header("transfer-encoding"), None);
+    assert_eq!(
+        reference.header("content-length"),
+        Some(reference.body.len().to_string().as_str())
+    );
 
     // Three identical requests written back to back in one burst — the
     // third asks the server to close so the socket drains cleanly.
@@ -717,6 +698,9 @@ fn pipelined_keepalive_requests_are_byte_stable_on_one_socket() {
     let mut all = Vec::new();
     s.read_to_end(&mut all).unwrap();
 
+    // `split_response` asserts every head has a `Content-Length` and no
+    // `Transfer-Encoding`; taking exactly that many bytes per response
+    // must leave nothing over.
     let mut rest: &[u8] = &all;
     for i in 0..3 {
         let (head, payload, after) = split_response(rest);
@@ -725,7 +709,6 @@ fn pipelined_keepalive_requests_are_byte_stable_on_one_socket() {
         let lower = head.to_ascii_lowercase();
         if i < 2 {
             assert!(lower.contains("connection: keep-alive"), "{head}");
-            assert!(lower.contains("transfer-encoding: chunked"), "{head}");
             // Pipelined follow-ups are warm: the first request on this
             // socket already built the hierarchy (the reference request
             // built it even earlier).
@@ -817,6 +800,84 @@ fn net_client_reuse_matches_per_connection_responses() {
     stop(&handle, thread);
 }
 
+/// A traced daemon times building a partition response and sending it
+/// as two spans, `serialize` (with the body's byte count) and `write`,
+/// each opened once per successful `/partition`, directly inside that
+/// request's `serve_request` span; a request that fails opens neither.
+/// Tracing is a process-wide toggle, so other tests running meanwhile
+/// trace too; their events stay with their own daemons and threads.
+#[test]
+fn traced_partition_opens_one_serialize_and_one_write_span() {
+    let graph = mrng_like(600, 23);
+    let body = metis_bytes(&graph);
+    trace::set_enabled(true);
+    let (addr, handle, thread) = start_default();
+    let cold = post(&addr, "/partition?k=4", &body);
+    let warm = post(&addr, "/partition?k=8", &body);
+    let failed = post(&addr, "/partition?k=4", b"not a graph");
+    stop(&handle, thread);
+    let events = handle.take_trace();
+    trace::set_enabled(false);
+    assert_eq!((cold.status, warm.status), (200, 200));
+    assert_eq!(failed.status, 400, "{}", failed.text());
+
+    // Per thread, a stack of open spans; each open `serve_request`
+    // counts the `serialize` and `write` spans opened directly inside.
+    let mut stacks: BTreeMap<u64, Vec<(&str, usize, usize)>> = BTreeMap::new();
+    let mut requests: Vec<(String, usize, usize)> = Vec::new();
+    let mut serialized: Vec<u64> = Vec::new();
+    for ev in &events {
+        let stack = stacks.entry(ev.tid).or_default();
+        match ev.kind {
+            EventKind::Begin => {
+                if matches!(ev.name, "serialize" | "write") {
+                    let parent = stack.last_mut().expect("stage span outside any span");
+                    assert_eq!(parent.0, "serve_request", "{} nested wrongly", ev.name);
+                    if ev.name == "serialize" {
+                        parent.1 += 1;
+                    } else {
+                        parent.2 += 1;
+                    }
+                }
+                stack.push((ev.name, 0, 0));
+            }
+            EventKind::End => {
+                let (name, serializes, writes) = stack.pop().expect("unbalanced spans");
+                assert_eq!(name, ev.name, "unbalanced spans");
+                let field = |key: &str| ev.fields.iter().find(|(k, _)| *k == key);
+                if name == "serve_request" {
+                    let outcome = match field("outcome") {
+                        Some((_, FieldValue::Str(s))) => s.to_string(),
+                        other => panic!("serve_request without an outcome: {other:?}"),
+                    };
+                    requests.push((outcome, serializes, writes));
+                } else if name == "serialize" {
+                    match field("bytes") {
+                        Some((_, FieldValue::U64(n))) => serialized.push(*n),
+                        other => panic!("serialize without bytes: {other:?}"),
+                    }
+                }
+            }
+            EventKind::Instant => {}
+        }
+    }
+    // Workers drain their events after each request, so the two workers'
+    // requests may land in either order.
+    requests.sort();
+    assert_eq!(
+        requests,
+        vec![
+            ("hit".to_string(), 1, 1),
+            ("miss".to_string(), 1, 1),
+            ("parse".to_string(), 0, 0),
+        ]
+    );
+    serialized.sort();
+    let mut lengths = vec![cold.body.len() as u64, warm.body.len() as u64];
+    lengths.sort();
+    assert_eq!(serialized, lengths);
+}
+
 #[test]
 fn slowloris_second_request_is_reaped_on_the_idle_deadline() {
     let graph = mrng_like(300, 17);
@@ -841,13 +902,19 @@ fn slowloris_second_request_is_reaped_on_the_idle_deadline() {
     .unwrap();
     s.write_all(&body).unwrap();
     let mut buf = vec![0u8; 1 << 20];
-    // Read the first (chunked) response to its terminator.
+    // Read the first response through its head, then up to its
+    // Content-Length.
     let mut got = Vec::new();
-    while !got.windows(5).any(|w| w == b"0\r\n\r\n") {
+    let mut want = None;
+    while want.is_none_or(|n| got.len() < n) {
         let n = s.read(&mut buf).unwrap();
         assert!(n > 0, "server closed before finishing the first response");
         got.extend_from_slice(&buf[..n]);
+        if want.is_none() {
+            want = response_head(&got).map(|(head, len)| head.len() + len);
+        }
     }
+    assert_eq!(got.len(), want.unwrap(), "no bytes past the first response");
     assert!(
         got.starts_with(b"HTTP/1.1 200"),
         "first response must succeed"

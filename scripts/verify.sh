@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Formatting: the workspace is rustfmt-clean, so a whole-crate `cargo fmt`
+# in a later change rewrites only what that change touched.
+cargo fmt --all -- --check
 # Unsafe surface: outside the test directories, `unsafe` code lives only in
 # the prefetch hint (mcgp-runtime) and the SIGTERM latch (mcgp-serve).
 UNSAFE_HITS="$(grep -rnw --include='*.rs' unsafe crates/*/src crates/*/benches src examples \

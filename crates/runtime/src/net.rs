@@ -16,7 +16,7 @@
 //!   slowloris peer dripping one byte per read would otherwise reset a
 //!   per-read timer thousands of times — and expiry surfaces as
 //!   [`NetError::Timeout`].
-//! * **Responses** carry a `Content-Length` ([`write_response`]): the
+//! * **Responses** carry a `Content-Length` ([`Conn::write_response`]): the
 //!   daemon builds every body before it writes the head, so it never
 //!   needs a streamed framing. The serve determinism contract is over
 //!   body bytes, which this one framing leaves untouched.
@@ -311,7 +311,10 @@ impl Conn {
         read_request_buffered(&self.stream, &mut self.rb, limits, timeout)
     }
 
-    /// Writes a complete `Content-Length`-framed response.
+    /// Writes a complete response with `Content-Length` framing, the one
+    /// framing the server uses. `extra` headers are emitted verbatim
+    /// after the standard set. The head and the body go out as two
+    /// writes, so callers set `TCP_NODELAY` on the socket.
     pub fn write_response(
         &mut self,
         status: u16,
@@ -320,14 +323,22 @@ impl Conn {
         body: &[u8],
         keep_alive: bool,
     ) -> io::Result<()> {
-        write_response(
-            &mut self.stream,
-            status,
-            content_type,
-            extra,
-            body,
-            keep_alive,
-        )
+        let mut head = format!(
+            "HTTP/1.1 {status} {}\r\nConnection: {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
+            reason_phrase(status),
+            connection_header(keep_alive),
+            body.len()
+        );
+        for (k, v) in extra {
+            head.push_str(k);
+            head.push_str(": ");
+            head.push_str(v);
+            head.push_str("\r\n");
+        }
+        head.push_str("\r\n");
+        self.stream.write_all(head.as_bytes())?;
+        self.stream.write_all(body)?;
+        self.stream.flush()
     }
 }
 
@@ -504,34 +515,6 @@ fn connection_header(keep_alive: bool) -> &'static str {
     } else {
         "close"
     }
-}
-
-/// Writes a complete response with `Content-Length` framing. `extra`
-/// headers are emitted verbatim after the standard set.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    extra: &[(String, String)],
-    body: &[u8],
-    keep_alive: bool,
-) -> io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nConnection: {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
-        reason_phrase(status),
-        connection_header(keep_alive),
-        body.len()
-    );
-    for (k, v) in extra {
-        head.push_str(k);
-        head.push_str(": ");
-        head.push_str(v);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
 }
 
 /// A complete client-side view of one HTTP exchange.
@@ -1033,11 +1016,11 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let req = read_request(&mut stream, &Limits::default(), None).unwrap();
+            let (stream, _) = listener.accept().unwrap();
+            let mut conn = Conn::new(stream);
+            let req = conn.read_request(&Limits::default(), None).unwrap();
             assert_eq!(req.path, "/fixed");
-            write_response(
-                &mut stream,
+            conn.write_response(
                 200,
                 "application/json",
                 &[("X-Test".to_string(), "yes".to_string())],
@@ -1127,7 +1110,8 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let mut accepted = 0u32;
-            // First connection: serve three requests, then close. Second connection: serve one.
+            // First connection: serve three requests, then close. Second
+            // connection: serve one.
             let (stream, _) = listener.accept().unwrap();
             accepted += 1;
             let mut conn = Conn::new(stream);

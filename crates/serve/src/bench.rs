@@ -34,7 +34,7 @@
 //! request; `mcgp bench-gate --rps-win` holds their ratio ≥ 2x. While
 //! running, the generator also cross-checks the determinism contract:
 //! responses to an identical request must be byte-identical — cold,
-//! warm, disk, chunked under keep-alive, or close-delimited.
+//! warm, or disk, over a reused connection or a fresh one.
 
 use crate::cache::{fingerprint, lane_hash};
 use crate::protocol::{part_line, GraphFormat, PART_CHUNK};
@@ -52,8 +52,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Load-test shape. Defaults reproduce the checked-in `BENCH_serve.json`:
-/// the 200k mesh of the bench suite, 2 clients, every 6th request cold,
-/// plus the rmat9 connection-reuse pair.
+/// the 200k mesh of the bench suite, 2 clients, 96 requests with every
+/// 6th one cold (16 cold samples), plus the rmat9 connection-reuse pair.
 #[derive(Clone, Debug)]
 pub struct BenchServeConfig {
     /// Mesh size (vertices) of the generated graph.
@@ -79,7 +79,7 @@ impl Default for BenchServeConfig {
     fn default() -> Self {
         BenchServeConfig {
             nvtxs: 200_000,
-            requests: 24,
+            requests: 96,
             clients: 2,
             cold_every: 6,
             workers: 2,
